@@ -3,7 +3,7 @@
 Library layout:
 
 - ``bnt.rng``      deterministic counter-based random streams
-- ``bnt.linalg``   dense float64 kernels (orthonormalization, eigensolver)
+- ``bnt.linalg``   softmax, Xavier init, Gram-Schmidt, sign-fixed LAPACK eigensolver
 - ``bnt.model``    attention stack, readouts, analytic gradients
 - ``bnt.data``     synthetic correlation graphs, dataset file, splits
 - ``bnt.training`` Adam loop, checkpoints, train reports
@@ -18,8 +18,6 @@ from .rng import Rng
 from .linalg import (
     DegenerateBasisError,
     gram_schmidt,
-    matmul,
-    softmax_rows,
     symmetric_eigendecomposition,
     xavier_uniform,
 )

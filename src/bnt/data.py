@@ -181,7 +181,11 @@ def write_dataset(path, graphs) -> None:
 
 
 def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGraph]:
-    """Read a binary dataset file; matrices widen to float64."""
+    """Read a binary dataset file; matrices widen to float64.
+
+    Every record is checked with ConnectivityGraph.validate; a failure
+    raises DatasetFormatError naming the subject id.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -206,10 +210,17 @@ def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGrap
     for _ in range(n):
         sid, label, site, _pad = _RECORD_HEAD.unpack_from(raw, off)
         off += _RECORD_HEAD.size
-        mat = np.frombuffer(raw, dtype="<f4", count=v * v, offset=off).astype(np.float64)
+        mat = np.frombuffer(raw, dtype="<f4", count=v * v, offset=off).reshape(v, v)
         off += 4 * v * v
+        # Checking the stored float32 values moves half the bytes of checking
+        # the widened copy; widening is exact, so only the 1e-6 symmetry test
+        # can round differently, and only at its threshold.
+        try:
+            ConnectivityGraph(sid, label, site, mat).validate()
+        except ValueError as exc:
+            raise DatasetFormatError(f"subject {sid}: {exc}") from None
         graphs.append(
-            ConnectivityGraph(subject_id=sid, label=label, site=site, matrix=mat.reshape(v, v))
+            ConnectivityGraph(subject_id=sid, label=label, site=site, matrix=mat.astype(np.float64))
         )
     return graphs
 
@@ -267,7 +278,7 @@ class SplitPlan:
             value = fields.get(name, "")
             return [int(x) for x in value.split()] if value else []
 
-        return cls(
+        plan = cls(
             train=ids("train"),
             val=ids("val"),
             test=ids("test"),
@@ -276,6 +287,19 @@ class SplitPlan:
             stratified=fields.get("stratified", "true") == "true",
             warnings=warnings,
         )
+        plan.validate()
+        return plan
+
+    def validate(self):
+        """Raise ValueError if an id repeats within a list or sits in two
+        lists, so no subject can leak from one split into another."""
+        seen: dict[int, str] = {}
+        for name in ("train", "val", "test"):
+            for i in getattr(self, name):
+                if i in seen:
+                    where = f"twice in {name}" if seen[i] == name else f"in both {seen[i]} and {name}"
+                    raise ValueError(f"subject id {i} appears {where}")
+                seen[i] = name
 
 
 def _check_fractions(fractions):

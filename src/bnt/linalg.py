@@ -1,10 +1,11 @@
-"""Dense float64 linear algebra used throughout the library.
+"""Dense float64 linear algebra that NumPy does not provide as such.
 
-Matrices are plain 2-D numpy float64 arrays.  The everyday operations
-(products, row softmax) delegate to numpy; the orthonormalization and
-the symmetric eigensolver are implemented here because their exact
-behavior (error cases, convergence thresholds, ordering) is part of the
-library contract.
+Inputs are plain numpy float64 arrays.  The module holds the
+stabilized softmax, Xavier-uniform initialization drawn from the
+library's own random streams, modified Gram-Schmidt with a typed error
+for dependent rows, and a wrapper around LAPACK's symmetric
+eigendecomposition that fixes the eigenvalue order and eigenvector signs,
+since both are part of the library contract.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import numpy as np
 from .rng import Rng
 
 GS_NORM_FLOOR = 1e-12
-JACOBI_OFF_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
-_MAX_SWEEPS = 60
 
 
 class DegenerateBasisError(ValueError):
@@ -24,7 +23,7 @@ class DegenerateBasisError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reach the off-diagonal threshold."""
+    """LAPACK's symmetric eigensolver failed to converge."""
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -34,28 +33,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with shape and finiteness checks."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise FloatingPointError("matmul produced non-finite entries")
-    return out
-
-
 def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, stabilized by max subtraction."""
     shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax of a matrix; each output row sums to 1."""
-    return softmax_lastaxis(_as_matrix(m, "m"))
 
 
 def xavier_uniform(rows: int, cols: int, rng: Rng) -> np.ndarray:
@@ -108,68 +90,33 @@ def gram_schmidt(c) -> np.ndarray:
 
 
 def symmetric_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps of plane rotations run until the off-diagonal Frobenius norm
-    drops below 1e-12.  Returns ``(eigenvalues, eigenvectors)`` with
-    eigenvalues sorted descending and the matching orthonormal
-    eigenvectors as columns, so ``m @ vecs[:, i] == vals[i] * vecs[:, i]``.
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
+    descending and the matching orthonormal eigenvectors as columns, so
+    ``m @ vecs[:, i] == vals[i] * vecs[:, i]``.  Signs are fixed so that
+    equal inputs give equal features: in each column the entry of largest
+    absolute value is positive, the first such entry on ties.
+
+    Raises ValueError for a non-square input or one that is not symmetric
+    within 1e-9, and EigenConvergenceError if LAPACK does not converge.
     """
     m = _as_matrix(m, "m")
     n, n2 = m.shape
     if n != n2:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    if n > 0 and np.abs(m - m.T).max() > SYMMETRY_TOL:
+    if n == 0:
+        return np.zeros(0), np.eye(0)
+    if np.abs(m - m.T).max() > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-9")
 
-    a = (m + m.T) / 2.0
-    q = np.eye(n)
-    if n < 2:
-        return a.diagonal().copy(), q
-
-    def off_norm(x):
-        o = x - np.diag(x.diagonal())
-        return np.sqrt((o * o).sum())
-
-    for _ in range(_MAX_SWEEPS):
-        if off_norm(a) < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                # Rotation angle choice that zeroes a[p, r] (Golub & Van Loan).
-                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if t == 0.0:  # sign(0) == 0; take the positive root
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = cth * col_p - sth * col_r
-                a[:, r] = sth * col_p + cth * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = cth * row_p - sth * row_r
-                a[r, :] = sth * row_p + cth * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-
-                qp = q[:, p].copy()
-                qr = q[:, r].copy()
-                q[:, p] = cth * qp - sth * qr
-                q[:, r] = sth * qp + cth * qr
-    else:
-        raise EigenConvergenceError(
-            f"off-diagonal norm {off_norm(a):.3e} after {_MAX_SWEEPS} sweeps"
-        )
-
-    vals = a.diagonal().copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], q[:, order]
+    try:
+        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    peaks = vecs[np.abs(vecs).argmax(axis=0), np.arange(n)]
+    return vals, vecs * np.where(peaks < 0, -1.0, 1.0)
 
 
 def orthonormal_rows(k: int, v: int, rng: Rng, max_retries: int = 8) -> np.ndarray:

@@ -340,21 +340,12 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig) -> _
         tr.caches.append(cache)
 
     if config.readout is Readout.OCREAD:
-        scores = z @ params.centers.T  # (B, V, K)
-        p = softmax_lastaxis(scores)
-        pooled = p.swapaxes(1, 2) @ z  # (B, K, V)
-        tr.assignment = p
-        tr.pooled = pooled
-        g = pooled.reshape(b, -1)
-    elif config.readout is Readout.MEAN:
-        g = z.mean(axis=1)
-    elif config.readout is Readout.SUM:
-        g = z.sum(axis=1)
-    elif config.readout is Readout.MAX:
-        tr.max_idx = z.argmax(axis=1)  # first index on ties
-        g = z.max(axis=1)
-    else:  # CONCAT
-        g = z.reshape(b, -1)
+        tr.pooled, tr.assignment = ocread(z, params.centers)  # (B, K, V), (B, V, K)
+        g = tr.pooled.reshape(b, -1)
+    else:
+        if config.readout is Readout.MAX:
+            tr.max_idx = z.argmax(axis=1)  # routes the max backward; first index on ties
+        g = baseline_readout(z, config.readout)
     tr.readout_vec = g
 
     acts = [g]
@@ -424,28 +415,32 @@ def mhsa_layer(z_prev, layer: AttentionLayerParams) -> np.ndarray:
 
 
 def ocread(z, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Soft cluster pooling of node embeddings.
+    """Soft cluster pooling of node embeddings z of shape (..., V, w).
 
-    Returns (pooled, assignment): assignment[i, k] is node i's softmax
-    weight on center k, pooled = assignment.T @ z.
+    Returns (pooled, assignment): assignment[..., i, k] is node i's
+    softmax weight on center k, pooled = assignment^T @ z per graph.
+    Leading axes are batch axes.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     p = softmax_lastaxis(z @ centers.T)
-    return p.T @ z, p
+    return p.swapaxes(-1, -2) @ z, p
 
 
 def baseline_readout(z, kind: Readout) -> np.ndarray:
-    """Non-clustering readouts: column-wise mean/sum/max or flatten."""
+    """Non-clustering readouts of z (..., V, w): mean/sum/max over nodes or flatten.
+
+    Leading axes are batch axes.
+    """
     z = np.asarray(z, dtype=np.float64)
     if kind is Readout.MEAN:
-        return z.mean(axis=0)
+        return z.mean(axis=-2)
     if kind is Readout.SUM:
-        return z.sum(axis=0)
+        return z.sum(axis=-2)
     if kind is Readout.MAX:
-        return z.max(axis=0)
+        return z.max(axis=-2)
     if kind is Readout.CONCAT:
-        return z.reshape(-1)
+        return z.reshape(*z.shape[:-2], -1)
     raise ValueError(f"not a baseline readout: {kind}")
 
 

@@ -100,6 +100,13 @@ def adam_step(param_map: dict, grad_map: dict, state: AdamState, config: TrainCo
         p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
 
 
+class _ReportFields(dict):
+    """Key-value lines of a report; reading an absent key is a format error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"train report has no {key} line")
+
+
 @dataclass
 class TrainReport:
     seed: int
@@ -149,7 +156,8 @@ class TrainReport:
 
     @classmethod
     def from_text(cls, text: str) -> "TrainReport":
-        kv: dict[str, str] = {}
+        """Parse to_text output; a missing or malformed line raises ValueError."""
+        kv: dict[str, str] = _ReportFields()
         for line in text.splitlines():
             if "=" in line:
                 key, _, value = line.partition("=")
@@ -226,6 +234,7 @@ def train(
     """Train on the plan's train ids, select on val AUROC, report on test."""
     model_config.validate()
     train_config.validate()
+    plan.validate()
     by_id = {g.subject_id: g for g in graphs}
     missing = [i for ids in (plan.train, plan.val, plan.test) for i in ids if i not in by_id]
     if missing:
@@ -316,6 +325,15 @@ def _zero_params(config: ModelConfig) -> ModelParams:
     )
 
 
+def _param_count(config: ModelConfig) -> int:
+    """Number of float64 entries in _zero_params(config), without allocating."""
+    v, mh = config.nodes, config.heads * config.head_dim
+    attention = mh * (3 * config.input_width + v) + (config.layers - 1) * mh * 4 * v
+    widths = [config.flat_dim, *config.mlp_hidden, 2]
+    mlp = sum(a * b + b for a, b in zip(widths, widths[1:]))
+    return attention + config.clusters * v + mlp
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     head = struct.pack(
         "<4sIIIIII",
@@ -372,13 +390,19 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         )
     except (struct.error, IndexError) as exc:
         raise CheckpointFormatError(f"corrupt checkpoint header: {exc}") from exc
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointFormatError(f"invalid checkpoint config: {exc}") from exc
 
-    params = _zero_params(config)
-    total = sum(t.size for _, t in params.named_tensors())
+    # The size check comes before any allocation, so a header that claims
+    # huge tensors is refused instead of exhausting memory.
+    total = _param_count(config)
     if len(raw) - off != 8 * total:
         raise CheckpointFormatError(
             f"checkpoint body is {len(raw) - off} bytes, expected {8 * total}"
         )
+    params = _zero_params(config)
     for _, tensor in params.named_tensors():
         flat = np.frombuffer(raw, dtype="<f8", count=tensor.size, offset=off)
         tensor[...] = flat.reshape(tensor.shape)

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything in here is deliberately written the slow, obvious way —
-triple loops, exhaustive pair counting, finite differences through the
+exhaustive pair counting, finite differences through the
 public forward pass — so that agreement with the fast implementations
 is meaningful evidence and not a tautology.
 """
@@ -11,20 +11,6 @@ import math
 import numpy as np
 
 from bnt.model import ModelConfig, ModelParams, forward
-
-
-def matmul_loops(a, b):
-    """Triple-loop matrix product; the textbook definition."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def auroc_pairs(scores, labels):

@@ -501,6 +501,75 @@ def test_ablate_rejects_impossible_combo_upfront(tiny_workspace, tmp_path, run_c
 
 
 # ---------------------------------------------------------------------------
+# malformed inputs: a data error (exit 2), one stderr line, no output
+
+
+def _assert_data_error(result, *unwritten):
+    code, _, err = result
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err
+    for path in unwritten:
+        assert not os.path.exists(path), path
+    return err
+
+
+def test_train_refuses_a_split_that_leaks_test_ids(tiny_workspace, tmp_path, run_cli):
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        plan = SplitPlan.from_text(f.read())
+    plan.train += plan.test
+    leak = tmp_path / "leak.txt"
+    leak.write_text(plan.to_text(), encoding="utf-8")
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split", str(leak),
+                 "--epochs", "1", "--out", run_dir]),
+        run_dir,
+    )
+    assert "in both train and test" in err
+
+
+def test_eval_report_without_auroc_is_a_data_error(tiny_workspace, tmp_path, run_cli):
+    report = tmp_path / "report.txt"
+    with open(tiny_workspace["report"], encoding="utf-8") as f:
+        report.write_text("".join(l for l in f if not l.startswith("test.auroc")), encoding="utf-8")
+    out = str(tmp_path / "m.csv")
+    err = _assert_data_error(
+        run_cli(["eval", "--checkpoint", tiny_workspace["checkpoint"],
+                 "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+                 "--report", str(report), "--out", out]),
+        out, out + ".manifest",
+    )
+    assert "test.auroc" in err
+
+
+def test_train_refuses_a_dataset_with_nan(tiny_workspace, tmp_path, run_cli):
+    raw = Path(tiny_workspace["dataset"]).read_bytes()
+    # 16-byte file header, 8-byte record head, then entry (0, 0) and (0, 1)
+    dataset = tmp_path / "nan.bntd"
+    dataset.write_bytes(raw[:28] + np.float32(np.nan).tobytes() + raw[32:])
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", str(dataset), "--split", tiny_workspace["split"],
+                 "--epochs", "1", "--out", run_dir]),
+        run_dir,
+    )
+    assert "subject 0" in err and "non-finite" in err
+
+
+def test_eval_refuses_a_checkpoint_claiming_huge_tensors(tiny_workspace, tmp_path, run_cli):
+    raw = Path(tiny_workspace["checkpoint"]).read_bytes()
+    checkpoint = tmp_path / "huge.bnt"
+    checkpoint.write_bytes(raw[:8] + (2**31).to_bytes(4, "little") + raw[12:])  # nodes
+    out = str(tmp_path / "m.csv")
+    err = _assert_data_error(
+        run_cli(["eval", "--checkpoint", str(checkpoint), "--dataset", tiny_workspace["dataset"],
+                 "--split", tiny_workspace["split"], "--out", out]),
+        out, out + ".manifest",
+    )
+    assert "bytes" in err
+
+
+# ---------------------------------------------------------------------------
 # process-level entry
 
 

@@ -9,6 +9,7 @@ from bnt.data import (
     BadMagicError,
     BadVersionError,
     ConnectivityGraph,
+    DatasetFormatError,
     GeneratorSpec,
     SplitPlan,
     TruncationError,
@@ -194,6 +195,12 @@ def test_read_error_kinds(tmp_path, small_graphs):
         read_dataset(path, expect_nodes=SMALL.nodes + 1)
     assert len(read_dataset(path, expect_nodes=SMALL.nodes)) == len(small_graphs)
 
+    # 16-byte file header, 8-byte record head, then entry (0, 0) and (0, 1)
+    nan = tmp_path / "nan.bntd"
+    nan.write_bytes(raw[:28] + np.float32(np.nan).tobytes() + raw[32:])
+    with pytest.raises(DatasetFormatError, match=f"subject {small_graphs[0].subject_id}: .*non-finite"):
+        read_dataset(nan)
+
 
 # ---------------------------------------------------------------------------
 # splits
@@ -288,3 +295,18 @@ def test_split_plan_text_roundtrip(small_graphs):
 def test_split_plan_rejects_garbage():
     with pytest.raises(ValueError):
         SplitPlan.from_text("kind = something_else\n")
+
+
+@pytest.mark.parametrize(
+    "train, val, test, message",
+    [
+        ([0, 1, 2], [3], [4, 1], "subject id 1 appears in both train and test"),
+        ([0, 1], [2, 3, 2], [4], "subject id 2 appears twice in val"),
+    ],
+)
+def test_split_plan_rejects_overlaps_and_repeats(train, val, test, message):
+    plan = SplitPlan(train, val, test, (0.6, 0.2, 0.2))
+    with pytest.raises(ValueError, match=message):
+        plan.validate()
+    with pytest.raises(ValueError, match=message):
+        SplitPlan.from_text(plan.to_text())

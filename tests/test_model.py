@@ -185,6 +185,18 @@ def test_baseline_readouts_hand_values():
     assert np.allclose(baseline_readout(z, Readout.CONCAT), [1.0, -2.0, 3.0, 4.0])
 
 
+def test_readouts_treat_leading_axes_as_batch():
+    z = Rng(7).normal(2 * 3 * 5 * 5).reshape(2, 3, 5, 5)
+    centers = Rng(8).normal(2 * 5).reshape(2, 5)
+    pooled, assignment = ocread(z, centers)
+    for i in np.ndindex(2, 3):
+        one_pooled, one_assignment = ocread(z[i], centers)
+        assert np.array_equal(pooled[i], one_pooled)
+        assert np.array_equal(assignment[i], one_assignment)
+        for kind in (Readout.MEAN, Readout.SUM, Readout.MAX, Readout.CONCAT):
+            assert np.array_equal(baseline_readout(z, kind)[i], baseline_readout(z[i], kind))
+
+
 # ---------------------------------------------------------------------------
 # initialization
 

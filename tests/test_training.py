@@ -5,7 +5,7 @@ import pytest
 
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.metrics import EvalResult
-from bnt.model import CentersMode, ModelConfig, Readout, init_params
+from bnt.model import CentersMode, FeatureMode, ModelConfig, Readout, init_params
 from bnt.rng import Rng
 from bnt.training import (
     AdamState,
@@ -13,6 +13,8 @@ from bnt.training import (
     TrainConfig,
     TrainReport,
     WEIGHT_DECAY_MODE,
+    _param_count,
+    _zero_params,
     adam_step,
     evaluate,
     load_checkpoint,
@@ -132,12 +134,18 @@ def test_train_rejects_bad_splits():
     empty_train = type(plan)(train=[], val=plan.val, test=plan.test, fractions=plan.fractions)
     with pytest.raises(ValueError, match="empty"):
         train(graphs, empty_train, config, tc)
-    ones = [g.subject_id for g in graphs if g.label == 1]
+    ones = {g.subject_id for g in graphs if g.label == 1}
     one_class_val = type(plan)(
-        train=plan.train, val=ones[:2], test=plan.test, fractions=plan.fractions
+        train=plan.train, val=[i for i in plan.val if i in ones], test=plan.test,
+        fractions=plan.fractions,
     )
     with pytest.raises(ValueError, match="both classes"):
         train(graphs, one_class_val, config, tc)
+    leaky = type(plan)(
+        train=plan.train + plan.test, val=plan.val, test=plan.test, fractions=plan.fractions
+    )
+    with pytest.raises(ValueError, match="in both train and test"):
+        train(graphs, leaky, config, tc)
 
 
 def test_evaluate_single_class_has_no_auroc():
@@ -208,6 +216,25 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(CheckpointFormatError, match="bytes"):
         load_checkpoint(long)
 
+    # header fields after magic and version: nodes at byte 8, layers at 12
+    huge = tmp_path / "huge.bnt"
+    huge.write_bytes(raw[:8] + (2**31).to_bytes(4, "little") + raw[12:])
+    with pytest.raises(CheckpointFormatError, match="bytes"):
+        load_checkpoint(huge)
+
+    no_layers = tmp_path / "no_layers.bnt"
+    no_layers.write_bytes(raw[:12] + (0).to_bytes(4, "little") + raw[16:])
+    with pytest.raises(CheckpointFormatError, match="layers must be >= 1"):
+        load_checkpoint(no_layers)
+
+
+@pytest.mark.parametrize("readout", list(Readout))
+@pytest.mark.parametrize("features", list(FeatureMode))
+def test_param_count_matches_the_tensors(readout, features):
+    config = ModelConfig(nodes=6, layers=3, heads=2, clusters=2, mlp_hidden=(5, 3),
+                         readout=readout, feature_mode=features, k_eigen=2)
+    assert _param_count(config) == sum(t.size for _, t in _zero_params(config).named_tensors())
+
 
 # ---------------------------------------------------------------------------
 # report files
@@ -260,3 +287,19 @@ def test_report_undefined_metrics_roundtrip():
 def test_report_rejects_other_documents():
     with pytest.raises(ValueError):
         TrainReport.from_text("kind = split_plan\n")
+
+
+def test_report_missing_key_names_it():
+    config = ModelConfig(nodes=8, layers=1, heads=2, clusters=3, mlp_hidden=(5,))
+    report = TrainReport(
+        seed=0,
+        selected_epoch=1,
+        train_loss=[0.7],
+        val_auroc=[0.5],
+        test=EvalResult(auroc=0.5, accuracy=0.5, sensitivity=0.5, specificity=0.5, n_pos=2, n_neg=2),
+        model_config=config,
+        train_config=TrainConfig(epochs=1),
+    )
+    lines = [l for l in report.to_text().splitlines() if not l.startswith("test.auroc")]
+    with pytest.raises(ValueError, match="train report has no test.auroc line"):
+        TrainReport.from_text("\n".join(lines))
