@@ -30,6 +30,7 @@ import argparse
 import csv
 import math
 import os
+import platform
 import statistics
 import sys
 import time
@@ -481,6 +482,11 @@ def _write_manifest(path, command, options, inputs, outputs, started) -> None:
         lines.append(f"input.{key} = {inputs[key]}")
     for key in sorted(outputs):
         lines.append(f"output.{key} = {outputs[key]}")
+    # What decides whether a re-run is bit for bit: interpreter, NumPy and BLAS threads.
+    lines.append(f"env.python = {platform.python_version()}")
+    lines.append(f"env.numpy = {np.__version__}")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        lines.append(f"env.{var} = {os.environ.get(var, 'unset')}")
     lines.append(f"duration_seconds = {time.monotonic() - started:.3f}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

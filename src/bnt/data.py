@@ -183,8 +183,9 @@ def write_dataset(path, graphs) -> None:
 def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGraph]:
     """Read a binary dataset file; matrices widen to float64.
 
-    Every record is checked with ConnectivityGraph.validate; a failure
-    raises DatasetFormatError naming the subject id.
+    Every record is checked with ConnectivityGraph.validate, and subject
+    ids must be unique; a failure raises DatasetFormatError naming the
+    subject id.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -206,9 +207,13 @@ def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGrap
         raise TruncationError(f"file is {len(raw)} bytes, expected {expected} for {n} records")
 
     graphs = []
+    seen = set()
     off = _HEADER.size
     for _ in range(n):
         sid, label, site, _pad = _RECORD_HEAD.unpack_from(raw, off)
+        if sid in seen:
+            raise DatasetFormatError(f"subject {sid} appears twice in the dataset")
+        seen.add(sid)
         off += _RECORD_HEAD.size
         mat = np.frombuffer(raw, dtype="<f4", count=v * v, offset=off).reshape(v, v)
         off += 4 * v * v
@@ -270,6 +275,8 @@ class SplitPlan:
                 fields[key] = value
         if fields.get("kind") != "split_plan":
             raise ValueError("not a split plan document")
+        if "fractions" not in fields:
+            raise ValueError("split plan has no fractions line")
         frac = tuple(float(x) for x in fields["fractions"].split())
         if len(frac) != 3:
             raise ValueError("fractions must have three entries")

@@ -34,10 +34,12 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, stabilized by max subtraction; only the
+    result is allocated, and ``a`` is not written."""
+    out = a - a.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def xavier_uniform(rows: int, cols: int, rng: Rng) -> np.ndarray:

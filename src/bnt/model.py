@@ -242,11 +242,24 @@ def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched forward / backward internals.  Shapes: z (B, V, w); per-head
-# tensors (B, M, V, head_dim); attention (B, M, V, V).
+# tensors (B, M, V, head_dim); attention (B, M, V, V), cached per block.
 # ---------------------------------------------------------------------------
 
 
+# Budget for one block's (graphs, M, V, V) float64 attention, so the softmax
+# temporaries of a block stay in cache instead of spanning the whole batch.
+_ATTN_BLOCK_BYTES = 256 * 1024
+
+
+def _blocks(b: int, m: int, v: int) -> list[slice]:
+    step = max(1, _ATTN_BLOCK_BYTES // (8 * m * v * v))
+    return [slice(i, i + step) for i in range(0, b, step)]
+
+
 def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams):
+    """One attention layer over z (B, V, w): full-batch projections; scores,
+    softmax and attn @ v over blocks of graphs (``_blocks``), caching one
+    (graphs, M, V, V) attention array per block."""
     b, v, w = z.shape
     m, hd, w_in = layer.w_query.shape
     if w_in != w:
@@ -260,10 +273,14 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams):
     q = project(layer.w_query)
     k = project(layer.w_key)
     vv = project(layer.w_value)
-    scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(hd)
-    attn = softmax_lastaxis(scores)
-    h = attn @ vv
-    hcat = h.transpose(0, 2, 1, 3).reshape(b, v, m * hd)
+    h = np.empty((b, v, m, hd)).transpose(0, 2, 1, 3)
+    attn = []
+    for blk in _blocks(b, m, v):
+        scores = q[blk] @ k[blk].swapaxes(-1, -2)
+        scores /= math.sqrt(hd)
+        attn.append(softmax_lastaxis(scores))
+        np.matmul(attn[-1], vv[blk], out=h[blk])
+    hcat = h.transpose(0, 2, 1, 3).reshape(b, v, m * hd)  # a view, no copy
     out = hcat @ layer.w_output
     return out, (z, q, k, vv, attn, hcat)
 
@@ -279,13 +296,17 @@ def _mhsa_backward(dout: np.ndarray, layer: AttentionLayerParams, cache):
     dhcat = dout @ layer.w_output.T
     dh = dhcat.reshape(b, v, m, hd).transpose(0, 2, 1, 3)
 
-    dattn = dh @ vv.swapaxes(-1, -2)
-    dvv = attn.swapaxes(-1, -2) @ dh
-    # softmax backward per attention row
-    dscores = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn
-    dscores /= math.sqrt(hd)
-    dq = dscores @ k
-    dk = dscores.swapaxes(-1, -2) @ q
+    # empty_like keeps q's (B, V, M, hd) storage, so unproject's reshape copies nothing
+    dq, dk, dvv = np.empty_like(q), np.empty_like(k), np.empty_like(vv)
+    for blk, a in zip(_blocks(b, m, v), attn):
+        dattn = dh[blk] @ vv[blk].swapaxes(-1, -2)
+        np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
+        # softmax backward per attention row, in place
+        dattn -= (dattn * a).sum(axis=-1, keepdims=True)
+        dattn *= a
+        dattn /= math.sqrt(hd)
+        np.matmul(dattn, k[blk], out=dq[blk])
+        np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
 
     dz2 = np.zeros_like(z2)
 
@@ -398,7 +419,7 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, Fo
     tr = _forward_batch(x[None], params, config)
     trace = ForwardTrace(
         z_layers=[z[0] for z in tr.z],
-        attention=[cache[4][0] for cache in tr.caches],
+        attention=[cache[4][0][0] for cache in tr.caches],
         assignment=None if tr.assignment is None else tr.assignment[0],
         pooled=None if tr.pooled is None else tr.pooled[0],
         readout_vector=tr.readout_vec[0],
@@ -504,13 +525,14 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig):
     return loss, grads
 
 
-def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 256) -> np.ndarray:
-    """P(class 1) for each graph, evaluated in fixed-size chunks."""
+def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16) -> np.ndarray:
+    """P(class 1) for each graph, evaluated in chunks of ``chunk`` graphs;
+    a chunk's caches live until it is scored, so ``chunk`` bounds memory."""
     out = np.empty(len(graphs))
     for start in range(0, len(graphs), chunk):
         x = np.stack([np.asarray(g, dtype=np.float64) for g in graphs[start : start + chunk]])
-        tr = _forward_batch(x, params, config)
-        z = tr.logits[:, 1] - tr.logits[:, 0]
+        logits = _forward_batch(x, params, config).logits  # drops the chunk's caches
+        z = logits[:, 1] - logits[:, 0]
         out[start : start + len(x)] = np.where(
             z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z)))
         )

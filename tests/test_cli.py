@@ -2,9 +2,11 @@
 
 import csv
 import os
+import platform
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
-from bnt.data import SplitPlan
+from bnt.data import SplitPlan, read_dataset, write_dataset
 from bnt.metrics import difference_score
 from bnt.training import TrainReport, load_checkpoint
 
@@ -55,6 +57,10 @@ def test_generate_manifest_records_the_run(tiny_workspace):
     assert kv["output.dataset"] == tiny_workspace["dataset"]
     assert float(kv["duration_seconds"]) >= 0.0
     assert "version" in kv
+    assert kv["env.python"] == platform.python_version()
+    assert kv["env.numpy"] == np.__version__
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert kv[f"env.{var}"] == os.environ.get(var, "unset")
 
 
 def test_train_manifest_records_resolved_values(tiny_workspace):
@@ -85,6 +91,14 @@ def test_generate_is_reproducible(tiny_workspace, tmp_path, run_cli):
     assert code == 0
     with open(out, "rb") as f, open(tiny_workspace["dataset"], "rb") as g:
         assert f.read() == g.read()
+
+
+def test_manifest_writes_unset_thread_variables(tmp_path, run_cli, monkeypatch):
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = str(tmp_path / "d.bntd")
+    assert run_cli(["generate", "--nodes", "8", "--modules", "2", "--subjects-per-class", "2",
+                    "--sites", "1", "--series-length", "16", "--out", out])[0] == 0
+    assert _read_manifest(out + ".manifest")["env.MKL_NUM_THREADS"] == "unset"
 
 
 def test_env_seed_matches_flag(tmp_path, run_cli, monkeypatch):
@@ -526,6 +540,33 @@ def test_train_refuses_a_split_that_leaks_test_ids(tiny_workspace, tmp_path, run
         run_dir,
     )
     assert "in both train and test" in err
+
+
+def test_train_refuses_a_split_without_fractions(tiny_workspace, tmp_path, run_cli):
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        text = "".join(l for l in f if not l.startswith("fractions"))
+    split = tmp_path / "nofrac.txt"
+    split.write_text(text, encoding="utf-8")
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split", str(split),
+                 "--epochs", "1", "--out", run_dir]),
+        run_dir,
+    )
+    assert "no fractions line" in err
+
+
+def test_split_refuses_duplicate_subject_ids(tiny_workspace, tmp_path, run_cli):
+    graphs = read_dataset(tiny_workspace["dataset"])
+    graphs[1] = replace(graphs[1], subject_id=graphs[0].subject_id)
+    dataset = tmp_path / "twice.bntd"
+    write_dataset(dataset, graphs)
+    out = str(tmp_path / "split.txt")
+    err = _assert_data_error(
+        run_cli(["split", "--dataset", str(dataset), "--out", out]),
+        out, out + ".manifest",
+    )
+    assert f"subject {graphs[0].subject_id} appears twice" in err
 
 
 def test_eval_report_without_auroc_is_a_data_error(tiny_workspace, tmp_path, run_cli):

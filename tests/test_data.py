@@ -1,5 +1,7 @@
 """Synthetic generator, binary dataset format, and split planning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,12 @@ def test_read_error_kinds(tmp_path, small_graphs):
     with pytest.raises(DatasetFormatError, match=f"subject {small_graphs[0].subject_id}: .*non-finite"):
         read_dataset(nan)
 
+    sid = small_graphs[0].subject_id
+    twice = tmp_path / "twice.bntd"
+    write_dataset(twice, [small_graphs[0], replace(small_graphs[1], subject_id=sid)])
+    with pytest.raises(DatasetFormatError, match=f"subject {sid} appears twice"):
+        read_dataset(twice)
+
 
 # ---------------------------------------------------------------------------
 # splits
@@ -295,6 +303,8 @@ def test_split_plan_text_roundtrip(small_graphs):
 def test_split_plan_rejects_garbage():
     with pytest.raises(ValueError):
         SplitPlan.from_text("kind = something_else\n")
+    with pytest.raises(ValueError, match="no fractions line"):
+        SplitPlan.from_text("kind = split_plan\ntrain = 0 1\nval = 2\ntest = 3\n")
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,13 @@ def test_softmax_rows_shift_invariant_and_stable():
     assert np.isfinite(huge).all()
 
 
+def test_softmax_does_not_mutate_input():
+    m = Rng(3).normal(2 * 3 * 5).reshape(2, 3, 5)
+    before = m.copy()
+    softmax_lastaxis(m)
+    assert np.array_equal(m, before)
+
+
 def test_xavier_uniform_bound_and_determinism():
     w = xavier_uniform(30, 50, Rng(3))
     bound = np.sqrt(6.0 / 80.0)

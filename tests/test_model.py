@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bnt.model
 from _oracles import batch_loss_reference, finite_difference_grads, max_relative_error
 from bnt.model import (
     AttentionLayerParams,
@@ -273,6 +274,37 @@ def test_gradients_match_finite_differences(readout, centers):
         assert err < 1e-4, f"{name}: {err}"
 
 
+def _one_graph_blocks(monkeypatch):
+    # Test graphs are small enough for one attention block per batch;
+    # a budget of one byte makes every graph its own block.
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 1)
+
+
+def test_attention_blocks_change_no_bit(monkeypatch):
+    config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
+    params = init_params(config, Rng(4))
+    batch = [(_correlation_input(6, seed=60 + s), s % 2) for s in range(5)]
+    loss, grads = loss_and_grad(batch, params, config)
+    _one_graph_blocks(monkeypatch)
+    blocked_loss, blocked_grads = loss_and_grad(batch, params, config)
+    assert blocked_loss == loss
+    for (name, g), (_, blocked) in zip(grads.named_tensors(), blocked_grads.named_tensors()):
+        assert np.array_equal(blocked, g), name
+
+
+def test_gradients_match_finite_differences_in_one_graph_blocks(monkeypatch):
+    _one_graph_blocks(monkeypatch)
+    config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
+    params = init_params(config, Rng(4))
+    batch = [(_correlation_input(6, seed=10 + s), s % 2) for s in range(3)]
+    _, grads = loss_and_grad(batch, params, config)
+    numeric = finite_difference_grads(batch, params, config)
+    grad_map = dict(grads.named_tensors())
+    for name in sorted(trainable_names(config)):
+        err = max_relative_error(grad_map[name], numeric[name])
+        assert err < 1e-4, f"{name}: {err}"
+
+
 def test_loss_and_grad_rejects_bad_labels():
     config = _small_config(Readout.MEAN, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(5))
@@ -351,8 +383,7 @@ def test_predict_proba_is_sigmoid_of_logit_margin():
 def test_predict_proba_chunking_invariant():
     config = _small_config(Readout.MAX, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
-    graphs = [_correlation_input(6, seed=50 + s) for s in range(7)]
-    assert np.array_equal(
-        predict_proba(graphs, params, config, chunk=3),
-        predict_proba(graphs, params, config, chunk=256),
-    )
+    graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]  # 3 default chunks
+    whole = predict_proba(graphs, params, config, chunk=256)
+    assert np.array_equal(predict_proba(graphs, params, config, chunk=3), whole)
+    assert np.array_equal(predict_proba(graphs, params, config), whole)
