@@ -158,11 +158,25 @@ def generate_dataset(spec: GeneratorSpec) -> list[ConnectivityGraph]:
 
 
 def write_dataset(path, graphs) -> None:
-    """Write graphs to the binary dataset format (matrices as float32)."""
+    """Write graphs to the binary dataset format (matrices as float32).
+
+    Every record is checked before the file is opened, so a bad record
+    leaves no file behind.
+    """
     if len(graphs) == 0:
         raise ValueError("refusing to write an empty dataset")
     v = graphs[0].matrix.shape[0]
+    seen = set()
     for g in graphs:
+        if not 0 <= g.subject_id < 2**32:
+            raise ValueError(f"subject_id out of range: {g.subject_id}")
+        if g.subject_id in seen:
+            raise ValueError(f"subject {g.subject_id} appears twice")
+        seen.add(g.subject_id)
+        if g.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {g.label}")
+        if not 0 <= g.site < 2**16:
+            raise ValueError(f"site out of range: {g.site}")
         if g.matrix.shape != (v, v):
             raise VMismatchError(
                 f"subject {g.subject_id} has shape {g.matrix.shape}, expected ({v}, {v})"
@@ -170,12 +184,6 @@ def write_dataset(path, graphs) -> None:
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, len(graphs)))
         for g in graphs:
-            if not 0 <= g.subject_id < 2**32:
-                raise ValueError(f"subject_id out of range: {g.subject_id}")
-            if g.label not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {g.label}")
-            if not 0 <= g.site < 2**16:
-                raise ValueError(f"site out of range: {g.site}")
             f.write(_RECORD_HEAD.pack(g.subject_id, g.label, g.site, 0))
             f.write(np.ascontiguousarray(g.matrix, dtype="<f4").tobytes())
 

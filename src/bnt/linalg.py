@@ -1,7 +1,7 @@
 """Dense float64 linear algebra that NumPy does not provide as such.
 
 Inputs are plain numpy float64 arrays.  The module holds the
-stabilized softmax, Xavier-uniform initialization drawn from the
+stabilized softmax and sigmoid, Xavier-uniform initialization drawn from the
 library's own random streams, modified Gram-Schmidt with a typed error
 for dependent rows, and a wrapper around LAPACK's symmetric
 eigendecomposition that fixes the eigenvalue order and eigenvector signs,
@@ -40,6 +40,13 @@ def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1/(1 + exp(-x)) without overflow; ``exp(-|x|)`` is
+    computed once and each sign takes the branch that cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def xavier_uniform(rows: int, cols: int, rng: Rng) -> np.ndarray:

@@ -532,8 +532,5 @@ def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int =
     for start in range(0, len(graphs), chunk):
         x = np.stack([np.asarray(g, dtype=np.float64) for g in graphs[start : start + chunk]])
         logits = _forward_batch(x, params, config).logits  # drops the chunk's caches
-        z = logits[:, 1] - logits[:, 0]
-        out[start : start + len(x)] = np.where(
-            z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z)))
-        )
+        out[start : start + len(x)] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

@@ -28,13 +28,6 @@ _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 array arithmetic wraps mod 2**64.
-    z = (z ^ (z >> _SHIFT_30)) * _MIX1
-    z = (z ^ (z >> _SHIFT_27)) * _MIX2
-    return z ^ (z >> _SHIFT_31)
-
-
 def _mix64_int(z: int) -> int:
     # Same finalizer on Python ints (no numpy scalar overflow warnings).
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
@@ -57,30 +50,58 @@ class Rng:
         self._key = np.uint64(self.seed)
         self.counter = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        """Next n raw uint64 words; advances the counter by n."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        start = self.counter
-        self.counter += n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        return _mix64(self._key + idx * _GOLDEN)
+    def _unit(self, starts, n: int) -> np.ndarray:
+        # Doubles on [0, 1) from the top 53 bits of words s .. s+n-1, one row
+        # per start s, built in one array; the counter does not move.
+        z = np.arange(1, n + 1, dtype=np.uint64) + np.array(starts, dtype=np.uint64)[:, None]
+        z *= _GOLDEN
+        z += self._key
+        z ^= z >> _SHIFT_30  # splitmix64 finalizer; uint64 arithmetic wraps
+        z *= _MIX1
+        z ^= z >> _SHIFT_27
+        z *= _MIX2
+        z ^= z >> _SHIFT_31
+        z >>= _SHIFT_11
+        u = z.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def uniform(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1), using the top 53 bits per word."""
-        return (self._raw(n) >> _SHIFT_11).astype(np.float64) * _INV_2_53
+        """n doubles uniform on [0, 1), one word each from the counter on;
+        advances the counter by n.  Set ``counter`` to draw from any word."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        u = self._unit([self.counter], n)[0]
+        self.counter += n
+        return u
 
     def normal(self, n: int) -> np.ndarray:
-        """n standard normal doubles via Box-Muller on uniform pairs."""
+        """n standard normal doubles via Box-Muller on uniform pairs;
+        advances the counter by 2 * ceil(n / 2)."""
+        out = self.normal_span(n, 0, n)
+        self.counter += 2 * ((n + 1) // 2)
+        return out
+
+    def normal_span(self, n: int, lo: int, hi: int) -> np.ndarray:
+        """Normals lo .. hi-1 of the draw ``normal(n)`` would make from the
+        counter, bit for bit; the counter does not move."""
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
+        # Pair j (normals 2j, 2j + 1) takes its radius from word j and its
+        # angle from word m + j, for m = ceil(n / 2) pairs.
         m = (n + 1) // 2
-        u = self.uniform(2 * m)
-        # u1 shifted into (0, 1] so the log is finite.
-        r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))
-        angle = (2.0 * np.pi) * u[m:]
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(angle)
-        out[1::2] = r * np.sin(angle)
-        return out[:n]
+        j0, j1 = lo // 2, (hi + 1) // 2
+        r, angle = self._unit([self.counter + j0, self.counter + m + j0], j1 - j0)
+        np.subtract(1.0, r, out=r)  # u shifted into (0, 1] so the log is finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle *= 2.0 * np.pi
+        out = np.empty((j1 - j0, 2))
+        np.cos(angle, out=out[:, 0])
+        np.sin(angle, out=out[:, 1])
+        out *= r[:, None]
+        return out.reshape(-1)[lo - 2 * j0 : hi - 2 * j0]
 
     def shuffle(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n) (Fisher-Yates)."""

@@ -31,6 +31,7 @@ Two claims are made executable here:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ from . import linalg
 from .rng import Rng
 
 _DEFAULT_BLOCK = 1 << 16
+# Samples are drawn and scored in chunks whose (samples, dim) array stays
+# in cache; the chunking changes no bit of any estimate.
+_MC_CHUNK_BYTES = 1 << 18
 _COLLINEAR_R2 = 1.0 - 1e-12
 
 
@@ -59,16 +63,6 @@ class VifReport:
     mean_vif: float
 
 
-def _ball_block(rng: Rng, n: int, dim: int, radius: float) -> np.ndarray:
-    """n points uniform in the dim-ball of the given radius."""
-    g = rng.normal(n * dim).reshape(n, dim)
-    norms = np.sqrt((g * g).sum(axis=1, keepdims=True))
-    np.maximum(norms, 1e-300, out=norms)
-    u = rng.uniform(n)
-    scale = radius * u ** (1.0 / dim)
-    return g * (scale[:, None] / norms)
-
-
 def variance_functional_mc(
     centers,
     radius: float,
@@ -82,6 +76,9 @@ def variance_functional_mc(
     Samples are generated in independent blocks, each from its own
     derived stream keyed by (seed, block index), and block sums are
     reduced in index order, so the result does not depend on `threads`.
+    A block of n samples is ``normal(n * dim)`` then n radius uniforms,
+    scored in cache-sized chunks; each chunk draws its own words of the
+    counter-based stream, so the chunking changes no bit.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2:
@@ -90,22 +87,37 @@ def variance_functional_mc(
         raise ValueError("radius must be positive")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     k, dim = centers.shape
     base = Rng(seed)
     sizes = [
         min(block_size, n_samples - start) for start in range(0, n_samples, block_size)
     ]
+    step = max(1, _MC_CHUNK_BYTES // (8 * dim))
 
     def run_block(args):
         index, size = args
-        z = _ball_block(base.derive(index), size, dim, radius)
-        p = linalg.softmax_lastaxis(z @ centers.T)
-        vals = ((p - 1.0 / k) ** 2).sum(axis=1)
+        rng = base.derive(index)
+        radius_word = 2 * ((size * dim + 1) // 2)  # the counter after normal(size * dim)
+        vals = np.empty(size)
+        for s0 in range(0, size, step):
+            s1 = min(s0 + step, size)
+            rng.counter = 0  # where the block's normal(size * dim) draw starts
+            g = rng.normal_span(size * dim, s0 * dim, s1 * dim).reshape(s1 - s0, dim)
+            rng.counter = radius_word + s0
+            norms = np.maximum(np.sqrt((g * g).sum(axis=1)), 1e-300)
+            g *= (radius * rng.uniform(s1 - s0) ** (1.0 / dim) / norms)[:, None]  # in the ball
+            p = linalg.softmax_lastaxis(g @ centers.T)
+            p -= 1.0 / k
+            p *= p
+            p.sum(axis=1, out=vals[s0:s1])
         return vals.sum(), (vals * vals).sum()
 
     jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, jobs))
     else:
         results = [run_block(j) for j in jobs]
@@ -142,7 +154,7 @@ def variance_functional_2d(phi: float, radius: float, quad_nodes: int = 64) -> f
 
     # p1 via the logit difference; phi = 0 gives d = 0 and p1 = 1/2 exactly.
     d = rho[:, None] * (np.cos(theta[None, :] - phi) - np.cos(theta[None, :]))
-    p1 = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    p1 = linalg.sigmoid(d)
     integrand = 2.0 * (p1 - 0.5) ** 2
     inner = integrand.sum(axis=1) * w_theta  # angle integral per radius
     integral = float(((inner * rho) * w_rho).sum())

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from bnt.model import ModelConfig, ModelParams, forward
+from bnt.rng import Rng
 
 
 def auroc_pairs(scores, labels):
@@ -75,3 +76,35 @@ def max_relative_error(analytic, numeric, floor: float = 1e-4) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def _ball_block(rng: Rng, n: int, dim: int, radius: float) -> np.ndarray:
+    """n points uniform in the dim-ball of the given radius."""
+    g = rng.normal(n * dim).reshape(n, dim)
+    norms = np.sqrt((g * g).sum(axis=1, keepdims=True))
+    np.maximum(norms, 1e-300, out=norms)
+    u = rng.uniform(n)
+    scale = radius * u ** (1.0 / dim)
+    return g * (scale[:, None] / norms)
+
+
+def variance_functional_mc_reference(centers, radius, n_samples, seed, block_size=1 << 16):
+    """(value, standard error) of the ball-averaged assignment variance,
+    drawn and scored one whole block at a time, serially; the same streams
+    and the same reduction order as ``theory.variance_functional_mc``."""
+    centers = np.asarray(centers, dtype=np.float64)
+    k, dim = centers.shape
+    base = Rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    for index, start in enumerate(range(0, n_samples, block_size)):
+        z = _ball_block(base.derive(index), min(block_size, n_samples - start), dim, radius)
+        logits = z @ centers.T
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        vals = ((p - 1.0 / k) ** 2).sum(axis=1)
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+    mean = float(total) / n_samples
+    var = max(float(total_sq) / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)

@@ -6,7 +6,6 @@ import platform
 import statistics
 import subprocess
 import sys
-from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
-from bnt.data import SplitPlan, read_dataset, write_dataset
+from bnt.data import SplitPlan, read_dataset
 from bnt.metrics import difference_score
 from bnt.training import TrainReport, load_checkpoint
 
@@ -394,6 +393,27 @@ def test_verify_theory_rejects_tiny_quadrature(tmp_path, run_cli):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "mc", "--r", "inf"], "not a finite number"),
+        (["--mode", "mc", "--r=-inf"], "not a finite number"),
+        (["--mode", "mc", "--cosine", "Infinity"], "not a finite number"),
+        (["--mode", "2d", "--quad-nodes", "1025"], "--quad-nodes must be in 8..1024"),
+        (["--mode", "2d", "--quad-nodes", "100000000"], "--quad-nodes must be in 8..1024"),
+        (["--mode", "mc", "--threads", "0"], "--threads must be at least 1"),
+        (["--mode", "mc", "--threads", "-2"], "--threads must be at least 1"),
+    ],
+)
+def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, message):
+    prefix = str(tmp_path / "t")
+    code, _, err = run_cli(["verify-theory", "--samples", "1000", *args, "--out", prefix])
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and message in err, err
+    for suffix in (".csv", ".txt", ".manifest"):
+        assert not os.path.exists(prefix + suffix)
+
+
 # ---------------------------------------------------------------------------
 # export-assignments
 
@@ -558,9 +578,12 @@ def test_train_refuses_a_split_without_fractions(tiny_workspace, tmp_path, run_c
 
 def test_split_refuses_duplicate_subject_ids(tiny_workspace, tmp_path, run_cli):
     graphs = read_dataset(tiny_workspace["dataset"])
-    graphs[1] = replace(graphs[1], subject_id=graphs[0].subject_id)
+    # write_dataset refuses a repeated id, so copy record 0's id into record 1
+    with open(tiny_workspace["dataset"], "rb") as f:
+        raw = f.read()
+    second = 16 + 8 + 4 * graphs[0].matrix.shape[0] ** 2
     dataset = tmp_path / "twice.bntd"
-    write_dataset(dataset, graphs)
+    dataset.write_bytes(raw[:second] + raw[16:20] + raw[second + 4 :])
     out = str(tmp_path / "split.txt")
     err = _assert_data_error(
         run_cli(["split", "--dataset", str(dataset), "--out", out]),

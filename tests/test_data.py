@@ -203,11 +203,31 @@ def test_read_error_kinds(tmp_path, small_graphs):
     with pytest.raises(DatasetFormatError, match=f"subject {small_graphs[0].subject_id}: .*non-finite"):
         read_dataset(nan)
 
+    # write_dataset refuses a repeated id, so copy record 0's id into record 1
     sid = small_graphs[0].subject_id
+    second = 16 + 8 + 4 * SMALL.nodes**2
     twice = tmp_path / "twice.bntd"
-    write_dataset(twice, [small_graphs[0], replace(small_graphs[1], subject_id=sid)])
+    twice.write_bytes(raw[:second] + raw[16:20] + raw[second + 4 :])
     with pytest.raises(DatasetFormatError, match=f"subject {sid} appears twice"):
         read_dataset(twice)
+
+
+@pytest.mark.parametrize(
+    "index, change, match",
+    [
+        (1, dict(subject_id=0), "subject 0 appears twice"),  # record 0 has id 0
+        (2, dict(label=2), "label must be 0 or 1"),
+        (3, dict(site=2**16), "site out of range"),
+        (4, dict(subject_id=-1), "subject_id out of range"),
+    ],
+)
+def test_write_checks_every_record_before_opening(tmp_path, small_graphs, index, change, match):
+    graphs = list(small_graphs)
+    graphs[index] = replace(graphs[index], **change)
+    path = tmp_path / "bad.bntd"
+    with pytest.raises(ValueError, match=match):
+        write_dataset(path, graphs)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from bnt.linalg import (
     EigenConvergenceError,
     gram_schmidt,
     orthonormal_rows,
+    sigmoid,
     softmax_lastaxis,
     symmetric_eigendecomposition,
     xavier_uniform,
@@ -55,6 +56,16 @@ def test_softmax_does_not_mutate_input():
     before = m.copy()
     softmax_lastaxis(m)
     assert np.array_equal(m, before)
+
+
+def test_sigmoid_matches_the_two_branch_form_and_does_not_overflow():
+    x = np.concatenate([Rng(4).normal(1000) * 30.0, [0.0, -0.0, 709.0, -745.0, 1e308, -1e308]])
+    with np.errstate(over="raise"):
+        got = sigmoid(x)
+    ax = np.abs(x)
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
+    assert np.array_equal(got, want)
+    assert got[-2] == 1.0 and got[-1] == 0.0 and got[-6] == 0.5
 
 
 def test_xavier_uniform_bound_and_determinism():

@@ -51,6 +51,25 @@ def test_stream_is_position_based():
     assert np.array_equal(np.concatenate([first, second]), whole)
 
 
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(0, 200),
+    st.booleans(),
+    st.integers(0, 99),
+    st.data(),
+)
+def test_normal_span_is_a_slice_of_normal(seed, pairs, odd, counter, data):
+    n = 2 * pairs + odd
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    rng = Rng(seed)
+    rng.counter = counter
+    span = rng.normal_span(n, lo, hi)
+    assert rng.counter == counter
+    assert np.array_equal(span, rng.normal(n)[lo:hi])
+    assert rng.counter == counter + 2 * ((n + 1) // 2)
+
+
 def test_uniform_range_and_moments():
     u = Rng(1).uniform(100_000)
     assert (u >= 0.0).all() and (u < 1.0).all()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import variance_functional_mc_reference
+from bnt import theory
 from bnt.linalg import gram_schmidt
 from bnt.rng import Rng
 from bnt.theory import (
@@ -71,6 +73,46 @@ def test_mc_deterministic_and_thread_invariant():
     assert type(a.value) is float and type(a.standard_error) is float
 
 
+@pytest.mark.parametrize("k, dim", [(2, 2), (3, 5), (4, 7), (4, 8)])
+def test_mc_chunks_match_the_whole_block_reference(k, dim):
+    # 4095/4097 straddle the 4,096-sample chunk at dim 8; 65537 and 200003
+    # end in partial blocks, the first of a single sample
+    centers = correlated_unit_centers(k, dim, 0.3) if dim > k else orthonormal_centers(k, dim, 1)
+    for n in (2, 4095, 4097, 65537, 200003):
+        want = variance_functional_mc_reference(centers, 2.5, n, seed=n)
+        for threads in (1, 3):
+            est = variance_functional_mc(centers, 2.5, n, seed=n, threads=threads)
+            assert (est.value, est.standard_error) == want, (n, threads)
+
+
+def test_mc_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch):
+    sizes = []
+
+    class Recorder:
+        # runs the blocks in the calling thread, so no thread is started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(theory, "ThreadPoolExecutor", Recorder)
+    centers = orthonormal_centers(2, 3, seed=0)
+    serial = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000)
+    for threads, cpus in ((8, 64), (8, 2), (2, 64), (3, None), (1, 64)):
+        monkeypatch.setattr(theory.os, "cpu_count", lambda: cpus)
+        est = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000, threads=threads)
+        assert (est.value, est.standard_error) == (serial.value, serial.standard_error)
+    # three blocks; an unknown CPU count counts as one; no pool of one is made
+    assert sizes == [3, 2, 2]
+
+
 def test_mc_rotation_invariance():
     rng = Rng(19)
     centers = orthonormal_centers(3, 5, seed=3)
@@ -98,6 +140,8 @@ def test_mc_input_validation():
         variance_functional_mc(centers, -1.0, 100, seed=0)
     with pytest.raises(ValueError):
         variance_functional_mc(centers, 3.0, 1, seed=0)
+    with pytest.raises(ValueError, match="threads"):
+        variance_functional_mc(centers, 3.0, 100, seed=0, threads=0)
 
 
 def test_center_factories():
