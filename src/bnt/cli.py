@@ -52,7 +52,7 @@ from .data import (
 )
 from .linalg import DegenerateBasisError, EigenConvergenceError, gram_schmidt
 from .metrics import difference_score
-from .model import CentersMode, FeatureMode, ModelConfig, Readout, forward
+from .model import CentersMode, FeatureMode, ModelConfig, Readout, score_chunks
 from .rng import Rng
 from .theory import (
     correlated_unit_centers,
@@ -556,6 +556,16 @@ def _select_graphs(graphs, ids, what: str):
     return [by_id[i] for i in ids]
 
 
+def _check_plan_classes(plan: SplitPlan, graphs, where: str) -> None:
+    """DataError unless train and val each hold both classes, as training needs."""
+    for name in ("train", "val"):
+        ids = getattr(plan, name)
+        classes = {g.label for g in _select_graphs(graphs, ids, f"{where}: {name} list")}
+        if classes != {0, 1}:
+            held = f"holds only class {classes.pop()}" if ids else "is empty"
+            raise DataError(f"{where}: the {name} list {held}; train and val need both classes")
+
+
 def _build_model_config(opt, nodes, readout, centers, clusters) -> ModelConfig:
     try:
         config = ModelConfig(
@@ -637,6 +647,7 @@ def cmd_split(args) -> int:
         plan = splitter(graphs, opt["fractions"], Rng(opt["seed"]))
     except ValueError as exc:
         raise UsageError(str(exc))
+    _check_plan_classes(plan, graphs, "split refused")
     out = opt["out"]
     manifest = out + ".manifest"
     _guard_outputs([out, manifest], args.force)
@@ -659,6 +670,7 @@ def cmd_train(args) -> int:
     graphs = _load_dataset(opt["dataset"])
     nodes = graphs[0].matrix.shape[0]
     plan = _load_split(opt["split"])
+    _check_plan_classes(plan, graphs, opt["split"])
     model_config = _build_model_config(opt, nodes, opt["readout"], opt["centers"], opt["clusters"])
     train_config = _build_train_config(opt, opt["seed"])
 
@@ -927,20 +939,18 @@ def cmd_export_assignments(args) -> int:
     graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
     plan = _load_split(opt["split"])
     test_graphs = _select_graphs(graphs, plan.test, "test split")
-
-    sums = {0: None, 1: None}
-    counts = {0: 0, 1: 0}
-    for graph in test_graphs:
-        _, trace = forward(graph.matrix, params, config)
-        if sums[graph.label] is None:
-            sums[graph.label] = np.array(trace.assignment, dtype=np.float64)
-        else:
-            sums[graph.label] += trace.assignment
-        counts[graph.label] += 1
+    labels = [g.label for g in test_graphs]
     for label in (0, 1):
-        if counts[label] == 0:
+        if label not in labels:
             raise DataError(f"test split has no class-{label} graphs to average over")
-    averaged = {label: sums[label] / counts[label] for label in (0, 1)}
+
+    # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
+    # of every V, and a working set that stays in cache.
+    sums = np.zeros((2, config.nodes, config.clusters))
+    chunks = score_chunks([g.matrix for g in test_graphs], params, config, 1)
+    for label, (_, _, assignment) in zip(labels, chunks):
+        sums[label] += assignment[0]  # in test-split order
+    averaged = {label: sums[label] / labels.count(label) for label in (0, 1)}
 
     rows = []
     for label in (0, 1):
@@ -984,6 +994,7 @@ def cmd_ablate(args) -> int:
     graphs = _load_dataset(opt["dataset"])
     nodes = graphs[0].matrix.shape[0]
     plan = _load_split(opt["split"])
+    _check_plan_classes(plan, graphs, opt["split"])
 
     combos = [
         (readout, centers, clusters)

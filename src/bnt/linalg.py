@@ -33,10 +33,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, stabilized by max subtraction; only the
-    result is allocated, and ``a`` is not written."""
-    out = a - a.max(axis=-1, keepdims=True)
+def softmax_lastaxis(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, stabilized by max subtraction.  The result
+    goes to ``out``, else to a new array; ``out=a`` works in place with the
+    same bits, and otherwise ``a`` is not written."""
+    out = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out

@@ -253,36 +253,48 @@ _ATTN_BLOCK_BYTES = 256 * 1024
 
 def _blocks(b: int, m: int, v: int) -> list[slice]:
     step = max(1, _ATTN_BLOCK_BYTES // (8 * m * v * v))
-    return [slice(i, i + step) for i in range(0, b, step)]
+    return [slice(i, min(i + step, b)) for i in range(0, b, step)]
 
 
-def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams):
+class _Workspace:
+    """Attention buffers for scoring n >= 1 graphs, reused across chunks and
+    layers; each layer projects its input to Q/K/V before overwriting ``out``."""
+
+    def __init__(self, n: int, config: ModelConfig):
+        v, m, hd = config.nodes, config.heads, config.head_dim
+        self.qkv = np.empty((3, n * v, m * hd))
+        self.h = np.empty((n, v, m, hd))
+        self.scores = np.empty((_blocks(n, m, v)[0].stop, m, v, v))
+        self.out = np.empty((n, v, v))
+
+
+def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, ws: _Workspace | None = None):
     """One attention layer over z (B, V, w): full-batch projections; scores,
-    softmax and attn @ v over blocks of graphs (``_blocks``), caching one
-    (graphs, M, V, V) attention array per block."""
+    softmax (in place) and attn @ v over blocks of graphs (``_blocks``).  The
+    cache keeps one (graphs, M, V, V) attention array per block, unless every
+    product goes into the scoring workspace ``ws``: then the cache is None."""
     b, v, w = z.shape
     m, hd, w_in = layer.w_query.shape
     if w_in != w:
         raise ValueError(f"layer expects input width {w_in}, got {w}")
+    mh = m * hd
     z2 = z.reshape(b * v, w)
-
-    def project(wstack):
-        flat = wstack.reshape(m * hd, w)
-        return (z2 @ flat.T).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
-
-    q = project(layer.w_query)
-    k = project(layer.w_key)
-    vv = project(layer.w_value)
-    h = np.empty((b, v, m, hd)).transpose(0, 2, 1, 3)
+    if ws is None:
+        qkv, h, out = np.empty((3, b * v, mh)), np.empty((b, v, m, hd)), np.empty((b, v, v))
+    else:
+        qkv, h, out = ws.qkv[:, : b * v], ws.h[:b], ws.out[:b]
+    q, k, vv = (np.matmul(z2, wt.reshape(mh, w).T, out=d).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
+                for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv))
+    heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
     attn = []
     for blk in _blocks(b, m, v):
-        scores = q[blk] @ k[blk].swapaxes(-1, -2)
+        scores = None if ws is None else ws.scores[: blk.stop - blk.start]
+        scores = np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=scores)
         scores /= math.sqrt(hd)
-        attn.append(softmax_lastaxis(scores))
-        np.matmul(attn[-1], vv[blk], out=h[blk])
-    hcat = h.transpose(0, 2, 1, 3).reshape(b, v, m * hd)  # a view, no copy
-    out = hcat @ layer.w_output
-    return out, (z, q, k, vv, attn, hcat)
+        attn.append(softmax_lastaxis(scores, out=scores))
+        np.matmul(scores, vv[blk], out=heads[blk])
+        np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
+    return out, None if ws is not None else (z, q, k, vv, attn, hcat)
 
 
 def _mhsa_backward(dout: np.ndarray, layer: AttentionLayerParams, cache):
@@ -345,7 +357,9 @@ def _features_batch(x: np.ndarray, config: ModelConfig) -> np.ndarray:
     return np.stack([node_feature(xi, config.feature_mode, config.k_eigen) for xi in x])
 
 
-def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig) -> _BatchTrace:
+def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws=None) -> _BatchTrace:
+    """Forward pass over x (B, V, V), caching every layer for the backward;
+    with a ``_Workspace`` for >= B graphs (scoring) it caches nothing."""
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
     b, v, v2 = x.shape
@@ -356,7 +370,7 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig) -> _
     z = _features_batch(x, config)
     tr.z.append(z)
     for layer in params.layers:
-        z, cache = _mhsa_forward(z, layer)
+        z, cache = _mhsa_forward(z, layer, ws)
         tr.z.append(z)
         tr.caches.append(cache)
 
@@ -525,12 +539,26 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig):
     return loss, grads
 
 
-def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16) -> np.ndarray:
-    """P(class 1) for each graph, evaluated in chunks of ``chunk`` graphs;
-    a chunk's caches live until it is scored, so ``chunk`` bounds memory."""
-    out = np.empty(len(graphs))
+def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16):
+    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs:
+    ``rows`` slices ``graphs``, ``assignment`` is the chunk's (graphs, V, K)
+    clustering-readout soft assignment or None.  One workspace serves every
+    chunk and layer, so no attention, q/k/v or layer output is kept."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    ws = _Workspace(min(chunk, len(graphs)), config) if len(graphs) else None
     for start in range(0, len(graphs), chunk):
         x = np.stack([np.asarray(g, dtype=np.float64) for g in graphs[start : start + chunk]])
-        logits = _forward_batch(x, params, config).logits  # drops the chunk's caches
-        out[start : start + len(x)] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
+        tr = _forward_batch(x, params, config, ws)
+        yield slice(start, start + len(x)), tr.logits, tr.assignment
+
+
+def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16) -> np.ndarray:
+    """P(class 1) for each graph, scored by ``score_chunks``.  Memory is one
+    chunk's whatever the graph or layer count: its inputs and features, plus
+    a workspace of (4·M·head_dim + V)·V floats per graph and one attention
+    block (256 KiB, or one graph's M·V·V floats where that is larger)."""
+    out = np.empty(len(graphs))
+    for rows, logits, _ in score_chunks(graphs, params, config, chunk):
+        out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

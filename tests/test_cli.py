@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bnt.model
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import SplitPlan, read_dataset
 from bnt.metrics import difference_score
+from bnt.model import forward
 from bnt.training import TrainReport, load_checkpoint
 
 
@@ -194,7 +196,7 @@ def test_split_no_stratify(tiny_workspace, tmp_path, run_cli):
     out = str(tmp_path / "plain.txt")
     code, _, _ = run_cli(
         ["split", "--dataset", tiny_workspace["dataset"], "--no-stratify",
-         "--seed", "3", "--out", out]
+         "--seed", "4", "--out", out]
     )
     assert code == 0
     with open(out, encoding="utf-8") as f:
@@ -439,10 +441,42 @@ def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
     }
     for _, label, cluster, node, value in assignment_rows:
         matrices[int(label)][int(node), int(cluster)] = float(value)
+    params, _ = load_checkpoint(tiny_workspace["checkpoint"])
+    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        test_ids = SplitPlan.from_text(f.read()).test
     for label in (0, 1):
         # soft assignments: each node's distribution sums to one
         assert np.allclose(matrices[label].sum(axis=1), 1.0, atol=1e-12)
+        # the class mean of the single-graph forward's assignments, summed in
+        # test-split order: one-graph scoring chunks keep every bit of it
+        per_graph = [forward(by_id[i].matrix, params, config)[1].assignment
+                     for i in test_ids if by_id[i].label == label]
+        assert np.array_equal(matrices[label], sum(per_graph) / len(per_graph))
     assert rows[-1][4] == repr(difference_score(matrices[0], matrices[1]))
+
+
+def test_export_assignments_refuses_a_one_class_test_split_before_scoring(
+    tiny_workspace, tmp_path, run_cli, monkeypatch
+):
+    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        plan = SplitPlan.from_text(f.read())
+    plan.test = [i for i in plan.test if by_id[i].label == 0]
+    split = tmp_path / "class0.txt"
+    split.write_text(plan.to_text(), encoding="utf-8")
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a graph before checking the test classes")
+
+    monkeypatch.setattr(bnt.model, "_forward_batch", no_scoring)
+    out = str(tmp_path / "assign.csv")
+    err = _assert_data_error(
+        run_cli(["export-assignments", "--checkpoint", tiny_workspace["checkpoint"],
+                 "--dataset", tiny_workspace["dataset"], "--split", str(split), "--out", out]),
+        out, out + ".manifest",
+    )
+    assert "no class-1 graphs" in err
 
 
 def test_export_assignments_requires_clustering_readout(tiny_workspace, tmp_path, run_cli):
@@ -590,6 +624,34 @@ def test_split_refuses_duplicate_subject_ids(tiny_workspace, tmp_path, run_cli):
         out, out + ".manifest",
     )
     assert f"subject {graphs[0].subject_id} appears twice" in err
+
+
+def test_split_refuses_a_plan_without_both_classes_in_train_and_val(tmp_path, run_cli):
+    dataset = str(tmp_path / "d.bntd")
+    assert run_cli(["generate", "--nodes", "16", "--subjects-per-class", "20", "--seed", "1",
+                    "--out", dataset])[0] == 0
+    out = str(tmp_path / "split.txt")
+    # 8 (site, label) cells of 5: each val quota of 0.5 ties train's and goes to train
+    err = _assert_data_error(run_cli(["split", "--dataset", dataset, "--seed", "1", "--out", out]),
+                             out, out + ".manifest")
+    assert "the val list is empty" in err
+
+
+def test_train_refuses_a_plan_with_a_one_class_val_list(tiny_workspace, tmp_path, run_cli):
+    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        plan = SplitPlan.from_text(f.read())
+    plan.test += [i for i in plan.val if by_id[i].label == 0]
+    plan.val = [i for i in plan.val if by_id[i].label == 1]
+    split = tmp_path / "val1.txt"
+    split.write_text(plan.to_text(), encoding="utf-8")
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split", str(split),
+                 "--epochs", "1", "--out", run_dir]),
+        run_dir,
+    )
+    assert "the val list holds only class 1" in err
 
 
 def test_eval_report_without_auroc_is_a_data_error(tiny_workspace, tmp_path, run_cli):

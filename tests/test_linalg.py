@@ -170,3 +170,11 @@ def test_orthonormal_rows_shapes_and_identity():
         e = orthonormal_rows(k, v, Rng(0))
         assert e.shape == (k, v)
         assert np.abs(e @ e.T - np.eye(k)).max() < 1e-10
+
+
+@given(_matrix_strategy())
+def test_softmax_in_place_matches_allocating_call(m):
+    expected = softmax_lastaxis(m)
+    out = softmax_lastaxis(m, out=m)
+    assert out is m
+    assert np.array_equal(m, expected)

@@ -1,12 +1,14 @@
 """Attention model: forward hand cases, readouts, gradients, predictions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bnt.model
 from _oracles import batch_loss_reference, finite_difference_grads, max_relative_error
+from bnt.linalg import sigmoid
 from bnt.model import (
     AttentionLayerParams,
     CentersMode,
@@ -387,3 +389,40 @@ def test_predict_proba_chunking_invariant():
     whole = predict_proba(graphs, params, config, chunk=256)
     assert np.array_equal(predict_proba(graphs, params, config, chunk=3), whole)
     assert np.array_equal(predict_proba(graphs, params, config), whole)
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            predict_proba(graphs, params, config, chunk=chunk)
+
+
+@pytest.mark.parametrize("v", [6, 40])  # at V=40 a 16-graph chunk spans attention blocks of 10 and 6
+@pytest.mark.parametrize("centers", list(CentersMode))
+@pytest.mark.parametrize("features", list(FeatureMode))
+@pytest.mark.parametrize("readout", list(Readout))
+def test_predict_proba_matches_the_training_forward(readout, features, centers, v):
+    config = ModelConfig(nodes=v, layers=2, heads=2, clusters=2, mlp_hidden=(5, 3), readout=readout,
+                         centers_mode=centers, feature_mode=features, k_eigen=2)
+    params = init_params(config, Rng(9))
+    graphs = [_correlation_input(v, seed=60 + s) for s in range(37)]
+    for n in (0, 1, 17, 37):
+        for chunk in (1, 3, 16, 256):
+            probs = predict_proba(graphs[:n], params, config, chunk=chunk)
+            assert probs.shape == (n,)
+            for start in range(0, n, chunk):
+                rows = slice(start, min(start + chunk, n))
+                logits = bnt.model._forward_batch(np.stack(graphs[rows]), params, config).logits
+                assert np.array_equal(probs[rows], sigmoid(logits[:, 1] - logits[:, 0]))
+
+
+def test_predict_proba_memory_does_not_grow_with_layers():
+    graphs = [_correlation_input(32, seed=70 + s) for s in range(37)]
+    peaks = {}
+    for layers in (1, 4):
+        config = ModelConfig(nodes=32, layers=layers, heads=4, clusters=4, mlp_hidden=(8,))
+        params = init_params(config, Rng(10))
+        tracemalloc.start()
+        try:
+            predict_proba(graphs, params, config)
+            peaks[layers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] <= 1.1 * peaks[1], peaks
