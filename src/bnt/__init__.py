@@ -12,6 +12,14 @@ Library layout:
 - ``bnt.cli``      command line entry points
 """
 
+import os
+
+# Single-threaded BLAS keeps every reduction order, so re-runs are bit-exact.
+# The variables act only if set before NumPy first loads; a value the user
+# set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .rng import Rng

@@ -13,7 +13,8 @@ ablate              sweep readouts x centers x clusters x seeds into one CSV
 Every run writes exactly one manifest (key = value text) recording the
 command, library version, every resolved option, input/output paths,
 and wall-clock duration; re-running a command with the manifest's
-values reproduces its outputs bit for bit (single-threaded).  Existing
+values reproduces its outputs bit for bit (single-threaded BLAS, which
+importing ``bnt`` sets where the thread variables are unset).  Existing
 outputs are never overwritten unless --force is given.
 
 Option resolution order: explicit flag, then --config file entry
@@ -557,11 +558,12 @@ def _select_graphs(graphs, ids, what: str):
 
 
 def _check_plan_classes(plan: SplitPlan, graphs, where: str) -> None:
-    """DataError unless train and val each hold both classes, as training needs."""
-    for name in ("train", "val"):
+    """DataError unless every id of the plan is in the dataset and train and
+    val each hold both classes, as training needs."""
+    for name in ("train", "val", "test"):
         ids = getattr(plan, name)
         classes = {g.label for g in _select_graphs(graphs, ids, f"{where}: {name} list")}
-        if classes != {0, 1}:
+        if name != "test" and classes != {0, 1}:
             held = f"holds only class {classes.pop()}" if ids else "is empty"
             raise DataError(f"{where}: the {name} list {held}; train and val need both classes")
 

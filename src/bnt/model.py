@@ -242,7 +242,7 @@ def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched forward / backward internals.  Shapes: z (B, V, w); per-head
-# tensors (B, M, V, head_dim); attention (B, M, V, V), cached per block.
+# tensors (B, M, V, head_dim); attention (B, M, V, V), computed per block.
 # ---------------------------------------------------------------------------
 
 
@@ -256,83 +256,111 @@ def _blocks(b: int, m: int, v: int) -> list[slice]:
     return [slice(i, min(i + step, b)) for i in range(0, b, step)]
 
 
-class _Workspace:
-    """Attention buffers for scoring n >= 1 graphs, reused across chunks and
-    layers; each layer projects its input to Q/K/V before overwriting ``out``."""
+class _LayerBuffers:
+    """One attention layer's forward arrays for up to n graphs: the Q/K/V
+    projections, the head outputs ``h`` (n, V, M, hd), whose (n, V, M·hd)
+    view is ``hcat``, the attention of ``attn_graphs`` graphs and the
+    (n, V, V) output."""
 
-    def __init__(self, n: int, config: ModelConfig):
-        v, m, hd = config.nodes, config.heads, config.head_dim
+    def __init__(self, n: int, v: int, m: int, hd: int, attn_graphs: int):
         self.qkv = np.empty((3, n * v, m * hd))
         self.h = np.empty((n, v, m, hd))
-        self.scores = np.empty((_blocks(n, m, v)[0].stop, m, v, v))
+        self.attn = np.empty((attn_graphs, m, v, v))
         self.out = np.empty((n, v, v))
 
 
-def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, ws: _Workspace | None = None):
-    """One attention layer over z (B, V, w): full-batch projections; scores,
-    softmax (in place) and attn @ v over blocks of graphs (``_blocks``).  The
-    cache keeps one (graphs, M, V, V) attention array per block, unless every
-    product goes into the scoring workspace ``ws``: then the cache is None."""
+class _Workspace:
+    """Every large array of a forward (and, with ``train``, a backward) over up
+    to n graphs, reused across calls; a batch of fewer graphs uses leading views.
+
+    Scoring: one ``_LayerBuffers`` with one attention block serves every layer;
+    each layer projects its input to Q/K/V before overwriting ``out``.
+    Training: each layer keeps its own buffers and whole-batch attention for the
+    backward, and all layers share the gradient buffers: ``dhcat``, ``dqkv``,
+    one block's ``dattn`` and its product temporary, ``dprod`` for the products
+    summed into an input gradient, and two ``dz`` that layers use in turn, so a
+    layer's input gradient never overwrites the ``dout`` it reads."""
+
+    def __init__(self, n: int, config: ModelConfig, train: bool = False):
+        v, m, hd = config.nodes, config.heads, config.head_dim
+        block = _blocks(n, m, v)[0].stop
+        self.graphs, self.train = n, train
+        if not train:
+            self.layers = [_LayerBuffers(n, v, m, hd, block)] * config.layers
+            return
+        self.layers = [_LayerBuffers(n, v, m, hd, n) for _ in range(config.layers)]
+        self.dhcat = np.empty((n, v, m * hd))
+        self.dqkv = np.empty((3, n, v, m, hd))
+        self.dattn = np.empty((2, block, m, v, v))
+        self.dprod = np.empty((n * v, v))
+        self.dz = np.empty((2, n, v, v))
+
+
+def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers):
+    """One attention layer over z (B, V, w) into ``buf``: full-batch projections;
+    scores, softmax (in place) and attn @ v over blocks of graphs (``_blocks``).
+    An attention buffer for all B graphs keeps every block for the backward; a
+    one-block buffer (scoring) is overwritten by each block, and the returned
+    cache then holds only the last one."""
     b, v, w = z.shape
     m, hd, w_in = layer.w_query.shape
     if w_in != w:
         raise ValueError(f"layer expects input width {w_in}, got {w}")
     mh = m * hd
     z2 = z.reshape(b * v, w)
-    if ws is None:
-        qkv, h, out = np.empty((3, b * v, mh)), np.empty((b, v, m, hd)), np.empty((b, v, v))
-    else:
-        qkv, h, out = ws.qkv[:, : b * v], ws.h[:b], ws.out[:b]
     q, k, vv = (np.matmul(z2, wt.reshape(mh, w).T, out=d).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
-                for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv))
+                for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), buf.qkv[:, : b * v]))
+    h, out = buf.h[:b], buf.out[:b]
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
-    attn = []
+    keep = len(buf.attn) >= b
     for blk in _blocks(b, m, v):
-        scores = None if ws is None else ws.scores[: blk.stop - blk.start]
-        scores = np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=scores)
-        scores /= math.sqrt(hd)
-        attn.append(softmax_lastaxis(scores, out=scores))
-        np.matmul(scores, vv[blk], out=heads[blk])
+        a = buf.attn[blk] if keep else buf.attn[: blk.stop - blk.start]
+        np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=a)
+        a /= math.sqrt(hd)
+        softmax_lastaxis(a, out=a)
+        np.matmul(a, vv[blk], out=heads[blk])
         np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
-    return out, None if ws is not None else (z, q, k, vv, attn, hcat)
+    return out, (z, q, k, vv, buf.attn[:b], hcat)
 
 
-def _mhsa_backward(dout: np.ndarray, layer: AttentionLayerParams, cache):
+def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLayerParams,
+                   ws: _Workspace, dz: np.ndarray | None):
+    """Backward of one attention layer through the training workspace ``ws``:
+    weight gradients go into ``grads`` and the input gradient into ``dz``,
+    which is None for the first layer, whose input gradient nothing reads."""
     z, q, k, vv, attn, hcat = cache
     b, v, w = z.shape
     m, hd, _ = layer.w_query.shape
     mh = m * hd
     z2 = z.reshape(b * v, w)
 
-    d_wo = hcat.reshape(b * v, mh).T @ dout.reshape(b * v, v)
-    dhcat = dout @ layer.w_output.T
-    dh = dhcat.reshape(b, v, m, hd).transpose(0, 2, 1, 3)
+    np.matmul(hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output)
+    dh = np.matmul(dout, layer.w_output.T, out=ws.dhcat[:b]).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
 
-    # empty_like keeps q's (B, V, M, hd) storage, so unproject's reshape copies nothing
-    dq, dk, dvv = np.empty_like(q), np.empty_like(k), np.empty_like(vv)
-    for blk, a in zip(_blocks(b, m, v), attn):
-        dattn = dh[blk] @ vv[blk].swapaxes(-1, -2)
+    # (B, V, M, hd) storage like q's, so each (B·V, M·hd) view below copies nothing
+    dq, dk, dvv = (d.transpose(0, 2, 1, 3) for d in ws.dqkv[:, :b])
+    for blk in _blocks(b, m, v):
+        a = attn[blk]
+        dattn, prod = ws.dattn[:, : blk.stop - blk.start]
+        np.matmul(dh[blk], vv[blk].swapaxes(-1, -2), out=dattn)
         np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
         # softmax backward per attention row, in place
-        dattn -= (dattn * a).sum(axis=-1, keepdims=True)
+        dattn -= np.multiply(dattn, a, out=prod).sum(axis=-1, keepdims=True)
         dattn *= a
         dattn /= math.sqrt(hd)
         np.matmul(dattn, k[blk], out=dq[blk])
         np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
 
-    dz2 = np.zeros_like(z2)
-
-    def unproject(dproj, wstack):
-        flat = dproj.transpose(0, 2, 1, 3).reshape(b * v, mh)
-        dw = (flat.T @ z2).reshape(m, hd, w)
-        nonlocal dz2
-        dz2 += flat @ wstack.reshape(mh, w)
-        return dw
-
-    d_wq = unproject(dq, layer.w_query)
-    d_wk = unproject(dk, layer.w_key)
-    d_wv = unproject(dvv, layer.w_value)
-    return dz2.reshape(b, v, w), AttentionLayerParams(d_wq, d_wk, d_wv, d_wo)
+    if dz is not None:
+        dz2 = dz.reshape(b * v, w)
+        dz2[...] = 0.0
+    for i, (wt, dw) in enumerate(zip((layer.w_query, layer.w_key, layer.w_value),
+                                     (grads.w_query, grads.w_key, grads.w_value))):
+        flat = ws.dqkv[i, :b].reshape(b * v, mh)
+        np.matmul(flat.T, z2, out=dw.reshape(mh, w))
+        if dz is not None:
+            dz2 += np.matmul(flat, wt.reshape(mh, w), out=ws.dprod[: b * v])
+    return dz
 
 
 class _BatchTrace:
@@ -357,20 +385,23 @@ def _features_batch(x: np.ndarray, config: ModelConfig) -> np.ndarray:
     return np.stack([node_feature(xi, config.feature_mode, config.k_eigen) for xi in x])
 
 
-def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws=None) -> _BatchTrace:
-    """Forward pass over x (B, V, V), caching every layer for the backward;
-    with a ``_Workspace`` for >= B graphs (scoring) it caches nothing."""
+def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: _Workspace) -> _BatchTrace:
+    """Forward pass over x (B, V, V) into ``ws``, a ``_Workspace`` for >= B
+    graphs.  A training workspace keeps every layer's cache for the backward;
+    a scoring one overwrites them layer by layer."""
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
     b, v, v2 = x.shape
     if v != config.nodes or v2 != config.nodes:
         raise ValueError(f"expected graphs of shape ({config.nodes}, {config.nodes}), got ({v}, {v2})")
+    if b > ws.graphs:
+        raise ValueError(f"workspace holds {ws.graphs} graphs, got {b}")
 
     tr = _BatchTrace()
     z = _features_batch(x, config)
     tr.z.append(z)
-    for layer in params.layers:
-        z, cache = _mhsa_forward(z, layer, ws)
+    for layer, buf in zip(params.layers, ws.layers):
+        z, cache = _mhsa_forward(z, layer, buf)
         tr.z.append(z)
         tr.caches.append(cache)
 
@@ -430,10 +461,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, ForwardTrace]:
     """Class logits and the cached trace for one graph."""
     x = np.asarray(x, dtype=np.float64)
-    tr = _forward_batch(x[None], params, config)
+    tr = _forward_batch(x[None], params, config, _Workspace(1, config, train=True))
     trace = ForwardTrace(
         z_layers=[z[0] for z in tr.z],
-        attention=[cache[4][0][0] for cache in tr.caches],
+        attention=[cache[4][0] for cache in tr.caches],
         assignment=None if tr.assignment is None else tr.assignment[0],
         pooled=None if tr.pooled is None else tr.pooled[0],
         readout_vector=tr.readout_vec[0],
@@ -445,7 +476,8 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, Fo
 def mhsa_layer(z_prev, layer: AttentionLayerParams) -> np.ndarray:
     """One multi-head self-attention layer applied to a single sample."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    out, _ = _mhsa_forward(z_prev[None], layer)
+    m, hd, _ = layer.w_query.shape
+    out, _ = _mhsa_forward(z_prev[None], layer, _LayerBuffers(1, len(z_prev), m, hd, 1))
     return out[0]
 
 
@@ -483,17 +515,19 @@ def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
     """Mean cross-entropy of a batch of (graph, label) pairs."""
     x = np.stack([np.asarray(g, dtype=np.float64) for g, _ in batch])
     y = np.array([label for _, label in batch], dtype=np.intp)
-    tr = _forward_batch(x, params, config)
+    tr = _forward_batch(x, params, config, _Workspace(len(x), config))
     logp = _log_softmax(tr.logits)
     return float(-logp[np.arange(len(batch)), y].mean())
 
 
-def loss_and_grad(batch, params: ModelParams, config: ModelConfig):
+def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspace | None = None):
     """Mean cross-entropy over the batch and analytic parameter gradients.
 
     Gradients come back as a ModelParams of matching shapes.  Centers
     receive gradient only for the learnable-centers clustering readout;
-    otherwise their slot is zero.
+    otherwise their slot is zero.  ``ws`` is a training ``_Workspace`` for
+    at least len(batch) graphs that successive calls share; without one,
+    the call builds its own.  Nothing returned refers to it.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -502,8 +536,12 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig):
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     b = len(batch)
+    if ws is None:
+        ws = _Workspace(b, config, train=True)
+    elif not ws.train:
+        raise ValueError("loss_and_grad needs a training workspace")
 
-    tr = _forward_batch(x, params, config)
+    tr = _forward_batch(x, params, config, ws)
     logp = _log_softmax(tr.logits)
     loss = float(-logp[np.arange(b), y].mean())
 
@@ -530,11 +568,8 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig):
         grads.centers[...] = dcenters
 
     for i in range(len(params.layers) - 1, -1, -1):
-        dz, layer_grads = _mhsa_backward(dz, params.layers[i], tr.caches[i])
-        grads.layers[i].w_query[...] = layer_grads.w_query
-        grads.layers[i].w_key[...] = layer_grads.w_key
-        grads.layers[i].w_value[...] = layer_grads.w_value
-        grads.layers[i].w_output[...] = layer_grads.w_output
+        dz_in = ws.dz[i % 2, :b] if i else None
+        dz = _mhsa_backward(dz, params.layers[i], tr.caches[i], grads.layers[i], ws, dz_in)
 
     return loss, grads
 

@@ -22,6 +22,7 @@ from .model import (
     ModelParams,
     AttentionLayerParams,
     Readout,
+    _Workspace,
     init_params,
     loss_and_grad,
     predict_proba,
@@ -257,6 +258,7 @@ def train(
     samples = [(g.matrix, g.label) for g in train_graphs]
     n = len(samples)
     bs = train_config.batch_size
+    ws = _Workspace(min(bs, n), model_config, train=True)  # every step's large arrays
 
     best_auroc = -np.inf
     best_epoch = 0
@@ -269,7 +271,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, bs):
             batch = [samples[i] for i in perm[start : start + bs]]
-            loss, grads = loss_and_grad(batch, params, model_config)
+            loss, grads = loss_and_grad(batch, params, model_config, ws=ws)
             grad_map = dict(grads.named_tensors())
             adam_step(param_map, {k: grad_map[k] for k in param_map}, state, train_config)
             epoch_loss += loss * len(batch)

@@ -102,6 +102,25 @@ def test_manifest_writes_unset_thread_variables(tmp_path, run_cli, monkeypatch):
     assert _read_manifest(out + ".manifest")["env.MKL_NUM_THREADS"] == "unset"
 
 
+@pytest.mark.parametrize("value,recorded", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_set(tmp_path, value, recorded):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    out = str(tmp_path / "d.bntd")
+    result = subprocess.run(
+        [sys.executable, "-m", "bnt.cli", "generate", "--nodes", "8", "--modules", "2",
+         "--subjects-per-class", "2", "--sites", "1", "--series-length", "16", "--out", out],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    manifest = _read_manifest(out + ".manifest")
+    assert manifest["env.OPENBLAS_NUM_THREADS"] == recorded
+    assert manifest["env.MKL_NUM_THREADS"] == manifest["env.OMP_NUM_THREADS"] == "1"
+
+
 def test_env_seed_matches_flag(tmp_path, run_cli, monkeypatch):
     flags = ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "4",
              "--sites", "1", "--series-length", "32"]
@@ -594,6 +613,37 @@ def test_train_refuses_a_split_that_leaks_test_ids(tiny_workspace, tmp_path, run
         run_dir,
     )
     assert "in both train and test" in err
+
+
+def _split_with_unknown_test_id(tiny_workspace, tmp_path):
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        plan = SplitPlan.from_text(f.read())
+    plan.test[0] = 999
+    split = tmp_path / "unknown.txt"
+    split.write_text(plan.to_text(), encoding="utf-8")
+    return str(split)
+
+
+def test_train_refuses_an_unknown_test_id_before_creating_the_run(tiny_workspace, tmp_path, run_cli):
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split",
+                 _split_with_unknown_test_id(tiny_workspace, tmp_path), "--epochs", "1",
+                 "--out", run_dir]),
+        run_dir,
+    )
+    assert "test list references subject id 999" in err
+
+
+def test_ablate_refuses_an_unknown_test_id_before_creating_outputs(tiny_workspace, tmp_path, run_cli):
+    models, out = str(tmp_path / "models"), str(tmp_path / "ablate.csv")
+    err = _assert_data_error(
+        run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                 _split_with_unknown_test_id(tiny_workspace, tmp_path), "--seeds", "0",
+                 "--epochs", "1", "--save-models", models, "--out", out]),
+        models, out, out + ".manifest",
+    )
+    assert "test list references subject id 999" in err
 
 
 def test_train_refuses_a_split_without_fractions(tiny_workspace, tmp_path, run_cli):

@@ -307,6 +307,62 @@ def test_gradients_match_finite_differences_in_one_graph_blocks(monkeypatch):
         assert err < 1e-4, f"{name}: {err}"
 
 
+_WORKSPACE_SHAPES = [(v, layers) for v in (6, 32, 48) for layers in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "case", range(len(Readout) * len(FeatureMode)),
+    ids=[f"{r.value}-{f.value}" for r in Readout for f in FeatureMode],
+)
+def test_a_reused_training_workspace_changes_no_bit(case):
+    # 64, 24, 64 graphs: a stale buffer from a larger batch, or an input
+    # gradient that is not cleared between layers or calls, would show
+    readout = list(Readout)[case // len(FeatureMode)]
+    features = list(FeatureMode)[case % len(FeatureMode)]
+    v, layers = _WORKSPACE_SHAPES[case % len(_WORKSPACE_SHAPES)]
+    config = ModelConfig(nodes=v, layers=layers, heads=4, clusters=3, mlp_hidden=(8,), readout=readout,
+                         centers_mode=CentersMode.LEARNABLE, feature_mode=features, k_eigen=3)
+    params = init_params(config, Rng(11))
+    graphs = [_correlation_input(v, seed=80 + s) for s in range(64)]
+    ws = bnt.model._Workspace(64, config, train=True)
+    for step, b in enumerate((64, 24, 64)):
+        batch = [(graphs[(i + 5 * step) % 64], (i + step) % 2) for i in range(b)]
+        loss, grads = loss_and_grad(batch, params, config, ws=ws)
+        fresh_loss, fresh = loss_and_grad(batch, params, config)
+        assert loss == fresh_loss, step
+        for (name, g), (_, f) in zip(grads.named_tensors(), fresh.named_tensors()):
+            assert np.array_equal(g, f), (step, name)
+        for (_, t), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
+            t -= 0.1 * g  # the next step runs on other weights
+
+
+def test_loss_and_grad_refuses_a_scoring_or_small_workspace():
+    config = _small_config(Readout.MEAN, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(5))
+    batch = [(_correlation_input(6, seed=s), s % 2) for s in range(3)]
+    with pytest.raises(ValueError, match="training workspace"):
+        loss_and_grad(batch, params, config, ws=bnt.model._Workspace(3, config))
+    with pytest.raises(ValueError, match="workspace holds 2 graphs"):
+        loss_and_grad(batch, params, config, ws=bnt.model._Workspace(2, config, train=True))
+
+
+def test_a_warm_training_workspace_allocates_a_quarter_of_a_step():
+    config = ModelConfig(nodes=32, heads=4, clusters=4)
+    params = init_params(config, Rng(12))
+    batch = [(_correlation_input(32, seed=90 + s), s % 2) for s in range(64)]
+    ws = bnt.model._Workspace(64, config, train=True)
+    loss_and_grad(batch, params, config, ws=ws)
+    peaks = []
+    for kwargs in ({}, {"ws": ws}):
+        tracemalloc.start()
+        try:
+            loss_and_grad(batch, params, config, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 0.25 * peaks[0], peaks
+
+
 def test_loss_and_grad_rejects_bad_labels():
     config = _small_config(Readout.MEAN, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(5))
@@ -409,7 +465,8 @@ def test_predict_proba_matches_the_training_forward(readout, features, centers, 
             assert probs.shape == (n,)
             for start in range(0, n, chunk):
                 rows = slice(start, min(start + chunk, n))
-                logits = bnt.model._forward_batch(np.stack(graphs[rows]), params, config).logits
+                ws = bnt.model._Workspace(rows.stop - rows.start, config, train=True)
+                logits = bnt.model._forward_batch(np.stack(graphs[rows]), params, config, ws).logits
                 assert np.array_equal(probs[rows], sigmoid(logits[:, 1] - logits[:, 0]))
 
 

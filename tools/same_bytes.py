@@ -10,11 +10,14 @@ prints one line per output file:
 
 Manifests are skipped: they hold durations and paths.  The chain is the
 criterion-10 chain (generate, split, 2-epoch train, eval), ``--centers
-learnable`` and ``--readout mean`` trains with their evals, a 3-readout x
-2-center x 2-seed ``ablate --save-models``, ``export-assignments`` of the
-clustering-readout runs, and one V=200 round (3-epoch train, eval, export)
-at the cohort-cc200 benchmark's sizes.  Exits 1 on any DIFF or on a
-command that fails on either side, and removes the worktree in any case.
+learnable``, ``--readout mean``, ``--features profile_identity`` and
+``--features profile_eigen`` trains with their evals, a 3-layer train and
+eval with batches of 24 over a 42-graph train split (so a middle layer and
+a partial batch), a 3-readout x 2-center x 2-seed ``ablate
+--save-models``, ``export-assignments`` of the clustering-readout runs,
+and one V=200 round (3-epoch train, eval, export) at the cohort-cc200
+benchmark's sizes.  Exits 1 on any DIFF or on a command that fails on
+either side, and removes the worktree in any case.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ def chain() -> list[list[str]]:
                  "--split", split, "--out", f"assign_{run}.csv"]]
 
     small = ("data.bntd", "split.txt")
+    mid = ("mid.bntd", "mid_split.txt")
     cc200 = ("cc200.bntd", "cc200_split.txt")
     return [
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "10", "--sites", "2",
@@ -51,6 +55,12 @@ def chain() -> list[list[str]]:
         *train("run", *small, "--epochs", "2"),
         *train("learnable", *small, "--epochs", "2", "--centers", "learnable"),
         *train("mean", *small, "--epochs", "2", "--readout", "mean"),
+        *train("identity", *small, "--epochs", "2", "--features", "profile_identity"),
+        *train("eigen", *small, "--epochs", "2", "--features", "profile_eigen", "--k-eigen", "4"),
+        ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "35", "--sites", "2",
+         "--series-length", "48", "--seed", "12", "--out", mid[0]],
+        ["split", "--dataset", mid[0], "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", mid[1]],
+        *train("deep", *mid, "--epochs", "2", "--layers", "3", "--batch-size", "24"),
         ["ablate", "--dataset", small[0], "--split", small[1], "--readouts", "ocread,mean,max",
          "--centers", "orthonormal,learnable", "--clusters", "3", "--seeds", "0,1", "--epochs", "2",
          "--save-models", "models", "--out", "ablate.csv"],
