@@ -4,7 +4,7 @@ Library layout:
 
 - ``bnt.rng``      deterministic counter-based random streams
 - ``bnt.linalg``   softmax, Xavier init, Gram-Schmidt, sign-fixed LAPACK eigensolver
-- ``bnt.model``    attention stack, readouts, analytic gradients
+- ``bnt.model``    parameter vector layout, attention stack, readouts, analytic gradients
 - ``bnt.data``     synthetic correlation graphs, dataset file, splits
 - ``bnt.training`` Adam loop, checkpoints, train reports
 - ``bnt.metrics``  AUROC, threshold metrics, assignment difference score
@@ -40,7 +40,6 @@ from .model import (
     forward,
     init_params,
     loss_and_grad,
-    mhsa_layer,
     node_feature,
     ocread,
 )

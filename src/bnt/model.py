@@ -11,8 +11,11 @@ learned or frozen cluster centers and pools node embeddings under that
 soft assignment.  Centers can be orthonormal (Gram-Schmidt of a Xavier
 draw, frozen), random unit rows (frozen), or learnable.
 
-All gradients are computed analytically by reverse mode over the cached
-forward intermediates; finite differences verify them in the tests.
+Parameters live in one contiguous float64 vector laid out by
+``param_layout``; every named tensor of a ``ModelParams`` is a view into
+it.  Gradients are computed analytically by reverse mode over the cached
+forward intermediates, into a second vector of the same layout; finite
+differences verify them in the tests.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,43 +127,57 @@ class AttentionLayerParams:
     w_output: np.ndarray
 
 
-@dataclass
+_ATTENTION_TENSORS = ("w_query", "w_key", "w_value", "w_output")
+
+
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], slice]]:
+    """(name, shape, span) of every parameter tensor in declaration order,
+    which is also the order of the checkpoint body; ``span`` is the tensor's
+    slice of the one parameter vector."""
+    v, m, hd = config.nodes, config.heads, config.head_dim
+    shapes = []
+    for i in range(config.layers):
+        w = config.input_width if i == 0 else v
+        shapes += [(f"layers.{i}.{t}", (m, hd, w)) for t in _ATTENTION_TENSORS[:3]]
+        shapes.append((f"layers.{i}.w_output", (m * hd, v)))
+    shapes.append(("centers", (config.clusters, v)))
+    widths = [config.flat_dim, *config.mlp_hidden, 2]
+    for i, (a, b) in enumerate(zip(widths, widths[1:])):
+        shapes += [(f"mlp.{i}.weight", (a, b)), (f"mlp.{i}.bias", (b,))]
+    sizes = [math.prod(shape) for _, shape in shapes]
+    return [(name, shape, slice(end - size, end))
+            for (name, shape), size, end in zip(shapes, sizes, accumulate(sizes))]
+
+
+def param_count(config: ModelConfig) -> int:
+    """Length of the parameter vector."""
+    return param_layout(config)[-1][2].stop
+
+
 class ModelParams:
-    layers: list[AttentionLayerParams]
-    centers: np.ndarray  # (clusters, nodes)
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
+    """Every parameter in one contiguous float64 ``vector``; ``layers``,
+    ``centers``, ``mlp_weights`` and ``mlp_biases`` are views into it, laid
+    out by ``param_layout``."""
+
+    def __init__(self, vector: np.ndarray, config: ModelConfig):
+        layout = param_layout(config)
+        total = layout[-1][2].stop
+        if vector.shape != (total,):
+            raise ValueError(f"expected {total} parameters, got shape {vector.shape}")
+        self.vector = vector
+        views = self._views = {name: vector[span].reshape(shape) for name, shape, span in layout}
+        self.layers = [
+            AttentionLayerParams(*(views[f"layers.{i}.{t}"] for t in _ATTENTION_TENSORS))
+            for i in range(config.layers)
+        ]
+        self.centers = views["centers"]  # (clusters, nodes)
+        n_mlp = len(config.mlp_hidden) + 1
+        self.mlp_weights = [views[f"mlp.{i}.weight"] for i in range(n_mlp)]
+        self.mlp_biases = [views[f"mlp.{i}.bias"] for i in range(n_mlp)]
 
     def named_tensors(self):
-        """(name, array) pairs in fixed declaration order."""
-        for i, layer in enumerate(self.layers):
-            yield f"layers.{i}.w_query", layer.w_query
-            yield f"layers.{i}.w_key", layer.w_key
-            yield f"layers.{i}.w_value", layer.w_value
-            yield f"layers.{i}.w_output", layer.w_output
-        yield "centers", self.centers
-        for i, (w, b) in enumerate(zip(self.mlp_weights, self.mlp_biases)):
-            yield f"mlp.{i}.weight", w
-            yield f"mlp.{i}.bias", b
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            layers=[
-                AttentionLayerParams(
-                    l.w_query.copy(), l.w_key.copy(), l.w_value.copy(), l.w_output.copy()
-                )
-                for l in self.layers
-            ],
-            centers=self.centers.copy(),
-            mlp_weights=[w.copy() for w in self.mlp_weights],
-            mlp_biases=[b.copy() for b in self.mlp_biases],
-        )
-
-    def zeros_like(self) -> "ModelParams":
-        out = self.copy()
-        for _, t in out.named_tensors():
-            t[...] = 0.0
-        return out
+        """(name, view) pairs in declaration order."""
+        return iter(self._views.items())
 
 
 @dataclass
@@ -175,47 +193,47 @@ class ForwardTrace:
 
 
 def trainable_names(config: ModelConfig) -> set[str]:
-    """Names of tensors that receive gradient updates."""
-    names = set()
-    for i in range(config.layers):
-        names.update(
-            {f"layers.{i}.w_query", f"layers.{i}.w_key", f"layers.{i}.w_value", f"layers.{i}.w_output"}
-        )
-    n_mlp = len(config.mlp_hidden) + 1
-    for i in range(n_mlp):
-        names.update({f"mlp.{i}.weight", f"mlp.{i}.bias"})
-    if config.readout is Readout.OCREAD and config.centers_mode is CentersMode.LEARNABLE:
-        names.add("centers")
-    return names
+    """Names of tensors that receive gradient updates: all but the centers,
+    which train only in the learnable-centers clustering readout."""
+    learnable = config.readout is Readout.OCREAD and config.centers_mode is CentersMode.LEARNABLE
+    return {name for name, _, _ in param_layout(config) if learnable or name != "centers"}
+
+
+def trainable_spans(config: ModelConfig) -> list[slice]:
+    """The parameter vector's maximal runs of ``trainable_names`` tensors."""
+    names = trainable_names(config)
+    spans = []
+    for name, _, span in param_layout(config):
+        if name in names and spans and spans[-1].stop == span.start:
+            spans[-1] = slice(spans[-1].start, span.stop)
+        elif name in names:
+            spans.append(span)
+    return spans
 
 
 def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     """Draw fresh parameters; the rng stream order is part of the contract."""
     config.validate()
+    params = ModelParams(np.zeros(param_count(config)), config)  # MLP biases start at zero
     v = config.nodes
     hd = config.head_dim
-    layers = []
-    for l in range(config.layers):
+    for l, layer in enumerate(params.layers):
         in_w = config.input_width if l == 0 else v
-        stacks = []
-        for _ in range(3):  # query, key, value
-            heads = [linalg.xavier_uniform(hd, in_w, rng) for _ in range(config.heads)]
-            stacks.append(np.stack(heads))
-        w_output = linalg.xavier_uniform(config.heads * hd, v, rng)
-        layers.append(AttentionLayerParams(stacks[0], stacks[1], stacks[2], w_output))
+        for stack in (layer.w_query, layer.w_key, layer.w_value):
+            for head in stack:
+                head[...] = linalg.xavier_uniform(hd, in_w, rng)
+        layer.w_output[...] = linalg.xavier_uniform(config.heads * hd, v, rng)
 
+    centers = params.centers
     if config.centers_mode is CentersMode.ORTHONORMAL:
-        centers = linalg.orthonormal_rows(config.clusters, v, rng)
+        centers[...] = linalg.orthonormal_rows(config.clusters, v, rng)
     else:
-        centers = linalg.xavier_uniform(config.clusters, v, rng)
+        centers[...] = linalg.xavier_uniform(config.clusters, v, rng)
         centers /= np.sqrt((centers * centers).sum(axis=1, keepdims=True))
 
-    widths = [config.flat_dim, *config.mlp_hidden, 2]
-    mlp_weights = [
-        linalg.xavier_uniform(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
-    ]
-    mlp_biases = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
-    return ModelParams(layers, centers, mlp_weights, mlp_biases)
+    for w in params.mlp_weights:
+        w[...] = linalg.xavier_uniform(*w.shape, rng)
+    return params
 
 
 def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
@@ -473,14 +491,6 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, Fo
     return trace.logits, trace
 
 
-def mhsa_layer(z_prev, layer: AttentionLayerParams) -> np.ndarray:
-    """One multi-head self-attention layer applied to a single sample."""
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-    m, hd, _ = layer.w_query.shape
-    out, _ = _mhsa_forward(z_prev[None], layer, _LayerBuffers(1, len(z_prev), m, hd, 1))
-    return out[0]
-
-
 def ocread(z, centers) -> tuple[np.ndarray, np.ndarray]:
     """Soft cluster pooling of node embeddings z of shape (..., V, w).
 
@@ -511,19 +521,10 @@ def baseline_readout(z, kind: Readout) -> np.ndarray:
     raise ValueError(f"not a baseline readout: {kind}")
 
 
-def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
-    """Mean cross-entropy of a batch of (graph, label) pairs."""
-    x = np.stack([np.asarray(g, dtype=np.float64) for g, _ in batch])
-    y = np.array([label for _, label in batch], dtype=np.intp)
-    tr = _forward_batch(x, params, config, _Workspace(len(x), config))
-    logp = _log_softmax(tr.logits)
-    return float(-logp[np.arange(len(batch)), y].mean())
-
-
 def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspace | None = None):
     """Mean cross-entropy over the batch and analytic parameter gradients.
 
-    Gradients come back as a ModelParams of matching shapes.  Centers
+    Gradients come back as a ModelParams over a fresh vector.  Centers
     receive gradient only for the learnable-centers clustering readout;
     otherwise their slot is zero.  ``ws`` is a training ``_Workspace`` for
     at least len(batch) graphs that successive calls share; without one,
@@ -545,7 +546,7 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspac
     logp = _log_softmax(tr.logits)
     loss = float(-logp[np.arange(b), y].mean())
 
-    grads = params.zeros_like()
+    grads = ModelParams(np.zeros_like(params.vector), config)
 
     dlogits = np.exp(logp)
     dlogits[np.arange(b), y] -= 1.0

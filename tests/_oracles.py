@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bnt.model import ModelConfig, ModelParams, forward
+from bnt.model import ModelConfig, ModelParams, forward, score_chunks
 from bnt.rng import Rng
 
 
@@ -49,6 +49,32 @@ def batch_loss_reference(batch, params: ModelParams, config: ModelConfig) -> flo
         logits, _ = forward(x, params, config)
         total += cross_entropy_reference(logits, label)
     return total / len(batch)
+
+
+def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
+    """Mean cross-entropy of a batch scored as one chunk by score_chunks,
+    the batched forward behind predict_proba."""
+    graphs = [x for x, _ in batch]
+    ((_, logits, _),) = score_chunks(graphs, params, config, chunk=len(graphs))
+    return sum(cross_entropy_reference(l, y) for l, (_, y) in zip(logits, batch)) / len(batch)
+
+
+def adam_per_tensor(param_map, grad_map, moments: dict, step: int, config) -> None:
+    """Adam step ``step``, in place, tensor by tensor over param_map; ``moments``
+    maps a name to its (m, v) pair and gains zeros on a tensor's first step.
+    Tensors absent from param_map are frozen: they are never read or written."""
+    bc1 = 1.0 - config.beta1**step
+    bc2 = 1.0 - config.beta2**step
+    for name, p in param_map.items():
+        g = grad_map[name]
+        if config.weight_decay:
+            g = g + config.weight_decay * p
+        m, v = moments.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
 
 
 def finite_difference_grads(batch, params: ModelParams, config: ModelConfig, h: float = 1e-5):

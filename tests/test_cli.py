@@ -6,6 +6,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -743,6 +744,26 @@ def test_eval_refuses_a_checkpoint_claiming_huge_tensors(tiny_workspace, tmp_pat
         out, out + ".manifest",
     )
     assert "bytes" in err
+
+
+def test_train_divergence_is_a_numerical_failure(tiny_workspace, tmp_path, run_cli):
+    run_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy overflow warning would raise here
+        code, _, err = run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split",
+                                tiny_workspace["split"], "--epochs", "5", "--lr", "1e300",
+                                "--out", str(run_dir)])
+    assert code == 3, err
+    assert err.splitlines() == ["numerical failure: training diverged in epoch 1: non-finite validation scores"]
+    for name in ("checkpoint.bnt", "report.txt", "manifest.txt"):
+        assert not (run_dir / name).exists(), name
+
+    out = tmp_path / "ablate.csv"
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--clusters", "2", "--seeds", "0", "--epochs", "1",
+                            "--lr", "1e300", "--out", str(out)])
+    assert code == 3 and len(err.splitlines()) == 1, err
+    assert "seed=0: training diverged in epoch 1" in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------

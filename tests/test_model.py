@@ -7,24 +7,33 @@ import numpy as np
 import pytest
 
 import bnt.model
-from _oracles import batch_loss_reference, finite_difference_grads, max_relative_error
+import bnt.training
+from _oracles import (
+    adam_per_tensor,
+    batch_loss,
+    batch_loss_reference,
+    finite_difference_grads,
+    max_relative_error,
+)
 from bnt.linalg import sigmoid
 from bnt.model import (
     AttentionLayerParams,
     CentersMode,
     FeatureMode,
     ModelConfig,
+    ModelParams,
     Readout,
     baseline_readout,
-    batch_loss,
     forward,
     init_params,
     loss_and_grad,
-    mhsa_layer,
     node_feature,
     ocread,
+    param_count,
+    param_layout,
     predict_proba,
     trainable_names,
+    trainable_spans,
 )
 from bnt.rng import Rng
 from bnt.training import TrainConfig, adam_step, AdamState
@@ -115,6 +124,15 @@ def test_node_feature_eigen_columns_are_eigenvectors():
 
 # ---------------------------------------------------------------------------
 # attention layer hand cases
+
+
+def mhsa_layer(z_prev, layer: AttentionLayerParams) -> np.ndarray:
+    """One multi-head self-attention layer applied to a single graph."""
+    z_prev = np.asarray(z_prev, dtype=np.float64)
+    m, hd, _ = layer.w_query.shape
+    buffers = bnt.model._LayerBuffers(1, len(z_prev), m, hd, 1)
+    out, _ = bnt.model._mhsa_forward(z_prev[None], layer, buffers)
+    return out[0]
 
 
 def _identity_layer(v, zero_qk=False):
@@ -227,6 +245,27 @@ def test_init_deterministic():
         assert np.array_equal(ta, tb)
 
 
+def test_named_tensors_are_views_of_the_vector_in_declaration_order():
+    config = ModelConfig(nodes=6, layers=2, heads=2, clusters=3, mlp_hidden=(5, 4),
+                         feature_mode=FeatureMode.PROFILE_IDENTITY)
+    params = init_params(config, Rng(1))
+    names = [f"layers.{i}.{t}" for i in range(2) for t in ("w_query", "w_key", "w_value", "w_output")]
+    names += ["centers"] + [f"mlp.{i}.{t}" for i in range(3) for t in ("weight", "bias")]
+    assert [name for name, _ in params.named_tensors()] == names
+    offset = 0
+    for (name, t), (_, shape, span) in zip(params.named_tensors(), param_layout(config)):
+        assert t.shape == shape and span == slice(offset, offset + t.size), name
+        assert np.shares_memory(t, params.vector), name
+        assert t.ctypes.data == params.vector.ctypes.data + 8 * offset, name
+        offset += t.size
+    assert offset == param_count(config) == params.vector.size
+    views = dict(params.named_tensors())
+    assert views["layers.1.w_key"] is params.layers[1].w_key and views["centers"] is params.centers
+    assert views["mlp.2.weight"] is params.mlp_weights[2] and views["mlp.2.bias"] is params.mlp_biases[2]
+    with pytest.raises(ValueError, match=f"expected {offset} parameters"):
+        ModelParams(np.zeros(offset + 1), config)
+
+
 def test_initial_loss_near_coin_flip():
     config = ModelConfig(nodes=8)
     params = init_params(config, Rng(1))
@@ -252,7 +291,7 @@ def test_loss_and_grad_value_matches_batch_loss():
     params = init_params(config, Rng(3))
     batch = [(_correlation_input(6, seed=s), s % 2) for s in range(2)]
     loss, _ = loss_and_grad(batch, params, config)
-    assert abs(loss - batch_loss(batch, params, config)) < 1e-12
+    assert abs(loss - batch_loss_reference(batch, params, config)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -385,13 +424,32 @@ def test_forward_rejects_non_finite_input():
 
 def _take_adam_steps(config, params, batch, steps=25, lr=3e-3):
     tc = TrainConfig(lr=lr, weight_decay=0.0)
-    names = trainable_names(config)
-    param_map = {n: t for n, t in params.named_tensors() if n in names}
-    state = AdamState()
+    spans = trainable_spans(config)
+    state = AdamState(np.zeros_like(params.vector), np.zeros_like(params.vector))
     for _ in range(steps):
         _, grads = loss_and_grad(batch, params, config)
-        grad_map = dict(grads.named_tensors())
-        adam_step(param_map, {k: grad_map[k] for k in param_map}, state, tc)
+        adam_step(params.vector, grads.vector, state, tc, spans)
+
+
+@pytest.mark.parametrize("adam_slice", [bnt.training._ADAM_SLICE, 7])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("centers", [CentersMode.ORTHONORMAL, CentersMode.LEARNABLE])
+def test_flat_adam_matches_the_per_tensor_reference(centers, weight_decay, adam_slice, monkeypatch):
+    # frozen orthonormal centers leave a hole between the attention and MLP
+    # spans; slices of 7 floats end inside tensors and spans
+    monkeypatch.setattr(bnt.training, "_ADAM_SLICE", adam_slice)
+    config = _small_config(Readout.OCREAD, centers)
+    flat, reference = init_params(config, Rng(8)), init_params(config, Rng(8))
+    tc = TrainConfig(lr=3e-3, weight_decay=weight_decay)
+    state = AdamState(np.zeros_like(flat.vector), np.zeros_like(flat.vector))
+    param_map = {n: t for n, t in reference.named_tensors() if n in trainable_names(config)}
+    moments = {}
+    batch = [(_correlation_input(6, seed=40 + s), s % 2) for s in range(4)]
+    for step in range(1, 26):
+        _, grads = loss_and_grad(batch, flat, config)
+        adam_step(flat.vector, grads.vector, state, tc, trainable_spans(config))
+        adam_per_tensor(param_map, dict(grads.named_tensors()), moments, step, tc)
+        assert np.array_equal(flat.vector, reference.vector), step
 
 
 def test_training_steps_descend():

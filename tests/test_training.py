@@ -1,11 +1,15 @@
 """Adam updates, the training loop, checkpoints, and report files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import bnt.training
+
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.metrics import EvalResult
-from bnt.model import CentersMode, FeatureMode, ModelConfig, Readout, init_params
+from bnt.model import CentersMode, FeatureMode, ModelConfig, Readout, init_params, param_count
 from bnt.rng import Rng
 from bnt.training import (
     AdamState,
@@ -13,8 +17,6 @@ from bnt.training import (
     TrainConfig,
     TrainReport,
     WEIGHT_DECAY_MODE,
-    _param_count,
-    _zero_params,
     adam_step,
     evaluate,
     load_checkpoint,
@@ -42,39 +44,37 @@ def test_adam_first_step_matches_formula():
     p = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, -0.25, 0.0])
     expected = p - config.lr * g / (np.abs(g) + config.eps)
-    params = {"w": p}
-    adam_step(params, {"w": g}, AdamState(), config)
+    adam_step(p, g, AdamState(np.zeros(3), np.zeros(3)), config, [slice(0, 3)])
     # bias correction makes m_hat = g and v_hat = g*g on step one
-    assert np.allclose(params["w"], expected, rtol=0, atol=1e-12)
+    assert np.allclose(p, expected, rtol=0, atol=1e-12)
 
 
 def test_adam_weight_decay_contributes_gradient():
     config = TrainConfig(lr=0.1, weight_decay=0.5)
     p = np.array([2.0])
-    adam_step({"w": p}, {"w": np.zeros(1)}, AdamState(), config)
+    adam_step(p, np.zeros(1), AdamState(np.zeros(1), np.zeros(1)), config, [slice(0, 1)])
     # decay term 0.5*2 = 1 acts as the whole gradient: p - lr*sign(g)
     assert p[0] == pytest.approx(2.0 - 0.1, abs=1e-8)
 
 
 def test_adam_skips_frozen_tensors():
     config = TrainConfig(lr=0.1, weight_decay=0.0)
-    frozen = np.array([5.0, 6.0])
-    before = frozen.copy()
-    live = np.array([1.0])
-    state = AdamState()
-    adam_step({"w": live}, {"w": np.ones(1), "frozen": np.ones(2)}, state, config)
-    assert np.array_equal(frozen, before)
-    assert "frozen" not in state.m and "frozen" not in state.v
+    vector = np.array([1.0, 5.0, 6.0, 2.0])  # a frozen tensor between two live entries
+    before = vector[1:3].copy()
+    state = AdamState(np.zeros(4), np.zeros(4))
+    adam_step(vector, np.ones(4), state, config, [slice(0, 1), slice(3, 4)])
+    assert np.array_equal(vector[1:3], before)
+    assert not state.m[1:3].any() and not state.v[1:3].any()
 
 
 def test_adam_moment_accumulation_two_steps():
     config = TrainConfig(lr=1.0, weight_decay=0.0, eps=1e-8)
     p = np.array([0.0])
-    state = AdamState()
+    state = AdamState(np.zeros(1), np.zeros(1))
     g1, g2 = np.array([1.0]), np.array([3.0])
-    adam_step({"w": p}, {"w": g1}, state, config)
+    adam_step(p, g1, state, config, [slice(0, 1)])
     after_first = p.copy()
-    adam_step({"w": p}, {"w": g2}, state, config)
+    adam_step(p, g2, state, config, [slice(0, 1)])
     b1, b2 = config.beta1, config.beta2
     m_hat = (b1 * (1 - b1) * 1.0 + (1 - b1) * 3.0) / (1 - b1**2)
     v_hat = (b2 * (1 - b2) * 1.0 + (1 - b2) * 9.0) / (1 - b2**2)
@@ -148,6 +148,33 @@ def test_train_rejects_bad_splits():
         train(graphs, leaky, config, tc)
 
 
+@pytest.mark.parametrize("batch_size,what", [(4, "loss"), (64, "validation scores")])
+def test_train_divergence_names_the_epoch_without_warnings(batch_size, what):
+    # lr 1e300: the first step's weights overflow the next forward, which is
+    # the second step of epoch 1 with batches of 4 and its validation with 64
+    graphs, plan, config = _workbench()
+    tc = TrainConfig(lr=1e300, batch_size=batch_size, epochs=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=f"^training diverged in epoch 1: non-finite {what}$"):
+            train(graphs, plan, config, tc)
+
+
+def test_train_divergence_names_the_first_non_finite_gradient(monkeypatch):
+    real = bnt.training.loss_and_grad
+
+    def poisoned(batch, params, config, ws=None):
+        loss, grads = real(batch, params, config, ws=ws)
+        grads.layers[0].w_key[0, 0, 0] = np.inf
+        grads.mlp_biases[0][0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(bnt.training, "loss_and_grad", poisoned)
+    graphs, plan, config = _workbench()
+    with pytest.raises(FloatingPointError, match="epoch 1: non-finite gradient of layers.0.w_key$"):
+        train(graphs, plan, config, TrainConfig(epochs=2))
+
+
 def test_evaluate_single_class_has_no_auroc():
     _, _, config = _workbench()
     spec = GeneratorSpec(
@@ -183,6 +210,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded_config == config
     for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
         assert np.array_equal(a, b), name
+    # the body, after magic, version, five sizes, the hidden count and widths,
+    # three mode bytes and k_eigen, is the parameter vector; the loaded one is
+    # a private copy
+    head = 4 + 4 * 6 + 4 * (1 + len(config.mlp_hidden)) + 3 + 4
+    assert path.read_bytes()[head:] == params.vector.tobytes()
+    assert loaded.vector.flags.writeable and loaded.vector.flags.owndata
     # a second save of the loaded state is byte-identical
     again = tmp_path / "again.bnt"
     save_checkpoint(again, loaded, loaded_config)
@@ -222,6 +255,11 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(CheckpointFormatError, match="bytes"):
         load_checkpoint(huge)
 
+    many_layers = tmp_path / "many_layers.bnt"
+    many_layers.write_bytes(raw[:12] + (2**31).to_bytes(4, "little") + raw[16:])
+    with pytest.raises(CheckpointFormatError, match="bytes"):
+        load_checkpoint(many_layers)
+
     no_layers = tmp_path / "no_layers.bnt"
     no_layers.write_bytes(raw[:12] + (0).to_bytes(4, "little") + raw[16:])
     with pytest.raises(CheckpointFormatError, match="layers must be >= 1"):
@@ -233,7 +271,12 @@ def test_checkpoint_format_errors(tmp_path):
 def test_param_count_matches_the_tensors(readout, features):
     config = ModelConfig(nodes=6, layers=3, heads=2, clusters=2, mlp_hidden=(5, 3),
                          readout=readout, feature_mode=features, k_eigen=2)
-    assert _param_count(config) == sum(t.size for _, t in _zero_params(config).named_tensors())
+    v, mh = config.nodes, config.heads * config.head_dim
+    attention = mh * (3 * config.input_width + v) + (config.layers - 1) * mh * 4 * v
+    widths = [config.flat_dim, *config.mlp_hidden, 2]
+    closed_form = attention + config.clusters * v + sum(a * b + b for a, b in zip(widths, widths[1:]))
+    tensors = init_params(config, Rng(0)).named_tensors()
+    assert param_count(config) == closed_form == sum(t.size for _, t in tensors)
 
 
 # ---------------------------------------------------------------------------

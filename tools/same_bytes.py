@@ -10,7 +10,8 @@ prints one line per output file:
 
 Manifests are skipped: they hold durations and paths.  The chain is the
 criterion-10 chain (generate, split, 2-epoch train, eval), ``--centers
-learnable``, ``--readout mean``, ``--features profile_identity`` and
+learnable``, ``--centers random --weight-decay 0`` (random-unit centers,
+Adam without decay), ``--readout mean``, ``--features profile_identity`` and
 ``--features profile_eigen`` trains with their evals, a 3-layer train and
 eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
@@ -54,6 +55,7 @@ def chain() -> list[list[str]]:
         ["split", "--dataset", small[0], "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", small[1]],
         *train("run", *small, "--epochs", "2"),
         *train("learnable", *small, "--epochs", "2", "--centers", "learnable"),
+        *train("random", *small, "--epochs", "2", "--centers", "random", "--weight-decay", "0"),
         *train("mean", *small, "--epochs", "2", "--readout", "mean"),
         *train("identity", *small, "--epochs", "2", "--features", "profile_identity"),
         *train("eigen", *small, "--epochs", "2", "--features", "profile_eigen", "--k-eigen", "4"),
