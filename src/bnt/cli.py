@@ -22,12 +22,13 @@ Option resolution order: explicit flag, then --config file entry
 variable (seed options only), then the built-in default.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure.
+failure or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -53,7 +54,7 @@ from .data import (
 )
 from .linalg import DegenerateBasisError, EigenConvergenceError, gram_schmidt
 from .metrics import difference_score
-from .model import CentersMode, FeatureMode, ModelConfig, Readout, score_chunks
+from .model import CentersMode, FeatureMode, ModelConfig, ModelParams, Readout, score_chunks
 from .rng import Rng
 from .theory import (
     correlated_unit_centers,
@@ -71,6 +72,7 @@ from .training import (
     save_checkpoint,
     train,
 )
+from .workers import WorkerDied, ordered_map, usable_cpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,6 +202,17 @@ def _parse_theory_mode(text: str) -> str:
         raise ValueError("expected one of: mc, 2d, vif, all")
     return token
 
+
+_MAX_JOBS = 64
+
+# ablate and verify-theory: runs or Monte Carlo blocks in worker processes
+_JOBS_OPT = _Opt(
+    "jobs",
+    "--jobs",
+    _parse_int,
+    min(usable_cpus(), _MAX_JOBS),
+    f"worker processes, 1..{_MAX_JOBS}, at most one per run or block; defaults to the usable CPUs",
+)
 
 _GEN_DEFAULTS = GeneratorSpec()
 _TRAIN_DEFAULTS = TrainConfig()
@@ -345,7 +358,7 @@ _THEORY_OPTS = [
     _Opt("clusters", "--clusters", _parse_int, 4, "cluster count for the mc check"),
     _Opt("cosine", "--cosine", _parse_float, 0.5, "pairwise cosine of the correlated centers"),
     _Opt("quad_nodes", "--quad-nodes", _parse_int, 64, "quadrature nodes per axis (2d mode)"),
-    _Opt("threads", "--threads", _parse_int, 1, "worker threads for mc blocks"),
+    _JOBS_OPT,
     _Opt("seed", "--seed", _parse_int, 0, "sampling seed", seed_like=True),
 ]
 
@@ -391,6 +404,7 @@ _ABLATE_OPTS = (
             None,
             "directory receiving one checkpoint per run",
         ),
+        _JOBS_OPT,
     ]
     + _model_opts()
     + _hyper_opts()
@@ -488,6 +502,7 @@ def _write_manifest(path, command, options, inputs, outputs, started) -> None:
     lines.append(f"env.numpy = {np.__version__}")
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         lines.append(f"env.{var} = {os.environ.get(var, 'unset')}")
+    lines.append(f"env.cpus = {usable_cpus()}")  # sets the --jobs default
     lines.append(f"duration_seconds = {time.monotonic() - started:.3f}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -588,6 +603,11 @@ def _build_model_config(opt, nodes, readout, centers, clusters) -> ModelConfig:
     return config
 
 
+def _check_jobs(opt) -> None:
+    if not 1 <= opt["jobs"] <= _MAX_JOBS:
+        raise UsageError(f"--jobs must be in 1..{_MAX_JOBS}")
+
+
 def _build_train_config(opt, seed) -> TrainConfig:
     try:
         config = TrainConfig(
@@ -681,9 +701,9 @@ def cmd_train(args) -> int:
     report_path = os.path.join(out_dir, "report.txt")
     manifest_path = os.path.join(out_dir, "manifest.txt")
     _guard_outputs([checkpoint_path, report_path, manifest_path], args.force)
-    os.makedirs(out_dir, exist_ok=True)
 
     params, report = train(graphs, plan, model_config, train_config)
+    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(checkpoint_path, params, model_config)
     with open(report_path, "w", encoding="utf-8") as f:
         f.write(report.to_text())
@@ -835,8 +855,6 @@ def _theory_rows_2d(opt):
 
 
 def _theory_rows_mc(opt):
-    if opt["threads"] < 1:
-        raise UsageError("--threads must be at least 1")
     if opt["nodes"] < opt["clusters"] + 1:
         raise UsageError(
             "--nodes must exceed --clusters (the correlated construction needs the extra dimension)"
@@ -851,7 +869,7 @@ def _theory_rows_mc(opt):
             opt["r"],
             opt["samples"],
             opt["seed"],
-            threads=opt["threads"],
+            jobs=opt["jobs"],
         )
         estimates.append(est)
         rows.append(["mc", label, repr(float(est.value)), repr(float(est.standard_error))])
@@ -894,6 +912,7 @@ def _theory_rows_vif(opt):
 def cmd_verify_theory(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _THEORY_OPTS)
+    _check_jobs(opt)
     prefix = opt["out"]
     csv_path, txt_path, manifest_path = (
         prefix + ".csv",
@@ -993,6 +1012,7 @@ def cmd_export_assignments(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _ABLATE_OPTS)
+    _check_jobs(opt)
     graphs = _load_dataset(opt["dataset"])
     nodes = graphs[0].matrix.shape[0]
     plan = _load_split(opt["split"])
@@ -1020,53 +1040,61 @@ def cmd_ablate(args) -> int:
             model_path(r, c, k, s) for (r, c, k) in combos for s in seeds
         )
     _guard_outputs(guarded, args.force)
-    if opt["save_models"] is not None:
-        os.makedirs(opt["save_models"], exist_ok=True)
 
     # validate every combination before spending minutes training any
-    for readout, centers, clusters in combos:
-        _build_model_config(opt, nodes, readout, centers, clusters)
+    configs = {combo: _build_model_config(opt, nodes, *combo) for combo in combos}
+    train_configs = {seed: _build_train_config(opt, seed) for seed in seeds}
 
+    def train_run(run):
+        combo, seed = run
+        params, report = train(graphs, plan, configs[combo], train_configs[seed])
+        return params.vector, report
+
+    # Runs train in worker processes; checkpoints, stderr lines and rows
+    # follow here in sweep order, as a serial loop would write them.
     rows = []
-    for readout, centers, clusters in combos:
-        results = []
-        for seed in seeds:
-            model_config = _build_model_config(opt, nodes, readout, centers, clusters)
-            train_config = _build_train_config(opt, seed)
-            try:
-                params, report = train(graphs, plan, model_config, train_config)
-            except (DegenerateBasisError, EigenConvergenceError, FloatingPointError) as exc:
-                raise type(exc)(
-                    f"readout={readout.value} centers={centers.value} "
-                    f"clusters={clusters} seed={seed}: {exc}"
+    runs = [(combo, seed) for combo in combos for seed in seeds]
+    with contextlib.closing(ordered_map(train_run, runs, opt["jobs"])) as outcomes:
+        for readout, centers, clusters in combos:
+            results = []
+            for seed in seeds:
+                try:
+                    vector, report = next(outcomes)
+                except (DegenerateBasisError, EigenConvergenceError, FloatingPointError, WorkerDied) as exc:
+                    raise type(exc)(
+                        f"readout={readout.value} centers={centers.value} "
+                        f"clusters={clusters} seed={seed}: {exc}"
+                    )
+                if opt["save_models"] is not None:
+                    model_config = configs[(readout, centers, clusters)]
+                    os.makedirs(opt["save_models"], exist_ok=True)
+                    save_checkpoint(model_path(readout, centers, clusters, seed),
+                                    ModelParams(vector, model_config), model_config)
+                results.append(report.test)
+                rows.append(
+                    [
+                        readout.value,
+                        centers.value,
+                        str(clusters),
+                        str(seed),
+                        str(report.selected_epoch),
+                    ]
+                    + [_fmt_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
                 )
-            if opt["save_models"] is not None:
-                save_checkpoint(model_path(readout, centers, clusters, seed), params, model_config)
-            results.append(report.test)
-            rows.append(
-                [
-                    readout.value,
-                    centers.value,
-                    str(clusters),
-                    str(seed),
-                    str(report.selected_epoch),
-                ]
-                + [_fmt_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
-            )
-            print(
-                f"[ablate] readout={readout.value} centers={centers.value} "
-                f"clusters={clusters} seed={seed}: auroc {_fmt_metric(report.test.auroc)}",
-                file=sys.stderr,
-            )
-        for stat_name, reducer in (("mean", statistics.fmean), ("std", statistics.pstdev)):
-            cells = []
-            for metric in _METRIC_FIELDS:
-                values = [getattr(t, metric) for t in results]
-                if any(v is None for v in values):
-                    cells.append("undefined")
-                else:
-                    cells.append(repr(reducer([float(v) for v in values])))
-            rows.append([readout.value, centers.value, str(clusters), stat_name, ""] + cells)
+                print(
+                    f"[ablate] readout={readout.value} centers={centers.value} "
+                    f"clusters={clusters} seed={seed}: auroc {_fmt_metric(report.test.auroc)}",
+                    file=sys.stderr,
+                )
+            for stat_name, reducer in (("mean", statistics.fmean), ("std", statistics.pstdev)):
+                cells = []
+                for metric in _METRIC_FIELDS:
+                    values = [getattr(t, metric) for t in results]
+                    if any(v is None for v in values):
+                        cells.append("undefined")
+                    else:
+                        cells.append(repr(reducer([float(v) for v in values])))
+                rows.append([readout.value, centers.value, str(clusters), stat_name, ""] + cells)
 
     _write_csv(out, ABLATE_HEADER, rows)
     options = dict(opt, nodes=nodes)
@@ -1163,6 +1191,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (DegenerateBasisError, EigenConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (MemoryError, WorkerDied) as exc:
+        print(f"resource failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,14 +31,13 @@ Two claims are made executable here:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .rng import Rng
+from .workers import ordered_map, usable_cpus
 
 _DEFAULT_BLOCK = 1 << 16
 # Samples are drawn and scored in chunks whose (samples, dim) array stays
@@ -69,13 +68,14 @@ def variance_functional_mc(
     n_samples: int,
     seed: int,
     block_size: int = _DEFAULT_BLOCK,
-    threads: int = 1,
+    jobs: int = 1,
 ) -> VarianceFunctionalEstimate:
     """Monte Carlo estimate of the ball-averaged assignment variance.
 
     Samples are generated in independent blocks, each from its own
     derived stream keyed by (seed, block index), and block sums are
-    reduced in index order, so the result does not depend on `threads`.
+    reduced in index order, so the result does not depend on `jobs`, the
+    number of worker processes (at most one per block or CPU).
     A block of n samples is ``normal(n * dim)`` then n radius uniforms,
     scored in cache-sized chunks; each chunk draws its own words of the
     counter-based stream, so the chunking changes no bit.
@@ -87,8 +87,8 @@ def variance_functional_mc(
         raise ValueError("radius must be positive")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     k, dim = centers.shape
     base = Rng(seed)
     sizes = [
@@ -96,8 +96,8 @@ def variance_functional_mc(
     ]
     step = max(1, _MC_CHUNK_BYTES // (8 * dim))
 
-    def run_block(args):
-        index, size = args
+    def run_block(block):
+        index, size = block
         rng = base.derive(index)
         radius_word = 2 * ((size * dim + 1) // 2)  # the counter after normal(size * dim)
         vals = np.empty(size)
@@ -114,14 +114,7 @@ def variance_functional_mc(
             p.sum(axis=1, out=vals[s0:s1])
         return vals.sum(), (vals * vals).sum()
 
-    jobs = list(enumerate(sizes))
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, jobs))
-    else:
-        results = [run_block(j) for j in jobs]
-
+    results = ordered_map(run_block, enumerate(sizes), min(jobs, usable_cpus()))
     total = 0.0
     total_sq = 0.0
     for s, sq in results:  # fixed reduction order

@@ -22,6 +22,7 @@ from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.model import CentersMode, ModelConfig, Readout
 from bnt.rng import Rng
 from bnt.training import TrainConfig, train
+from bnt.workers import ordered_map, usable_cpus
 
 
 @pytest.fixture(autouse=True)
@@ -169,19 +170,22 @@ def trend_runs():
     )
     null_plan = stratified_split(null, (0.7, 0.1, 0.2), Rng(78))
 
-    def sweep(graphs, plan, readout, centers):
-        aurocs = []
-        for seed in range(5):
-            config = ModelConfig(nodes=32, readout=readout, centers_mode=centers)
-            _, report = train(graphs, plan, config, TrainConfig(seed=seed))
-            aurocs.append(report.test.auroc)
-        return aurocs
-
-    result = {
-        "planted_ocread": sweep(planted, planted_plan, Readout.OCREAD, CentersMode.ORTHONORMAL),
-        "planted_mean": sweep(planted, planted_plan, Readout.MEAN, CentersMode.ORTHONORMAL),
-        "null_ocread": sweep(null, null_plan, Readout.OCREAD, CentersMode.ORTHONORMAL),
+    arms = {
+        "planted_ocread": (planted, planted_plan, Readout.OCREAD),
+        "planted_mean": (planted, planted_plan, Readout.MEAN),
+        "null_ocread": (null, null_plan, Readout.OCREAD),
     }
+
+    def held_out_auroc(run):
+        arm, seed = run
+        graphs, plan, readout = arms[arm]
+        config = ModelConfig(nodes=32, readout=readout, centers_mode=CentersMode.ORTHONORMAL)
+        return train(graphs, plan, config, TrainConfig(seed=seed))[1].test.auroc
+
+    # the 15 independent trainings run on every usable core
+    runs = [(arm, seed) for arm in arms for seed in range(5)]
+    aurocs = list(ordered_map(held_out_auroc, runs, usable_cpus()))
+    result = {arm: aurocs[5 * i : 5 * i + 5] for i, arm in enumerate(arms)}
     result["duration"] = time.monotonic() - started
     result["medians"] = {k: statistics.median(v) for k, v in result.items() if k != "duration"}
     return result

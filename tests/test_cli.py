@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files, manifests, exit codes."""
 
 import csv
+import multiprocessing
 import os
 import platform
 import statistics
@@ -13,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bnt.cli
 import bnt.model
+import bnt.workers
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import SplitPlan, read_dataset
 from bnt.metrics import difference_score
@@ -63,6 +66,7 @@ def test_generate_manifest_records_the_run(tiny_workspace):
     assert kv["env.numpy"] == np.__version__
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         assert kv[f"env.{var}"] == os.environ.get(var, "unset")
+    assert kv["env.cpus"] == str(len(os.sched_getaffinity(0)))
 
 
 def test_train_manifest_records_resolved_values(tiny_workspace):
@@ -423,17 +427,31 @@ def test_verify_theory_rejects_tiny_quadrature(tmp_path, run_cli):
         (["--mode", "mc", "--cosine", "Infinity"], "not a finite number"),
         (["--mode", "2d", "--quad-nodes", "1025"], "--quad-nodes must be in 8..1024"),
         (["--mode", "2d", "--quad-nodes", "100000000"], "--quad-nodes must be in 8..1024"),
-        (["--mode", "mc", "--threads", "0"], "--threads must be at least 1"),
-        (["--mode", "mc", "--threads", "-2"], "--threads must be at least 1"),
+        (["--mode", "mc", "--jobs", "0"], "--jobs must be in 1..64"),
+        (["--mode", "mc", "--jobs", "-1"], "--jobs must be in 1..64"),
+        (["--mode", "mc", "--jobs", "65"], "--jobs must be in 1..64"),
     ],
 )
-def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, message):
+def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, message, monkeypatch):
+    monkeypatch.setattr(bnt.workers, "_fork_pool", _no_pool)
     prefix = str(tmp_path / "t")
     code, _, err = run_cli(["verify-theory", "--samples", "1000", *args, "--out", prefix])
     assert code == 1, err
     assert len(err.splitlines()) == 1 and message in err, err
     for suffix in (".csv", ".txt", ".manifest"):
         assert not os.path.exists(prefix + suffix)
+
+
+def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli):
+    outputs = []
+    for jobs in ("1", "2"):
+        prefix = str(tmp_path / f"jobs{jobs}")
+        code, _, err = run_cli(["verify-theory", "--mode", "all", "--samples", "200000",
+                                "--jobs", jobs, "--out", prefix])
+        assert code == 0, err
+        outputs.append((Path(prefix + ".csv").read_bytes(), Path(prefix + ".txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +604,46 @@ def test_ablate_rejects_impossible_combo_upfront(tiny_workspace, tmp_path, run_c
     import os
 
     assert not os.path.exists(out)
+
+
+def test_ablate_jobs_change_no_byte(tiny_workspace, tmp_path, run_cli):
+    outputs = []
+    for jobs in ("1", "2"):
+        models, out = tmp_path / f"models{jobs}", tmp_path / f"ablate{jobs}.csv"
+        code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                                tiny_workspace["split"], "--seeds", "0,1", "--epochs", "2",
+                                "--jobs", jobs, "--save-models", str(models), "--out", str(out)])
+        assert code == 0, err
+        saved = {p.name: p.read_bytes() for p in sorted(models.iterdir())}
+        outputs.append((out.read_bytes(), saved, err))
+    assert len(outputs[0][1]) == 4 and err.count("[ablate]") == 4
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+def _no_pool(*args):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "65"])
+def test_ablate_refuses_jobs_out_of_range_before_any_process(tiny_workspace, tmp_path, run_cli,
+                                                             monkeypatch, jobs):
+    monkeypatch.setattr(bnt.workers, "_fork_pool", _no_pool)
+    models, out = tmp_path / "models", tmp_path / "ablate.csv"
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--seeds", "0,1", "--epochs", "1",
+                            "--jobs", jobs, "--save-models", str(models), "--out", str(out)])
+    assert code == 1 and err == "error: --jobs must be in 1..64\n", err
+    assert not models.exists() and not out.exists()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    code = ("import sys, bnt.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -755,15 +813,42 @@ def test_train_divergence_is_a_numerical_failure(tiny_workspace, tmp_path, run_c
                                 "--out", str(run_dir)])
     assert code == 3, err
     assert err.splitlines() == ["numerical failure: training diverged in epoch 1: non-finite validation scores"]
-    for name in ("checkpoint.bnt", "report.txt", "manifest.txt"):
-        assert not (run_dir / name).exists(), name
+    assert not run_dir.exists()
 
-    out = tmp_path / "ablate.csv"
+    out, models = tmp_path / "ablate.csv", tmp_path / "models"
     code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
                             tiny_workspace["split"], "--clusters", "2", "--seeds", "0", "--epochs", "1",
-                            "--lr", "1e300", "--out", str(out)])
+                            "--lr", "1e300", "--save-models", str(models), "--out", str(out)])
     assert code == 3 and len(err.splitlines()) == 1, err
-    assert "seed=0: training diverged in epoch 1" in err and not out.exists()
+    assert "seed=0: training diverged in epoch 1" in err and not out.exists() and not models.exists()
+
+
+def test_out_of_memory_is_one_line_and_exit_3(tiny_workspace, tmp_path, run_cli, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bnt.cli, "train", no_memory)
+    run_dir = tmp_path / "run"
+    code, _, err = run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--out", str(run_dir)])
+    assert (code, err) == (3, "resource failure: out of memory\n")
+    assert not run_dir.exists()
+
+
+def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, run_cli, monkeypatch):
+    def killed(*args):
+        os._exit(9)  # as the out-of-memory killer would end a worker
+
+    monkeypatch.setattr(bnt.cli, "train", killed)
+    out = tmp_path / "ablate.csv"
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--seeds", "0,1", "--epochs", "1", "--jobs", "2",
+                            "--out", str(out)])
+    assert code == 3 and len(err.splitlines()) == 1, err
+    assert err.startswith("resource failure: readout=ocread centers=orthonormal clusters=4 seed=0: "
+                          "a worker process died"), err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

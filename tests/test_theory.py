@@ -1,12 +1,13 @@
 """Assignment-variance functional (MC and quadrature) and VIF checks."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from _oracles import variance_functional_mc_reference
-from bnt import theory
+from bnt import theory, workers
 from bnt.linalg import gram_schmidt
 from bnt.rng import Rng
 from bnt.theory import (
@@ -62,13 +63,14 @@ def test_mc_agrees_with_quadrature_in_2d():
     assert est.n_samples == 200_000
 
 
-def test_mc_deterministic_and_thread_invariant():
+def test_mc_deterministic_and_jobs_invariant():
     centers = orthonormal_centers(3, 5, seed=7)
     a = variance_functional_mc(centers, 2.5, 40_000, seed=11)
     b = variance_functional_mc(centers, 2.5, 40_000, seed=11)
-    c = variance_functional_mc(centers, 2.5, 40_000, seed=11, threads=4)
+    c = variance_functional_mc(centers, 2.5, 40_000, seed=11, block_size=10_000, jobs=4)
+    d = variance_functional_mc(centers, 2.5, 40_000, seed=11, block_size=10_000)
     assert (a.value, a.standard_error) == (b.value, b.standard_error)
-    assert (a.value, a.standard_error) == (c.value, c.standard_error)
+    assert (c.value, c.standard_error) == (d.value, d.standard_error)
     # estimates are plain Python floats so downstream repr() is portable
     assert type(a.value) is float and type(a.standard_error) is float
 
@@ -80,37 +82,29 @@ def test_mc_chunks_match_the_whole_block_reference(k, dim):
     centers = correlated_unit_centers(k, dim, 0.3) if dim > k else orthonormal_centers(k, dim, 1)
     for n in (2, 4095, 4097, 65537, 200003):
         want = variance_functional_mc_reference(centers, 2.5, n, seed=n)
-        for threads in (1, 3):
-            est = variance_functional_mc(centers, 2.5, n, seed=n, threads=threads)
-            assert (est.value, est.standard_error) == want, (n, threads)
+        for jobs in (1, 3):
+            est = variance_functional_mc(centers, 2.5, n, seed=n, jobs=jobs)
+            assert (est.value, est.standard_error) == want, (n, jobs)
 
 
 def test_mc_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch):
     sizes = []
+    fork_pool = workers._fork_pool
 
-    class Recorder:
-        # runs the blocks in the calling thread, so no thread is started
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recorder(n, fn, items):
+        sizes.append(n)
+        return fork_pool(n, fn, items)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(theory, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(workers, "_fork_pool", recorder)
     centers = orthonormal_centers(2, 3, seed=0)
     serial = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000)
-    for threads, cpus in ((8, 64), (8, 2), (2, 64), (3, None), (1, 64)):
-        monkeypatch.setattr(theory.os, "cpu_count", lambda: cpus)
-        est = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000, threads=threads)
+    for jobs, cpus in ((8, 64), (8, 2), (2, 64), (3, 1), (1, 64)):
+        monkeypatch.setattr(theory, "usable_cpus", lambda: cpus)
+        est = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000, jobs=jobs)
         assert (est.value, est.standard_error) == (serial.value, serial.standard_error)
-    # three blocks; an unknown CPU count counts as one; no pool of one is made
+    # three blocks; no pool of one is made
     assert sizes == [3, 2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_mc_rotation_invariance():
@@ -140,8 +134,8 @@ def test_mc_input_validation():
         variance_functional_mc(centers, -1.0, 100, seed=0)
     with pytest.raises(ValueError):
         variance_functional_mc(centers, 3.0, 1, seed=0)
-    with pytest.raises(ValueError, match="threads"):
-        variance_functional_mc(centers, 3.0, 100, seed=0, threads=0)
+    with pytest.raises(ValueError, match="jobs"):
+        variance_functional_mc(centers, 3.0, 100, seed=0, jobs=0)
 
 
 def test_center_factories():

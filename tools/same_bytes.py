@@ -16,9 +16,12 @@ Adam without decay), ``--readout mean``, ``--features profile_identity`` and
 eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
-and one V=200 round (3-epoch train, eval, export) at the cohort-cc200
-benchmark's sizes.  Exits 1 on any DIFF or on a command that fails on
-either side, and removes the worktree in any case.
+``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
+estimate, pooled where more than one CPU is usable), and one V=200 round
+(3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.  The
+``ablate`` and ``verify-theory`` steps run with their default ``--jobs``.
+Exits 1 on any DIFF or on a command that fails on either side, and removes
+the worktree in any case.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def chain() -> list[list[str]]:
          "--save-models", "models", "--out", "ablate.csv"],
         *export("run", *small),
         *export("learnable", *small),
+        ["verify-theory", "--mode", "all", "--samples", "200000", "--out", "theory"],
         ["generate", "--nodes", "200", "--modules", "8", "--subjects-per-class", "100", "--sites", "4",
          "--seed", "3", "--out", cc200[0]],
         ["split", "--dataset", cc200[0], "--fractions", "0.3,0.1,0.6", "--seed", "4", "--out", cc200[1]],
