@@ -22,7 +22,7 @@ Option resolution order: explicit flag, then --config file entry
 variable (seed options only), then the built-in default.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure or out of memory.
+failure or out of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 ENV_SEED = "BNT_SEED"
 
@@ -205,13 +206,14 @@ def _parse_theory_mode(text: str) -> str:
 
 _MAX_JOBS = 64
 
-# ablate and verify-theory: runs or Monte Carlo blocks in worker processes
+# ablate runs, Monte Carlo blocks and scoring chunks in worker processes
 _JOBS_OPT = _Opt(
     "jobs",
     "--jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
-    f"worker processes, 1..{_MAX_JOBS}, at most one per run or block; defaults to the usable CPUs",
+    f"worker processes, 1..{_MAX_JOBS}, at most one per run, block or scoring chunk; "
+    "defaults to the usable CPUs",
 )
 
 _GEN_DEFAULTS = GeneratorSpec()
@@ -337,7 +339,8 @@ _TRAIN_OPTS = (
     ]
     + _model_opts()
     + _hyper_opts()
-    + [_Opt("seed", "--seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed", seed_like=True)]
+    + [_Opt("seed", "--seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed", seed_like=True),
+       _JOBS_OPT]
 )
 
 _EVAL_OPTS = [
@@ -347,6 +350,7 @@ _EVAL_OPTS = [
     _Opt("out", "--out", _parse_str, _REQUIRED, "output metrics CSV path"),
     _Opt("report", "--report", _parse_str, None, "train report providing the seed column"),
     _Opt("run_id", "--run-id", _parse_str, None, "row label (default: checkpoint stem)"),
+    _JOBS_OPT,
 ]
 
 _THEORY_OPTS = [
@@ -367,6 +371,7 @@ _EXPORT_OPTS = [
     _Opt("dataset", "--dataset", _parse_str, _REQUIRED, "input dataset path"),
     _Opt("split", "--split", _parse_str, _REQUIRED, "input split-plan path"),
     _Opt("out", "--out", _parse_str, _REQUIRED, "output assignments CSV path"),
+    _JOBS_OPT,
 ]
 
 _ABLATE_OPTS = (
@@ -689,6 +694,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _TRAIN_OPTS)
+    _check_jobs(opt)
     graphs = _load_dataset(opt["dataset"])
     nodes = graphs[0].matrix.shape[0]
     plan = _load_split(opt["split"])
@@ -702,7 +708,7 @@ def cmd_train(args) -> int:
     manifest_path = os.path.join(out_dir, "manifest.txt")
     _guard_outputs([checkpoint_path, report_path, manifest_path], args.force)
 
-    params, report = train(graphs, plan, model_config, train_config)
+    params, report = train(graphs, plan, model_config, train_config, opt["jobs"])
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(checkpoint_path, params, model_config)
     with open(report_path, "w", encoding="utf-8") as f:
@@ -728,6 +734,7 @@ def cmd_train(args) -> int:
 def _eval_single(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _EVAL_OPTS)
+    _check_jobs(opt)
     for name in ("checkpoint", "dataset", "split"):
         if opt[name] is None:
             raise UsageError(f"missing required option --{name}")
@@ -737,7 +744,7 @@ def _eval_single(args) -> int:
     test_graphs = _select_graphs(graphs, plan.test, "test split")
     if not test_graphs:
         raise DataError("test split is empty; nothing to evaluate")
-    result, _ = evaluate(params, config, test_graphs)
+    result, _ = evaluate(params, config, test_graphs, opt["jobs"])
 
     seed = ""
     if opt["report"] is not None:
@@ -769,6 +776,7 @@ def _eval_single(args) -> int:
 def _eval_aggregate(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _EVAL_OPTS)
+    _check_jobs(opt)
     for name in ("checkpoint", "dataset", "split", "report", "run_id"):
         if opt[name] is not None:
             raise UsageError(f"--{name.replace('_', '-')} is meaningless with --aggregate")
@@ -951,6 +959,7 @@ def cmd_verify_theory(args) -> int:
 def cmd_export_assignments(args) -> int:
     started = time.monotonic()
     opt = _resolve(args, _EXPORT_OPTS)
+    _check_jobs(opt)
     params, config = _load_checkpoint(opt["checkpoint"])
     if config.readout is not Readout.OCREAD:
         raise UsageError(
@@ -968,9 +977,10 @@ def cmd_export_assignments(args) -> int:
     # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
     # of every V, and a working set that stays in cache.
     sums = np.zeros((2, config.nodes, config.clusters))
-    chunks = score_chunks([g.matrix for g in test_graphs], params, config, 1)
-    for label, (_, _, assignment) in zip(labels, chunks):
-        sums[label] += assignment[0]  # in test-split order
+    chunks = score_chunks([g.matrix for g in test_graphs], params, config, 1, opt["jobs"])
+    with contextlib.closing(chunks):
+        for rows, _, assignment in chunks:
+            sums[labels[rows.start]] += assignment[0]  # in test-split order
     averaged = {label: sums[label] / labels.count(label) for label in (0, 1)}
 
     rows = []
@@ -1047,7 +1057,7 @@ def cmd_ablate(args) -> int:
 
     def train_run(run):
         combo, seed = run
-        params, report = train(graphs, plan, configs[combo], train_configs[seed])
+        params, report = train(graphs, plan, configs[combo], train_configs[seed], opt["jobs"])
         return params.vector, report
 
     # Runs train in worker processes; checkpoints, stderr lines and rows
@@ -1201,6 +1211,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ differences verify them in the tests.
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +32,7 @@ import numpy as np
 from . import linalg
 from .linalg import softmax_lastaxis
 from .rng import Rng
+from .workers import ordered_map
 
 
 class Readout(Enum):
@@ -575,26 +578,79 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspac
     return loss, grads
 
 
-def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16):
-    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs:
-    ``rows`` slices ``graphs``, ``assignment`` is the chunk's (graphs, V, K)
-    clustering-readout soft assignment or None.  One workspace serves every
-    chunk and layer, so no attention, q/k/v or layer output is kept."""
+# A scoring pool is started only when it takes more than this many forward
+# FLOPs off the parent (``_scoring_jobs``).  On 2 cores of an Intel Xeon (one
+# BLAS thread) a pool's start-up and teardown took 15-19 ms from a 130 MiB
+# parent, 46 ms for the first one, which also imports the process machinery;
+# the forward ran at 21 GFLOP/s at V=200 (0.19 GFLOP per graph, 9.1 ms) and
+# 4.6 GFLOP/s at V=32 (0.89 MFLOP per graph, 0.19 ms).  46 ms is 1 GFLOP at
+# the faster rate; the constant is twice that.
+_POOL_MIN_FLOPS = 2e9
+
+
+def _forward_flops(config: ModelConfig) -> int:
+    """FLOPs of one graph's forward in its matrix products: per attention layer
+    the Q/K/V projections, scores, attention times V and the output
+    projection, then the clustering readout and the MLP."""
+    v, mh = config.nodes, config.heads * config.head_dim
+    widths = [config.input_width] + [v] * (config.layers - 1)
+    flops = sum(2 * v * mh * (3 * w + 3 * v) for w in widths)
+    if config.readout is Readout.OCREAD:
+        flops += 4 * v * v * config.clusters
+    mlp = [config.flat_dim, *config.mlp_hidden, 2]
+    return flops + sum(2 * a * b for a, b in zip(mlp, mlp[1:]))
+
+
+def _scoring_jobs(config: ModelConfig, graphs: int, chunk: int, jobs: int) -> int:
+    """``jobs`` if min(jobs, chunks) workers, taking chunks in order as they
+    free up, take more than ``_POOL_MIN_FLOPS`` of forward work off the parent
+    (all chunks minus the most loaded worker's), else 1."""
+    loads = [0] * min(jobs, -(-graphs // chunk))
+    for start in range(0, graphs, chunk):
+        heapq.heapreplace(loads, loads[0] + min(chunk, graphs - start))
+    saved = (graphs - max(loads, default=0)) * _forward_flops(config)
+    return jobs if saved > _POOL_MIN_FLOPS else 1
+
+
+def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1):
+    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs, in
+    order: ``rows`` slices ``graphs``, ``assignment`` is the chunk's
+    (graphs, V, K) clustering-readout soft assignment or None.
+
+    Chunks run in up to ``jobs`` forked worker processes
+    (``bnt.workers.ordered_map``) when that pays for the pool
+    (``_scoring_jobs``), else in this process.  Each process scores through
+    one workspace of its own, built at its first chunk, so no attention, q/k/v
+    or layer output is kept; a pooling parent builds none.  A chunk's graphs
+    and matrix shapes do not depend on ``jobs``, so neither do its bytes."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    ws = _Workspace(min(chunk, len(graphs)), config) if len(graphs) else None
-    for start in range(0, len(graphs), chunk):
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    ws = None
+
+    def score(start):
+        nonlocal ws
+        if ws is None:
+            ws = _Workspace(min(chunk, len(graphs)), config)
         x = np.stack([np.asarray(g, dtype=np.float64) for g in graphs[start : start + chunk]])
         tr = _forward_batch(x, params, config, ws)
-        yield slice(start, start + len(x)), tr.logits, tr.assignment
+        return slice(start, start + len(x)), tr.logits, tr.assignment
+
+    starts = range(0, len(graphs), chunk)
+    yield from ordered_map(score, starts, _scoring_jobs(config, len(graphs), chunk, jobs))
 
 
-def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16) -> np.ndarray:
-    """P(class 1) for each graph, scored by ``score_chunks``.  Memory is one
-    chunk's whatever the graph or layer count: its inputs and features, plus
-    a workspace of (4·M·head_dim + V)·V floats per graph and one attention
-    block (256 KiB, or one graph's M·V·V floats where that is larger)."""
+def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16,
+                  jobs: int = 1) -> np.ndarray:
+    """P(class 1) for each graph, scored by ``score_chunks`` in up to ``jobs``
+    processes; the result does not depend on ``jobs``.  Memory per process is
+    one chunk's whatever the graph or layer count: its inputs and features,
+    plus a workspace of (4·M·head_dim + V)·V floats per graph and one
+    attention block (256 KiB, or one graph's M·V·V floats where that is
+    larger)."""
     out = np.empty(len(graphs))
-    for rows, logits, _ in score_chunks(graphs, params, config, chunk):
-        out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
+    with contextlib.closing(score_chunks(graphs, params, config, chunk, jobs)) as chunks:
+        for rows, logits, _ in chunks:
+            out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

@@ -217,14 +217,16 @@ class TrainReport:
         )
 
 
-def evaluate(params: ModelParams, config: ModelConfig, graphs) -> tuple[metrics_mod.EvalResult, np.ndarray]:
-    """Score graphs and compute the evaluation metrics.
+def evaluate(params: ModelParams, config: ModelConfig, graphs,
+             jobs: int = 1) -> tuple[metrics_mod.EvalResult, np.ndarray]:
+    """Score graphs (``predict_proba`` in up to ``jobs`` processes) and
+    compute the evaluation metrics.
 
     AUROC is None when only one class is present (threshold metrics are
     still reported where defined).
     """
     labels = np.array([g.label for g in graphs], dtype=np.intp)
-    scores = predict_proba([g.matrix for g in graphs], params, config)
+    scores = predict_proba([g.matrix for g in graphs], params, config, jobs=jobs)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     auroc_val = metrics_mod.auroc(scores, labels) if n_pos and n_neg else None
@@ -247,8 +249,11 @@ def train(
     plan,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    jobs: int = 1,
 ) -> tuple[ModelParams, TrainReport]:
-    """Train on the plan's train ids, select on val AUROC, report on test."""
+    """Train on the plan's train ids, select on val AUROC, report on test.
+    Validation and test scoring use up to ``jobs`` processes where that pays
+    (``model.predict_proba``); nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
     plan.validate()
@@ -297,7 +302,7 @@ def train(
             epoch_loss += loss * len(batch)
         train_losses.append(epoch_loss / n)
 
-        val_scores = predict_proba(val_matrices, params, model_config)
+        val_scores = predict_proba(val_matrices, params, model_config, jobs=jobs)
         if not np.isfinite(val_scores).all():
             raise _diverged(epoch, "validation scores")
         val_aurocs.append(metrics_mod.auroc(val_scores, val_labels))
@@ -306,8 +311,9 @@ def train(
             best_epoch = epoch
             np.copyto(best, params.vector)
 
+    del ws  # so workers forked for the test pass do not inherit the step buffers
     best_params = ModelParams(best, model_config)
-    test_result, _ = evaluate(best_params, model_config, test_graphs)
+    test_result, _ = evaluate(best_params, model_config, test_graphs, jobs)
     report = TrainReport(
         seed=train_config.seed,
         selected_epoch=best_epoch,

@@ -2,15 +2,17 @@
 
 ``ordered_map(fn, items, jobs)`` yields ``fn(item)`` for each item, in
 item order, from at most ``min(jobs, len(items))`` worker processes.  With
-one worker or one item it calls ``fn`` in this process and imports neither
-``multiprocessing`` nor ``concurrent.futures``.
+one worker or one item, or when called inside a worker, it calls ``fn`` in
+this process, so pools never nest, and imports neither ``multiprocessing``
+nor ``concurrent.futures``.
 
 Workers are forked, so ``fn`` and ``items`` reach them as memory, not as
 pickles: closures work, and so do functions a profiler has wrapped.  Only
 item indices, results and exceptions cross a pipe.  bnt starts no threads
 of its own, so no Python lock is held across the fork.  Each worker
-inherits the parent's BLAS thread setting and ignores SIGINT, so Ctrl-C
-reaches the parent alone, which stops the pool.
+inherits the parent's BLAS thread setting and ignores SIGINT (blocked from
+the fork until then), so Ctrl-C reaches the parent alone, which stops the
+pool.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def usable_cpus() -> int:
 def _start_worker(fn, items) -> None:
     global _job
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _job = (fn, items)
 
 
@@ -67,15 +70,20 @@ def ordered_map(fn, items, jobs: int):
     """
     items = list(items)
     workers = min(jobs, len(items))
-    if workers <= 1:
+    if workers <= 1 or _job is not None:
         yield from map(fn, items)
         return
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = _fork_pool(workers, fn, items)
-    finished = False
+    # The first submit forks the workers.  They start with SIGINT blocked, and
+    # the parent holds a Ctrl-C until they are up, so the finally stops them.
+    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    pool, finished = None, False
     try:
-        for future in [pool.submit(_call, i) for i in range(len(items))]:
+        pool = _fork_pool(workers, fn, items)
+        futures = [pool.submit(_call, i) for i in range(len(items))]
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        for future in futures:
             try:
                 result = future.result()
             except BrokenProcessPool:
@@ -83,9 +91,11 @@ def ordered_map(fn, items, jobs: int):
             yield result
         finished = True
     finally:
-        if not finished:
-            # The executor has no public way to stop a running worker (before
-            # Python 3.14); it notices the exits and joins the processes.
-            for process in list(pool._processes.values()):
-                process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        if pool is not None:
+            if not finished:
+                # The executor has no public way to stop a running worker (before
+                # Python 3.14); it notices the exits and joins the processes.
+                for process in list(pool._processes.values()):
+                    process.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)

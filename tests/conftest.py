@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import bnt.workers
 from bnt.cli import main as cli_main
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.model import CentersMode, ModelConfig, Readout
@@ -29,6 +30,19 @@ from bnt.workers import ordered_map, usable_cpus
 def _no_ambient_seed(monkeypatch):
     # a BNT_SEED exported in the developer's shell must not leak into tests
     monkeypatch.delenv("BNT_SEED", raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the pools bnt.workers starts during the test."""
+    started, real = [], bnt.workers._fork_pool
+
+    def counted(workers, fn, items):
+        started.append(workers)
+        return real(workers, fn, items)
+
+    monkeypatch.setattr(bnt.workers, "_fork_pool", counted)
+    return started
 
 
 @pytest.fixture

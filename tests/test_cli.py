@@ -4,9 +4,11 @@ import csv
 import multiprocessing
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
+import time
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -637,6 +639,66 @@ def test_ablate_refuses_jobs_out_of_range_before_any_process(tiny_workspace, tmp
     assert not models.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "65"])
+@pytest.mark.parametrize("command", ["train", "eval", "export-assignments"])
+def test_scoring_commands_refuse_jobs_out_of_range_before_any_input(tmp_path, run_cli, monkeypatch,
+                                                                    command, jobs):
+    monkeypatch.setattr(bnt.workers, "_fork_pool", _no_pool)
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    argv = [command, "--dataset", missing, "--split", missing, "--jobs", jobs, "--out", str(out)]
+    if command != "train":
+        argv += ["--checkpoint", missing]
+    code, _, err = run_cli(argv)  # reading the missing inputs first would be a data error
+    assert code == 1 and err == "error: --jobs must be in 1..64\n", err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def wide_test_split(tiny_workspace, tmp_path_factory):
+    """A plan over the tiny dataset whose 18-graph test split spans two 16-graph chunks."""
+    ids = {label: [g.subject_id for g in read_dataset(tiny_workspace["dataset"]) if g.label == label]
+           for label in (0, 1)}
+    plan = SplitPlan(ids[0][:2] + ids[1][:2], ids[0][2:3] + ids[1][2:3], ids[0][3:] + ids[1][3:],
+                     (0.2, 0.1, 0.7))
+    path = tmp_path_factory.mktemp("wide") / "split.txt"
+    path.write_text(plan.to_text())
+    return str(path)
+
+
+def _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv, outputs):
+    """The bytes of outputs after argv with --jobs 1 and 2, every scoring
+    pool allowed, and the worker counts of the pools each run started."""
+    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
+    runs = []
+    for jobs in ("1", "2"):
+        pool_sizes.clear()
+        code, _, err = run_cli([*argv, "--jobs", jobs, "--force"])
+        assert code == 0, err
+        runs.append(([Path(p).read_bytes() for p in outputs], list(pool_sizes)))
+        assert multiprocessing.active_children() == []
+    return runs
+
+
+def test_train_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, monkeypatch,
+                                   pool_sizes):
+    run = tmp_path / "run"
+    argv = ["train", "--dataset", tiny_workspace["dataset"], "--split", wide_test_split, "--epochs", "2",
+            "--out", str(run)]
+    (one, none), (two, pools) = _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv,
+                                                [run / "checkpoint.bnt", run / "report.txt"])
+    assert one == two and none == [] and pools == [2]  # the test pass; validation is one chunk
+
+
+@pytest.mark.parametrize("command", ["eval", "export-assignments"])
+def test_scoring_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, monkeypatch,
+                                     pool_sizes, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--checkpoint", tiny_workspace["checkpoint"], "--dataset", tiny_workspace["dataset"],
+            "--split", wide_test_split, "--out", str(out)]
+    (one, none), (two, pools) = _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv, [out])
+    assert one == two and none == [] and pools == [2]
+
+
 def test_importing_the_cli_loads_no_process_machinery():
     code = ("import sys, bnt.cli; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
@@ -856,6 +918,33 @@ def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, r
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ctrl_c_on_a_pooled_command_is_one_line_and_exit_130(tiny_workspace, tmp_path):
+    children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+    if not children.exists():
+        pytest.skip("needs /proc/PID/task/PID/children to see the workers start")
+    argv = ["ablate", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+            "--seeds", "0,1", "--epochs", "1000000", "--jobs", "2", "--out", str(tmp_path / "a.csv")]
+    proc = subprocess.Popen([sys.executable, "-m", "bnt.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+    try:
+        workers = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        started = time.monotonic()
+        while len(workers.read_text().split()) < 2:  # both runs training in workers
+            assert proc.poll() is None and time.monotonic() - started < 60, "no worker started"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C reaches a terminal's foreground group
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (130, "interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no worker outlived the command
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 """Attention model: forward hand cases, readouts, gradients, predictions."""
 
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import bnt.model
 import bnt.training
+import bnt.workers
 from _oracles import (
     adam_per_tensor,
     batch_loss,
@@ -506,6 +508,55 @@ def test_predict_proba_chunking_invariant():
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             predict_proba(graphs, params, config, chunk=chunk)
+
+
+@pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
+def test_pooled_scoring_is_byte_identical_to_in_process(monkeypatch, pool_sizes, readout):
+    config = _small_config(readout, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(8))
+    graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]
+    inline = list(bnt.model.score_chunks(graphs, params, config, 3))
+    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
+    pooled = list(bnt.model.score_chunks(graphs, params, config, 3, jobs=2))
+    assert pool_sizes == [2] and len(pooled) == len(inline) == 13
+    for (rows, logits, assignment), (rows2, logits2, assignment2) in zip(inline, pooled):
+        assert rows == rows2 and np.array_equal(logits, logits2)
+        assert (assignment is None and assignment2 is None) or np.array_equal(assignment, assignment2)
+    assert multiprocessing.active_children() == []
+
+    graphs[20] = np.full((6, 6), np.nan)  # a worker's chunk fails; the parent raises it
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_proba(graphs, params, config, chunk=3, jobs=2)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        predict_proba(graphs, params, config, jobs=0)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_pool_rule_counts_the_work_a_second_worker_takes_off():
+    cc200, v32 = ModelConfig(nodes=200), ModelConfig(nodes=32)
+    # V=200, 4 heads of 50, 2 layers: 2 * 2·200·200·(3·200 + 3·200) attention,
+    # 4·200·200·4 readout, 2·(800·256 + 256·32 + 32·2) MLP
+    assert bnt.model._forward_flops(cc200) == 192_000_000 + 640_000 + 426_112
+    assert bnt.model._forward_flops(v32) == 786_432 + 16_384 + 82_048
+    jobs = bnt.model._scoring_jobs
+    assert jobs(cc200, 120, 16, 2) == 2  # a second worker takes 56 of 120 graphs
+    assert jobs(cc200, 120, 1, 2) == 2  # export-assignments: 60 of 120
+    assert jobs(cc200, 120, 16, 3) == 3
+    assert jobs(cc200, 20, 16, 2) == 1  # 4 of 20 graphs do not pay for a pool
+    assert jobs(v32, 80, 1, 2) == 1
+    assert jobs(cc200, 16, 16, 2) == jobs(cc200, 0, 16, 2) == jobs(cc200, 120, 16, 1) == 1
+
+
+@pytest.mark.parametrize("v, n", [(32, 80), (200, 20)])
+def test_scoring_under_the_pool_threshold_starts_no_pool(monkeypatch, v, n):
+    def no_pool(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(bnt.workers, "_fork_pool", no_pool)
+    config = ModelConfig(nodes=v)
+    params = init_params(config, Rng(3))
+    graph = _correlation_input(v, seed=80, t=2 * v)
+    assert predict_proba([graph] * n, params, config, jobs=2).shape == (n,)
 
 
 @pytest.mark.parametrize("v", [6, 40])  # at V=40 a 16-graph chunk spans attention blocks of 10 and 6

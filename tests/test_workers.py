@@ -97,3 +97,15 @@ def test_one_worker_or_one_item_runs_in_process(monkeypatch, items, jobs):
 
     monkeypatch.setattr(workers, "_fork_pool", no_pool)
     assert list(ordered_map(lambda x: (x, os.getpid()), items, jobs)) == [(x, os.getpid()) for x in items]
+
+
+def pids_inside(item):
+    return os.getpid(), list(ordered_map(lambda _: os.getpid(), range(3), 2))
+
+
+def test_a_map_inside_a_worker_runs_in_that_worker():
+    with deadline(60):
+        results = list(ordered_map(pids_inside, range(2), 2))
+    for worker, inner in results:
+        assert worker != os.getpid() and inner == [worker] * 3
+    assert multiprocessing.active_children() == []

@@ -18,8 +18,10 @@ a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
 ``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
 estimate, pooled where more than one CPU is usable), and one V=200 round
-(3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.  The
-``ablate`` and ``verify-theory`` steps run with their default ``--jobs``.
+(3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.
+``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
+run with their default ``--jobs``, so where more than one CPU is usable the
+V=200 train's test pass, eval and export score in worker processes.
 Exits 1 on any DIFF or on a command that fails on either side, and removes
 the worktree in any case.
 """
