@@ -15,7 +15,14 @@ command, library version, every resolved option, input/output paths,
 and wall-clock duration; re-running a command with the manifest's
 values reproduces its outputs bit for bit (single-threaded BLAS, which
 importing ``bnt`` sets where the thread variables are unset).  Existing
-outputs are never overwritten unless --force is given.
+outputs are never overwritten unless --force is given, and that check
+comes before any input is read.
+
+A command writes all of its outputs or none.  Each is staged as a hidden
+temp file and moved into place only when the command has succeeded, the
+manifest last; a failed or interrupted command leaves no output, temp
+file or new directory, and --force replaces existing outputs only on
+success.
 
 Option resolution order: explicit flag, then --config file entry
 (key = value lines keyed by option name), then the BNT_SEED environment
@@ -30,6 +37,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
+import itertools
 import math
 import os
 import platform
@@ -47,6 +56,7 @@ from .data import (
     GeneratorSpec,
     SplitPlan,
     generate_dataset,
+    make_temp,
     random_split,
     read_dataset,
     stratified_split,
@@ -82,21 +92,11 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 ENV_SEED = "BNT_SEED"
 
-EVAL_HEADER = ["run_id", "seed", "auroc", "accuracy", "sensitivity", "specificity"]
-ABLATE_HEADER = [
-    "readout",
-    "centers",
-    "clusters",
-    "seed",
-    "selected_epoch",
-    "auroc",
-    "accuracy",
-    "sensitivity",
-    "specificity",
-]
-THEORY_HEADER = ["mode", "descriptor", "estimate", "error"]
-
 _METRIC_FIELDS = ("auroc", "accuracy", "sensitivity", "specificity")
+
+EVAL_HEADER = ["run_id", "seed", *_METRIC_FIELDS]
+ABLATE_HEADER = ["readout", "centers", "clusters", "seed", "selected_epoch", *_METRIC_FIELDS]
+THEORY_HEADER = ["mode", "descriptor", "estimate", "error"]
 
 
 class UsageError(Exception):
@@ -142,67 +142,50 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_str(text: str) -> str:
-    return text
+def _choice(tokens: dict, shown=None):
+    """A parser of one key of ``tokens`` (token -> value), ignoring case and
+    outer spaces; its error lists ``shown``, by default every token."""
+    expected = f"expected one of: {', '.join(shown or tokens)}"
+
+    def parse(text: str):
+        try:
+            return tokens[text.strip().lower()]
+        except KeyError:
+            raise ValueError(expected) from None
+
+    return parse
+
+
+def _list_of(parse, empty=None):
+    """A parser of comma-separated ``parse`` values, blank items skipped;
+    ``empty``, if given, is the error for a list of none."""
+
+    def parse_list(text: str):
+        parts = [p for p in text.split(",") if p.strip() != ""]
+        if empty and not parts:
+            raise ValueError(empty)
+        return tuple(parse(p) for p in parts)
+
+    return parse_list
 
 
 def _parse_fractions(text: str):
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    parts = _list_of(str)(text)
     if len(parts) != 3:
         raise ValueError("expected three comma-separated fractions, e.g. 0.7,0.1,0.2")
     return tuple(float(p) for p in parts)
 
 
-def _parse_int_list(text: str):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p, 10) for p in parts)
-
-
-def _parse_readout(text: str) -> Readout:
-    try:
-        return Readout(text.strip().lower())
-    except ValueError:
-        choices = ", ".join(r.value for r in Readout)
-        raise ValueError(f"expected one of: {choices}")
-
-
-_CENTERS_ALIASES = {"random": CentersMode.RANDOM_UNIT}
-
-
-def _parse_centers(text: str) -> CentersMode:
-    token = text.strip().lower()
-    if token in _CENTERS_ALIASES:
-        return _CENTERS_ALIASES[token]
-    try:
-        return CentersMode(token)
-    except ValueError:
-        raise ValueError("expected one of: orthonormal, random, learnable")
-
-
-def _parse_feature(text: str) -> FeatureMode:
-    try:
-        return FeatureMode(text.strip().lower())
-    except ValueError:
-        choices = ", ".join(f.value for f in FeatureMode)
-        raise ValueError(f"expected one of: {choices}")
-
-
-def _parse_readout_list(text: str):
-    return tuple(_parse_readout(p) for p in text.split(",") if p.strip() != "")
-
-
-def _parse_centers_list(text: str):
-    return tuple(_parse_centers(p) for p in text.split(",") if p.strip() != "")
-
-
-def _parse_theory_mode(text: str) -> str:
-    token = text.strip().lower()
-    if token not in ("mc", "2d", "vif", "all"):
-        raise ValueError("expected one of: mc, 2d, vif, all")
-    return token
-
+_parse_readout = _choice({r.value: r for r in Readout})
+_parse_centers = _choice(
+    {**{c.value: c for c in CentersMode}, "random": CentersMode.RANDOM_UNIT},
+    shown=("orthonormal", "random", "learnable"),
+)
+_parse_feature = _choice({f.value: f for f in FeatureMode})
+_parse_theory_mode = _choice({m: m for m in ("mc", "2d", "vif", "all")})
+_parse_int_list = _list_of(_parse_int, empty="expected a comma-separated list of integers")
+_parse_readout_list = _list_of(_parse_readout)
+_parse_centers_list = _list_of(_parse_centers)
 
 _MAX_JOBS = 64
 
@@ -221,7 +204,7 @@ _TRAIN_DEFAULTS = TrainConfig()
 _MODEL_DEFAULTS = ModelConfig(nodes=8)  # dummy nodes; only shared defaults read
 
 _GENERATE_OPTS = [
-    _Opt("out", "--out", _parse_str, _REQUIRED, "output dataset path"),
+    _Opt("out", "--out", str, _REQUIRED, "output dataset path"),
     _Opt("nodes", "--nodes", _parse_int, _GEN_DEFAULTS.nodes, "nodes per graph"),
     _Opt("modules", "--modules", _parse_int, _GEN_DEFAULTS.modules, "planted module count"),
     _Opt(
@@ -259,8 +242,8 @@ _GENERATE_OPTS = [
 ]
 
 _SPLIT_OPTS = [
-    _Opt("dataset", "--dataset", _parse_str, _REQUIRED, "input dataset path"),
-    _Opt("out", "--out", _parse_str, _REQUIRED, "output split-plan path"),
+    _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
+    _Opt("out", "--out", str, _REQUIRED, "output split-plan path"),
     _Opt(
         "fractions",
         "--fractions",
@@ -272,61 +255,58 @@ _SPLIT_OPTS = [
 ]
 
 
-def _model_opts():
-    return [
-        _Opt("layers", "--layers", _parse_int, _MODEL_DEFAULTS.layers, "attention layers"),
-        _Opt("heads", "--heads", _parse_int, _MODEL_DEFAULTS.heads, "attention heads per layer"),
-        _Opt(
-            "head_dim",
-            "--head-dim",
-            _parse_int,
-            None,
-            "per-head width (default: ceil(nodes/heads))",
-        ),
-        _Opt(
-            "mlp_hidden",
-            "--mlp-hidden",
-            _parse_int_list,
-            tuple(_MODEL_DEFAULTS.mlp_hidden),
-            "classifier hidden widths, comma-separated",
-        ),
-        _Opt(
-            "features",
-            "--features",
-            _parse_feature,
-            _MODEL_DEFAULTS.feature_mode,
-            "node features: profile | profile_identity | profile_eigen",
-        ),
-        _Opt(
-            "k_eigen",
-            "--k-eigen",
-            _parse_int,
-            _MODEL_DEFAULTS.k_eigen,
-            "eigenvector count for profile_eigen features",
-        ),
-    ]
+_MODEL_OPTS = [
+    _Opt("layers", "--layers", _parse_int, _MODEL_DEFAULTS.layers, "attention layers"),
+    _Opt("heads", "--heads", _parse_int, _MODEL_DEFAULTS.heads, "attention heads per layer"),
+    _Opt(
+        "head_dim",
+        "--head-dim",
+        _parse_int,
+        None,
+        "per-head width (default: ceil(nodes/heads))",
+    ),
+    _Opt(
+        "mlp_hidden",
+        "--mlp-hidden",
+        _parse_int_list,
+        tuple(_MODEL_DEFAULTS.mlp_hidden),
+        "classifier hidden widths, comma-separated",
+    ),
+    _Opt(
+        "features",
+        "--features",
+        _parse_feature,
+        _MODEL_DEFAULTS.feature_mode,
+        "node features: profile | profile_identity | profile_eigen",
+    ),
+    _Opt(
+        "k_eigen",
+        "--k-eigen",
+        _parse_int,
+        _MODEL_DEFAULTS.k_eigen,
+        "eigenvector count for profile_eigen features",
+    ),
+]
 
-
-def _hyper_opts():
-    return [
-        _Opt("lr", "--lr", _parse_float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
-        _Opt(
-            "weight_decay",
-            "--weight-decay",
-            _parse_float,
-            _TRAIN_DEFAULTS.weight_decay,
-            "l2 penalty added to gradients",
-        ),
-        _Opt("batch_size", "--batch-size", _parse_int, _TRAIN_DEFAULTS.batch_size, "minibatch size"),
-        _Opt("epochs", "--epochs", _parse_int, _TRAIN_DEFAULTS.epochs, "training epochs"),
-    ]
+_HYPER_OPTS = [
+    _Opt("lr", "--lr", _parse_float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
+    _Opt(
+        "weight_decay",
+        "--weight-decay",
+        _parse_float,
+        _TRAIN_DEFAULTS.weight_decay,
+        "l2 penalty added to gradients",
+    ),
+    _Opt("batch_size", "--batch-size", _parse_int, _TRAIN_DEFAULTS.batch_size, "minibatch size"),
+    _Opt("epochs", "--epochs", _parse_int, _TRAIN_DEFAULTS.epochs, "training epochs"),
+]
 
 
 _TRAIN_OPTS = (
     [
-        _Opt("dataset", "--dataset", _parse_str, _REQUIRED, "input dataset path"),
-        _Opt("split", "--split", _parse_str, _REQUIRED, "input split-plan path"),
-        _Opt("out", "--out", _parse_str, _REQUIRED, "output run directory"),
+        _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
+        _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
+        _Opt("out", "--out", str, _REQUIRED, "output run directory"),
         _Opt("readout", "--readout", _parse_readout, _MODEL_DEFAULTS.readout, "graph readout kind"),
         _Opt(
             "centers",
@@ -337,24 +317,24 @@ _TRAIN_OPTS = (
         ),
         _Opt("clusters", "--clusters", _parse_int, _MODEL_DEFAULTS.clusters, "readout cluster count"),
     ]
-    + _model_opts()
-    + _hyper_opts()
+    + _MODEL_OPTS
+    + _HYPER_OPTS
     + [_Opt("seed", "--seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed", seed_like=True),
        _JOBS_OPT]
 )
 
 _EVAL_OPTS = [
-    _Opt("checkpoint", "--checkpoint", _parse_str, None, "model checkpoint path"),
-    _Opt("dataset", "--dataset", _parse_str, None, "input dataset path"),
-    _Opt("split", "--split", _parse_str, None, "input split-plan path"),
-    _Opt("out", "--out", _parse_str, _REQUIRED, "output metrics CSV path"),
-    _Opt("report", "--report", _parse_str, None, "train report providing the seed column"),
-    _Opt("run_id", "--run-id", _parse_str, None, "row label (default: checkpoint stem)"),
+    _Opt("checkpoint", "--checkpoint", str, None, "model checkpoint path"),
+    _Opt("dataset", "--dataset", str, None, "input dataset path"),
+    _Opt("split", "--split", str, None, "input split-plan path"),
+    _Opt("out", "--out", str, _REQUIRED, "output metrics CSV path"),
+    _Opt("report", "--report", str, None, "train report providing the seed column"),
+    _Opt("run_id", "--run-id", str, None, "row label (default: checkpoint stem)"),
     _JOBS_OPT,
 ]
 
 _THEORY_OPTS = [
-    _Opt("out", "--out", _parse_str, _REQUIRED, "output prefix (writes PREFIX.csv/.txt/.manifest)"),
+    _Opt("out", "--out", str, _REQUIRED, "output prefix (writes PREFIX.csv/.txt/.manifest)"),
     _Opt("mode", "--mode", _parse_theory_mode, "all", "which checks to run: mc | 2d | vif | all"),
     _Opt("r", "--r", _parse_float, 3.0, "ball / disc radius"),
     _Opt("samples", "--samples", _parse_int, 1_000_000, "Monte Carlo sample count"),
@@ -367,18 +347,18 @@ _THEORY_OPTS = [
 ]
 
 _EXPORT_OPTS = [
-    _Opt("checkpoint", "--checkpoint", _parse_str, _REQUIRED, "model checkpoint path"),
-    _Opt("dataset", "--dataset", _parse_str, _REQUIRED, "input dataset path"),
-    _Opt("split", "--split", _parse_str, _REQUIRED, "input split-plan path"),
-    _Opt("out", "--out", _parse_str, _REQUIRED, "output assignments CSV path"),
+    _Opt("checkpoint", "--checkpoint", str, _REQUIRED, "model checkpoint path"),
+    _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
+    _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
+    _Opt("out", "--out", str, _REQUIRED, "output assignments CSV path"),
     _JOBS_OPT,
 ]
 
 _ABLATE_OPTS = (
     [
-        _Opt("dataset", "--dataset", _parse_str, _REQUIRED, "input dataset path"),
-        _Opt("split", "--split", _parse_str, _REQUIRED, "input split-plan path"),
-        _Opt("out", "--out", _parse_str, _REQUIRED, "output combined CSV path"),
+        _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
+        _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
+        _Opt("out", "--out", str, _REQUIRED, "output combined CSV path"),
         _Opt(
             "readouts",
             "--readouts",
@@ -405,37 +385,35 @@ _ABLATE_OPTS = (
         _Opt(
             "save_models",
             "--save-models",
-            _parse_str,
+            str,
             None,
             "directory receiving one checkpoint per run",
         ),
         _JOBS_OPT,
     ]
-    + _model_opts()
-    + _hyper_opts()
+    + _MODEL_OPTS
+    + _HYPER_OPTS
 )
 
 
 # ---------------------------------------------------------------------------
-# resolution, guarding, manifests
+# resolution, manifests, writing
 
 
 def _read_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+    def parse(text):
+        values = {}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = stripped.partition("=")
+            values[key.strip()] = value.strip()
+        return values
+
+    return _load_text(path, "config file", parse, UsageError)
 
 
 def _resolve(args, opts) -> dict:
@@ -468,14 +446,6 @@ def _resolve(args, opts) -> dict:
     return resolved
 
 
-def _guard_outputs(paths, force: bool) -> None:
-    if force:
-        return
-    for path in paths:
-        if os.path.exists(path):
-            raise UsageError(f"refusing to overwrite existing {path} (pass --force)")
-
-
 def _format_value(value) -> str:
     if value is None:
         return "none"
@@ -490,7 +460,7 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_manifest(path, command, options, inputs, outputs, started) -> None:
+def _manifest_text(command, options, inputs, outputs, started) -> str:
     lines = [
         "kind = run_manifest",
         f"command = {command}",
@@ -509,8 +479,12 @@ def _write_manifest(path, command, options, inputs, outputs, started) -> None:
         lines.append(f"env.{var} = {os.environ.get(var, 'unset')}")
     lines.append(f"env.cpus = {usable_cpus()}")  # sets the --jobs default
     lines.append(f"duration_seconds = {time.monotonic() - started:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -522,6 +496,19 @@ def _write_csv(path, header, rows) -> None:
 
 def _fmt_metric(value) -> str:
     return "undefined" if value is None else repr(float(value))
+
+
+def _summary_rows(columns, lead):
+    """The mean and std rows over metric ``columns``: ``lead(stat)`` then one
+    cell per column, "undefined" where the column holds an undefined (None)
+    value."""
+    return [
+        lead(stat) + [
+            _fmt_metric(None if any(v is None for v in column) else reducer([float(v) for v in column]))
+            for column in columns
+        ]
+        for stat, reducer in (("mean", statistics.fmean), ("std", statistics.pstdev))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +525,17 @@ def _load_dataset(path, expect_nodes=None):
     return graphs
 
 
-def _load_split(path) -> SplitPlan:
+def _load_text(path, what: str, parse, error=DataError):
+    """parse(the text of path); ``error`` if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
-        raise DataError(f"cannot read split plan {path}: {exc}")
+        raise error(f"cannot read {what} {path}: {exc}")
     try:
-        return SplitPlan.from_text(text)
+        return parse(text)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
+        raise error(f"{path}: {exc}")
 
 
 def _load_checkpoint(path):
@@ -555,18 +543,6 @@ def _load_checkpoint(path):
         return load_checkpoint(path)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}")
-
-
-def _load_report(path) -> TrainReport:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise DataError(f"cannot read train report {path}: {exc}")
-    try:
-        return TrainReport.from_text(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
 
 
 def _select_graphs(graphs, ids, what: str):
@@ -588,195 +564,131 @@ def _check_plan_classes(plan: SplitPlan, graphs, where: str) -> None:
             raise DataError(f"{where}: the {name} list {held}; train and val need both classes")
 
 
+def _load_training_inputs(opt):
+    """The dataset, its node count and the checked split plan that train and ablate read."""
+    graphs = _load_dataset(opt["dataset"])
+    plan = _load_text(opt["split"], "split plan", SplitPlan.from_text)
+    _check_plan_classes(plan, graphs, opt["split"])
+    return graphs, graphs[0].matrix.shape[0], plan
+
+
+def _load_test_graphs(opt, config):
+    """The test split's graphs, for a checkpoint of ``config``."""
+    graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
+    plan = _load_text(opt["split"], "split plan", SplitPlan.from_text)
+    return _select_graphs(graphs, plan.test, "test split")
+
+
+# The spec and config builders below take every option of the same name;
+# a ValueError from validate() is a usage error (exit 1), as main maps it.
 def _build_model_config(opt, nodes, readout, centers, clusters) -> ModelConfig:
-    try:
-        config = ModelConfig(
-            nodes=nodes,
-            layers=opt["layers"],
-            heads=opt["heads"],
-            clusters=clusters,
-            head_dim=opt["head_dim"],
-            mlp_hidden=tuple(opt["mlp_hidden"]),
-            readout=readout,
-            centers_mode=centers,
-            feature_mode=opt["features"],
-            k_eigen=opt["k_eigen"],
-        )
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = ModelConfig(
+        nodes=nodes, clusters=clusters, readout=readout, centers_mode=centers,
+        mlp_hidden=tuple(opt["mlp_hidden"]), feature_mode=opt["features"],
+        **{name: opt[name] for name in ("layers", "heads", "head_dim", "k_eigen")},
+    )
+    config.validate()
     return config
 
 
-def _check_jobs(opt) -> None:
-    if not 1 <= opt["jobs"] <= _MAX_JOBS:
-        raise UsageError(f"--jobs must be in 1..{_MAX_JOBS}")
-
-
 def _build_train_config(opt, seed) -> TrainConfig:
-    try:
-        config = TrainConfig(
-            lr=opt["lr"],
-            weight_decay=opt["weight_decay"],
-            batch_size=opt["batch_size"],
-            epochs=opt["epochs"],
-            seed=seed,
-        )
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = TrainConfig(seed=seed, **{name: opt[name] for name in ("lr", "weight_decay", "batch_size",
+                                                                    "epochs")})
+    config.validate()
     return config
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each body reads its inputs, computes, writes into the staged
+# paths it is handed, and returns (manifest inputs, extra manifest options,
+# stdout line)
 
 
-def cmd_generate(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _GENERATE_OPTS)
+def _generate(opt, args, staged):
     if opt["modules"] > opt["nodes"]:
         raise UsageError(
             f"--modules ({opt['modules']}) cannot exceed --nodes ({opt['nodes']})"
         )
     spec = GeneratorSpec(
-        nodes=opt["nodes"],
-        modules=opt["modules"],
-        subjects_per_class=opt["subjects_per_class"],
-        sites=opt["sites"],
         within_strength=opt["within"],
         between_strength_class0=opt["between0"],
         between_strength_class1=opt["between1"],
-        site_noise=opt["site_noise"],
-        series_length=opt["series_length"],
-        seed=opt["seed"],
+        **{name: opt[name] for name in ("nodes", "modules", "subjects_per_class", "sites", "site_noise",
+                                        "series_length", "seed")},
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    out = opt["out"]
-    manifest = out + ".manifest"
-    _guard_outputs([out, manifest], args.force)
+    spec.validate()
     graphs = generate_dataset(spec)
-    write_dataset(out, graphs)
-    _write_manifest(manifest, "generate", opt, {}, {"dataset": out}, started)
-    print(f"wrote {len(graphs)} graphs of {spec.nodes} nodes to {out}")
-    return EXIT_OK
+    write_dataset(staged["dataset"], graphs)
+    return {}, {}, f"wrote {len(graphs)} graphs of {spec.nodes} nodes to {opt['out']}"
 
 
-def cmd_split(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _SPLIT_OPTS)
+def _split(opt, args, staged):
     graphs = _load_dataset(opt["dataset"])
     splitter = random_split if args.no_stratify else stratified_split
-    try:
-        plan = splitter(graphs, opt["fractions"], Rng(opt["seed"]))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    plan = splitter(graphs, opt["fractions"], Rng(opt["seed"]))
     _check_plan_classes(plan, graphs, "split refused")
-    out = opt["out"]
-    manifest = out + ".manifest"
-    _guard_outputs([out, manifest], args.force)
-    with open(out, "w", encoding="utf-8") as f:
-        f.write(plan.to_text())
+    _write_text(staged["split"], plan.to_text())
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    options = dict(opt, stratified=not args.no_stratify)
-    _write_manifest(manifest, "split", options, {"dataset": opt["dataset"]}, {"split": out}, started)
-    print(
-        f"split {len(graphs)} graphs into {len(plan.train)} train / "
-        f"{len(plan.val)} val / {len(plan.test)} test -> {out}"
-    )
-    return EXIT_OK
+    line = (f"split {len(graphs)} graphs into {len(plan.train)} train / "
+            f"{len(plan.val)} val / {len(plan.test)} test -> {opt['out']}")
+    return {"dataset": opt["dataset"]}, {"stratified": not args.no_stratify}, line
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _TRAIN_OPTS)
-    _check_jobs(opt)
-    graphs = _load_dataset(opt["dataset"])
-    nodes = graphs[0].matrix.shape[0]
-    plan = _load_split(opt["split"])
-    _check_plan_classes(plan, graphs, opt["split"])
+def _train(opt, args, staged):
+    graphs, nodes, plan = _load_training_inputs(opt)
     model_config = _build_model_config(opt, nodes, opt["readout"], opt["centers"], opt["clusters"])
     train_config = _build_train_config(opt, opt["seed"])
-
-    out_dir = opt["out"]
-    checkpoint_path = os.path.join(out_dir, "checkpoint.bnt")
-    report_path = os.path.join(out_dir, "report.txt")
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    _guard_outputs([checkpoint_path, report_path, manifest_path], args.force)
-
     params, report = train(graphs, plan, model_config, train_config, opt["jobs"])
-    os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(checkpoint_path, params, model_config)
-    with open(report_path, "w", encoding="utf-8") as f:
-        f.write(report.to_text())
-
-    options = dict(opt, nodes=nodes, head_dim=model_config.head_dim)
-    _write_manifest(
-        manifest_path,
-        "train",
-        options,
-        {"dataset": opt["dataset"], "split": opt["split"]},
-        {"checkpoint": checkpoint_path, "report": report_path},
-        started,
-    )
+    save_checkpoint(staged["checkpoint"], params, model_config)
+    _write_text(staged["report"], report.to_text())
     test = report.test
-    print(
-        f"selected epoch {report.selected_epoch}; test auroc {_fmt_metric(test.auroc)} "
-        f"accuracy {_fmt_metric(test.accuracy)} -> {out_dir}"
-    )
-    return EXIT_OK
+    line = (f"selected epoch {report.selected_epoch}; test auroc {_fmt_metric(test.auroc)} "
+            f"accuracy {_fmt_metric(test.accuracy)} -> {opt['out']}")
+    inputs = {"dataset": opt["dataset"], "split": opt["split"]}
+    return inputs, {"nodes": nodes, "head_dim": model_config.head_dim}, line
 
 
-def _eval_single(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _EVAL_OPTS)
-    _check_jobs(opt)
+def _eval(opt, args, staged):
+    if args.aggregate:
+        return _eval_aggregate(opt, args, staged)
+    if args.inputs:
+        raise UsageError("positional CSV arguments are only valid with --aggregate")
     for name in ("checkpoint", "dataset", "split"):
         if opt[name] is None:
             raise UsageError(f"missing required option --{name}")
     params, config = _load_checkpoint(opt["checkpoint"])
-    graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
-    plan = _load_split(opt["split"])
-    test_graphs = _select_graphs(graphs, plan.test, "test split")
+    test_graphs = _load_test_graphs(opt, config)
     if not test_graphs:
         raise DataError("test split is empty; nothing to evaluate")
     result, _ = evaluate(params, config, test_graphs, opt["jobs"])
 
     seed = ""
     if opt["report"] is not None:
-        seed = str(_load_report(opt["report"]).seed)
+        seed = str(_load_text(opt["report"], "train report", TrainReport.from_text).seed)
     run_id = opt["run_id"]
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]
 
-    out = opt["out"]
-    manifest = out + ".manifest"
-    _guard_outputs([out, manifest], args.force)
     row = [run_id, seed] + [_fmt_metric(getattr(result, m)) for m in _METRIC_FIELDS]
-    _write_csv(out, EVAL_HEADER, [row])
-    _write_manifest(
-        manifest,
-        "eval",
-        dict(opt, aggregate=False),
-        {"checkpoint": opt["checkpoint"], "dataset": opt["dataset"], "split": opt["split"]},
-        {"metrics": out},
-        started,
-    )
-    print(
-        f"{run_id}: auroc {_fmt_metric(result.auroc)} accuracy {_fmt_metric(result.accuracy)} "
-        f"({result.n_pos} pos / {result.n_neg} neg) -> {out}"
-    )
-    return EXIT_OK
+    _write_csv(staged["metrics"], EVAL_HEADER, [row])
+    line = (f"{run_id}: auroc {_fmt_metric(result.auroc)} accuracy {_fmt_metric(result.accuracy)} "
+            f"({result.n_pos} pos / {result.n_neg} neg) -> {opt['out']}")
+    inputs = {name: opt[name] for name in ("checkpoint", "dataset", "split")}
+    return inputs, {"aggregate": False}, line
 
 
-def _eval_aggregate(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _EVAL_OPTS)
-    _check_jobs(opt)
+def _metric_column(texts, name: str):
+    """The values of one metric column of the input CSVs; [None] if any is undefined."""
+    if "undefined" in texts:
+        return [None]
+    try:
+        return [float(t) for t in texts]
+    except ValueError as exc:
+        raise DataError(f"non-numeric {name} value in input CSVs ({exc})")
+
+
+def _eval_aggregate(opt, args, staged):
     for name in ("checkpoint", "dataset", "split", "report", "run_id"):
         if opt[name] is not None:
             raise UsageError(f"--{name.replace('_', '-')} is meaningless with --aggregate")
@@ -802,39 +714,12 @@ def _eval_aggregate(args) -> int:
     if not rows:
         raise DataError("no data rows found in the input CSVs")
 
-    summary = {}
-    for index, name in enumerate(_METRIC_FIELDS, start=2):
-        texts = [row[index] for row in rows]
-        if any(t == "undefined" for t in texts):
-            summary[name] = ("undefined", "undefined")
-            continue
-        try:
-            values = [float(t) for t in texts]
-        except ValueError as exc:
-            raise DataError(f"non-numeric {name} value in input CSVs ({exc})")
-        summary[name] = (
-            repr(statistics.fmean(values)),
-            repr(statistics.pstdev(values)),
-        )
-    mean_row = ["mean", ""] + [summary[m][0] for m in _METRIC_FIELDS]
-    std_row = ["std", ""] + [summary[m][1] for m in _METRIC_FIELDS]
-
-    out = opt["out"]
-    manifest = out + ".manifest"
-    _guard_outputs([out, manifest], args.force)
-    _write_csv(out, EVAL_HEADER, rows + [mean_row, std_row])
+    columns = [_metric_column([row[index] for row in rows], name)
+               for index, name in enumerate(_METRIC_FIELDS, start=2)]
+    _write_csv(staged["metrics"], EVAL_HEADER, rows + _summary_rows(columns, lambda stat: [stat, ""]))
     inputs = {f"metrics{i}": path for i, path in enumerate(args.inputs)}
-    _write_manifest(manifest, "eval", dict(opt, aggregate=True), inputs, {"metrics": out}, started)
-    print(f"aggregated {len(rows)} runs from {len(args.inputs)} files -> {out}")
-    return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    if args.aggregate:
-        return _eval_aggregate(args)
-    if args.inputs:
-        raise UsageError("positional CSV arguments are only valid with --aggregate")
-    return _eval_single(args)
+    line = f"aggregated {len(rows)} runs from {len(args.inputs)} files -> {opt['out']}"
+    return inputs, {"aggregate": True}, line
 
 
 _PHI_GRID = [
@@ -917,58 +802,28 @@ def _theory_rows_vif(opt):
     return rows
 
 
-def cmd_verify_theory(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _THEORY_OPTS)
-    _check_jobs(opt)
-    prefix = opt["out"]
-    csv_path, txt_path, manifest_path = (
-        prefix + ".csv",
-        prefix + ".txt",
-        prefix + ".manifest",
-    )
-    _guard_outputs([csv_path, txt_path, manifest_path], args.force)
-
+def _verify_theory(opt, args, staged):
     rows = []
-    if opt["mode"] in ("2d", "all"):
-        rows.extend(_theory_rows_2d(opt))
-    if opt["mode"] in ("mc", "all"):
-        rows.extend(_theory_rows_mc(opt))
-    if opt["mode"] in ("vif", "all"):
-        rows.extend(_theory_rows_vif(opt))
-
-    _write_csv(csv_path, THEORY_HEADER, rows)
+    for mode, check in (("2d", _theory_rows_2d), ("mc", _theory_rows_mc), ("vif", _theory_rows_vif)):
+        if opt["mode"] in (mode, "all"):
+            rows.extend(check(opt))
+    _write_csv(staged["csv"], THEORY_HEADER, rows)
     lines = ["kind = theory_report", f"mode = {opt['mode']}"]
     for mode, descriptor, estimate, error in rows:
         suffix = f", error = {error}" if error else ""
         lines.append(f"{mode} {descriptor}: estimate = {estimate}{suffix}")
-    with open(txt_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    _write_manifest(
-        manifest_path,
-        "verify-theory",
-        opt,
-        {},
-        {"csv": csv_path, "text": txt_path},
-        started,
-    )
-    print(f"wrote {len(rows)} check rows -> {csv_path}")
-    return EXIT_OK
+    _write_text(staged["text"], "\n".join(lines) + "\n")
+    return {}, {}, f"wrote {len(rows)} check rows -> {opt['out']}.csv"
 
 
-def cmd_export_assignments(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _EXPORT_OPTS)
-    _check_jobs(opt)
+def _export_assignments(opt, args, staged):
     params, config = _load_checkpoint(opt["checkpoint"])
     if config.readout is not Readout.OCREAD:
         raise UsageError(
             f"checkpoint readout is '{config.readout.value}'; "
             "cluster assignments exist only for the ocread readout"
         )
-    graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
-    plan = _load_split(opt["split"])
-    test_graphs = _select_graphs(graphs, plan.test, "test split")
+    test_graphs = _load_test_graphs(opt, config)
     labels = [g.label for g in test_graphs]
     for label in (0, 1):
         if label not in labels:
@@ -983,73 +838,30 @@ def cmd_export_assignments(args) -> int:
             sums[labels[rows.start]] += assignment[0]  # in test-split order
     averaged = {label: sums[label] / labels.count(label) for label in (0, 1)}
 
-    rows = []
-    for label in (0, 1):
-        matrix = averaged[label]  # nodes x clusters
-        for cluster in range(config.clusters):
-            for node in range(config.nodes):
-                rows.append(
-                    [
-                        "assignment",
-                        str(label),
-                        str(cluster),
-                        str(node),
-                        repr(float(matrix[node, cluster])),
-                    ]
-                )
+    rows = [  # averaged[label] is nodes x clusters
+        ["assignment", str(label), str(cluster), str(node), repr(float(averaged[label][node, cluster]))]
+        for label in (0, 1)
+        for cluster in range(config.clusters)
+        for node in range(config.nodes)
+    ]
     score = difference_score(averaged[0], averaged[1])
     rows.append(["difference_score", "", "", "", repr(score)])
 
-    out = opt["out"]
-    manifest = out + ".manifest"
-    _guard_outputs([out, manifest], args.force)
-    _write_csv(out, ["kind", "class", "cluster", "node", "value"], rows)
-    _write_manifest(
-        manifest,
-        "export-assignments",
-        opt,
-        {"checkpoint": opt["checkpoint"], "dataset": opt["dataset"], "split": opt["split"]},
-        {"assignments": out},
-        started,
-    )
-    print(
-        f"exported {config.clusters * config.nodes} assignment rows per class; "
-        f"difference score {score!r} -> {out}"
-    )
-    return EXIT_OK
+    _write_csv(staged["assignments"], ["kind", "class", "cluster", "node", "value"], rows)
+    line = (f"exported {config.clusters * config.nodes} assignment rows per class; "
+            f"difference score {score!r} -> {opt['out']}")
+    return {name: opt[name] for name in ("checkpoint", "dataset", "split")}, {}, line
 
 
-def cmd_ablate(args) -> int:
-    started = time.monotonic()
-    opt = _resolve(args, _ABLATE_OPTS)
-    _check_jobs(opt)
-    graphs = _load_dataset(opt["dataset"])
-    nodes = graphs[0].matrix.shape[0]
-    plan = _load_split(opt["split"])
-    _check_plan_classes(plan, graphs, opt["split"])
+def _combos(opt):
+    return list(itertools.product(opt["readouts"], opt["centers"], opt["clusters"]))
 
-    combos = [
-        (readout, centers, clusters)
-        for readout in opt["readouts"]
-        for centers in opt["centers"]
-        for clusters in opt["clusters"]
-    ]
-    seeds = opt["seeds"]
+
+def _ablate(opt, args, staged):
+    graphs, nodes, plan = _load_training_inputs(opt)
+    combos, seeds = _combos(opt), opt["seeds"]
     if not combos or not seeds:
         raise UsageError("the sweep is empty")
-
-    def model_path(readout, centers, clusters, seed):
-        name = f"{readout.value}_{centers.value}_k{clusters}_seed{seed}.bnt"
-        return os.path.join(opt["save_models"], name)
-
-    out = opt["out"]
-    manifest = out + ".manifest"
-    guarded = [out, manifest]
-    if opt["save_models"] is not None:
-        guarded.extend(
-            model_path(r, c, k, s) for (r, c, k) in combos for s in seeds
-        )
-    _guard_outputs(guarded, args.force)
 
     # validate every combination before spending minutes training any
     configs = {combo: _build_model_config(opt, nodes, *combo) for combo in combos}
@@ -1063,63 +875,150 @@ def cmd_ablate(args) -> int:
     # Runs train in worker processes; checkpoints, stderr lines and rows
     # follow here in sweep order, as a serial loop would write them.
     rows = []
-    runs = [(combo, seed) for combo in combos for seed in seeds]
+    runs = list(itertools.product(combos, seeds))
     with contextlib.closing(ordered_map(train_run, runs, opt["jobs"])) as outcomes:
-        for readout, centers, clusters in combos:
-            results = []
+        for combo in combos:
+            readout, centers, clusters = combo
+            tests = []
             for seed in seeds:
+                run = f"readout={readout.value} centers={centers.value} clusters={clusters} seed={seed}"
                 try:
                     vector, report = next(outcomes)
                 except (DegenerateBasisError, EigenConvergenceError, FloatingPointError, WorkerDied) as exc:
-                    raise type(exc)(
-                        f"readout={readout.value} centers={centers.value} "
-                        f"clusters={clusters} seed={seed}: {exc}"
-                    )
+                    raise type(exc)(f"{run}: {exc}")
                 if opt["save_models"] is not None:
-                    model_config = configs[(readout, centers, clusters)]
-                    os.makedirs(opt["save_models"], exist_ok=True)
-                    save_checkpoint(model_path(readout, centers, clusters, seed),
-                                    ModelParams(vector, model_config), model_config)
-                results.append(report.test)
+                    save_checkpoint(staged[combo, seed], ModelParams(vector, configs[combo]), configs[combo])
+                tests.append(report.test)
                 rows.append(
-                    [
-                        readout.value,
-                        centers.value,
-                        str(clusters),
-                        str(seed),
-                        str(report.selected_epoch),
-                    ]
+                    [readout.value, centers.value, str(clusters), str(seed), str(report.selected_epoch)]
                     + [_fmt_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
                 )
-                print(
-                    f"[ablate] readout={readout.value} centers={centers.value} "
-                    f"clusters={clusters} seed={seed}: auroc {_fmt_metric(report.test.auroc)}",
-                    file=sys.stderr,
-                )
-            for stat_name, reducer in (("mean", statistics.fmean), ("std", statistics.pstdev)):
-                cells = []
-                for metric in _METRIC_FIELDS:
-                    values = [getattr(t, metric) for t in results]
-                    if any(v is None for v in values):
-                        cells.append("undefined")
-                    else:
-                        cells.append(repr(reducer([float(v) for v in values])))
-                rows.append([readout.value, centers.value, str(clusters), stat_name, ""] + cells)
+                print(f"[ablate] {run}: auroc {_fmt_metric(report.test.auroc)}", file=sys.stderr)
+            columns = [[getattr(t, m) for t in tests] for m in _METRIC_FIELDS]
+            rows += _summary_rows(columns, lambda stat: [readout.value, centers.value, str(clusters), stat, ""])
 
-    _write_csv(out, ABLATE_HEADER, rows)
-    options = dict(opt, nodes=nodes)
-    outputs = {"csv": out}
+    _write_csv(staged["csv"], ABLATE_HEADER, rows)
+    line = f"{len(combos) * len(seeds)} runs across {len(combos)} combinations -> {opt['out']}"
+    return {"dataset": opt["dataset"], "split": opt["split"]}, {"nodes": nodes}, line
+
+
+# ---------------------------------------------------------------------------
+# the command table and its runner
+
+
+def _outputs(manifest: str, **listed):
+    """(every file, the manifest last, and the outputs the manifest lists)."""
+    return dict(listed, manifest=manifest), listed
+
+
+def _beside(key: str):
+    """Outputs of a command that writes --out, named ``key`` in its manifest,
+    and --out.manifest."""
+    return lambda opt: _outputs(opt["out"] + ".manifest", **{key: opt["out"]})
+
+
+def _train_outputs(opt):
+    checkpoint, report, manifest = (os.path.join(opt["out"], name)
+                                    for name in ("checkpoint.bnt", "report.txt", "manifest.txt"))
+    return _outputs(manifest, checkpoint=checkpoint, report=report)
+
+
+def _theory_outputs(opt):
+    return _outputs(opt["out"] + ".manifest", csv=opt["out"] + ".csv", text=opt["out"] + ".txt")
+
+
+def _ablate_outputs(opt):
+    files, listed = _beside("csv")(opt)
     if opt["save_models"] is not None:
-        outputs["models_dir"] = opt["save_models"]
-    _write_manifest(
-        manifest,
-        "ablate",
-        options,
-        {"dataset": opt["dataset"], "split": opt["split"]},
-        outputs,
-        started,
-    )
-    print(f"{len(combos) * len(seeds)} runs across {len(combos)} combinations -> {out}")
+        listed["models_dir"] = opt["save_models"]
+        for readout, centers, clusters in _combos(opt):
+            for seed in opt["seeds"]:
+                name = f"{readout.value}_{centers.value}_k{clusters}_seed{seed}.bnt"
+                files[(readout, centers, clusters), seed] = os.path.join(opt["save_models"], name)
+    return files, listed
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    opts: list
+    # opt -> ({key: path} of every file written, "manifest" among them, in
+    # guard order; {key: path} the manifest lists as outputs)
+    outputs: Callable
+    body: Callable  # (opt, args, {key: staged path}) -> (inputs, extra options, stdout line)
+    flags: tuple = ()  # further argparse arguments, as (name, keywords) pairs
+
+
+_COMMANDS = {
+    "generate": _Command("synthesize a connectivity dataset", _GENERATE_OPTS, _beside("dataset"), _generate),
+    "split": _Command(
+        "write a train/val/test split plan", _SPLIT_OPTS, _beside("split"), _split,
+        (("--no-stratify", dict(action="store_true",
+                                help="plain random split instead of per-(site,label) stratification")),),
+    ),
+    "train": _Command("fit a model and write a run directory", _TRAIN_OPTS, _train_outputs, _train),
+    "eval": _Command(
+        "score a checkpoint or aggregate metrics CSVs", _EVAL_OPTS, _beside("metrics"), _eval,
+        (("--aggregate", dict(action="store_true",
+                              help="combine the given metrics CSVs and append mean/std rows")),
+         ("inputs", dict(nargs="*", metavar="CSV", help="input metrics CSVs (aggregate mode only)"))),
+    ),
+    "verify-theory": _Command("run the numerical theory checks", _THEORY_OPTS, _theory_outputs, _verify_theory),
+    "export-assignments": _Command("export class-averaged cluster assignments", _EXPORT_OPTS,
+                                   _beside("assignments"), _export_assignments),
+    "ablate": _Command("sweep readouts x centers x clusters x seeds", _ABLATE_OPTS, _ablate_outputs, _ablate),
+}
+
+
+def _parents(path):
+    """(the nearest existing directory above path, the missing ones below
+    it, outermost first)."""
+    directory, missing = os.path.dirname(path) or os.curdir, []
+    while not os.path.isdir(directory):
+        missing.insert(0, directory)
+        directory = os.path.dirname(directory) or os.curdir
+    return directory, missing
+
+
+def _run(name: str, args) -> int:
+    """Run one command: resolve its options, check --jobs, refuse to overwrite
+    (unless --force), stage every output as a temp file on its target's
+    filesystem, run the body, then make the missing directories and move the
+    outputs into place, the manifest last.  On any exception, Ctrl-C
+    included, the temp files and new directories are removed, and outputs
+    that already existed stay as they were."""
+    started = time.monotonic()
+    command = _COMMANDS[name]
+    opt = _resolve(args, command.opts)
+    if "jobs" in opt and not 1 <= opt["jobs"] <= _MAX_JOBS:
+        raise UsageError(f"--jobs must be in 1..{_MAX_JOBS}")
+    files, listed = command.outputs(opt)
+    for path in files.values():
+        if not args.force and os.path.exists(path):
+            raise UsageError(f"refusing to overwrite existing {path} (pass --force)")
+        if os.path.isdir(path):  # its rename would fail after the outputs before it moved
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    staged, made = {}, []
+    try:
+        for key, path in files.items():
+            staged[key] = make_temp(_parents(path)[0], os.path.basename(path))
+        inputs, options, line = command.body(opt, args, staged)
+        _write_text(staged["manifest"], _manifest_text(name, dict(opt, **options), inputs, listed, started))
+        for key in sorted(files, key=lambda k: k == "manifest"):
+            for directory in _parents(files[key])[1]:
+                os.mkdir(directory)
+                made.append(directory)
+            os.replace(staged[key], files[key])
+            del staged[key]
+    except BaseException:
+        for path in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+    print(line)
     return EXIT_OK
 
 
@@ -1127,93 +1026,48 @@ def cmd_ablate(args) -> int:
 # parser assembly and entry point
 
 
-def _add_opts(parser, opts) -> None:
-    for opt in opts:
-        parser.add_argument(
-            opt.flag,
-            dest=opt.name,
-            default=None,
-            metavar=opt.name.upper(),
-            help=f"{opt.help} (default: {_format_value(opt.default) if opt.default is not _REQUIRED else 'required'})",
-        )
-
-
-def _add_common(parser) -> None:
-    parser.add_argument("--config", default=None, metavar="FILE", help="key = value option file")
-    parser.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bnt", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"bnt {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-
-    spec = [
-        ("generate", "synthesize a connectivity dataset", cmd_generate, _GENERATE_OPTS),
-        ("split", "write a train/val/test split plan", cmd_split, _SPLIT_OPTS),
-        ("train", "fit a model and write a run directory", cmd_train, _TRAIN_OPTS),
-        ("eval", "score a checkpoint or aggregate metrics CSVs", cmd_eval, _EVAL_OPTS),
-        ("verify-theory", "run the numerical theory checks", cmd_verify_theory, _THEORY_OPTS),
-        (
-            "export-assignments",
-            "export class-averaged cluster assignments",
-            cmd_export_assignments,
-            _EXPORT_OPTS,
-        ),
-        ("ablate", "sweep readouts x centers x clusters x seeds", cmd_ablate, _ABLATE_OPTS),
-    ]
-    for name, help_text, func, opts in spec:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        _add_common(p)
-        _add_opts(p, opts)
-        if name == "split":
-            p.add_argument(
-                "--no-stratify",
-                action="store_true",
-                help="plain random split instead of per-(site,label) stratification",
-            )
-        if name == "eval":
-            p.add_argument(
-                "--aggregate",
-                action="store_true",
-                help="combine the given metrics CSVs and append mean/std rows",
-            )
-            p.add_argument(
-                "inputs",
-                nargs="*",
-                metavar="CSV",
-                help="input metrics CSVs (aggregate mode only)",
-            )
-        p.set_defaults(func=func)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        p.add_argument("--config", default=None, metavar="FILE", help="key = value option file")
+        p.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
+        for opt in command.opts:
+            default = "required" if opt.default is _REQUIRED else _format_value(opt.default)
+            p.add_argument(opt.flag, dest=opt.name, default=None, metavar=opt.name.upper(),
+                           help=f"{opt.help} (default: {default})")
+        for flag, keywords in command.flags:
+            p.add_argument(flag, **keywords)
     return parser
+
+
+# (exception types, exit code, stderr line), first match first: a
+# DegenerateBasisError is also a ValueError.
+_FAILURES = (
+    (UsageError, EXIT_USAGE, "error: {}"),
+    ((DataError, DatasetFormatError, CheckpointFormatError), EXIT_DATA, "data error: {}"),
+    ((DegenerateBasisError, EigenConvergenceError, FloatingPointError), EXIT_NUMERICAL, "numerical failure: {}"),
+    ((MemoryError, WorkerDied), EXIT_NUMERICAL, "resource failure: {}"),
+    (ValueError, EXIT_USAGE, "error: {}"),
+    (OSError, EXIT_DATA, "data error: {}"),
+    (KeyboardInterrupt, EXIT_INTERRUPTED, "interrupted"),
+)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, DatasetFormatError, CheckpointFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DegenerateBasisError, EigenConvergenceError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (MemoryError, WorkerDied) as exc:
-        print(f"resource failure: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _run(args.command, args)
+    except (Exception, KeyboardInterrupt) as exc:
+        for types, code, line in _FAILURES:
+            if isinstance(exc, types):
+                text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+                print(line.format(text), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ key-value text file.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,6 +31,34 @@ _RECORD_HEAD = struct.Struct("<IBHB")
 
 _SITE_STREAM = 1
 _SUBJECT_STREAM = 2
+
+
+def make_temp(directory, name: str) -> str:
+    """Create an empty hidden file for ``name`` in ``directory``, with the
+    permissions ``open(..., "w")`` would give it, and return its path."""
+    for n in itertools.count():
+        path = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return path
+        except FileExistsError:
+            continue
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Open a temp file beside ``path`` for writing bytes.  It replaces ``path``
+    when the block ends, or is removed if the block raises, so a reader
+    never sees a torn file and a failed write leaves ``path`` as it was."""
+    tmp = make_temp(os.path.dirname(path) or os.curdir, os.path.basename(path))
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class DatasetFormatError(Exception):
@@ -161,7 +192,8 @@ def write_dataset(path, graphs) -> None:
     """Write graphs to the binary dataset format (matrices as float32).
 
     Every record is checked before the file is opened, so a bad record
-    leaves no file behind.
+    leaves no file behind, and the file replaces ``path`` only once it is
+    whole (``replacing``).
     """
     if len(graphs) == 0:
         raise ValueError("refusing to write an empty dataset")
@@ -181,7 +213,7 @@ def write_dataset(path, graphs) -> None:
             raise VMismatchError(
                 f"subject {g.subject_id} has shape {g.matrix.shape}, expected ({v}, {v})"
             )
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, len(graphs)))
         for g in graphs:
             f.write(_RECORD_HEAD.pack(g.subject_id, g.label, g.site, 0))

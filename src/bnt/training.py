@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as metrics_mod
+from .data import replacing
 from .model import (
     CentersMode,
     FeatureMode,
@@ -356,7 +357,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
         _FEATURE_CODES.index(config.feature_mode),
         config.k_eigen,
     )
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(head)
         f.write(params.vector.astype("<f8", copy=False).tobytes())
 

@@ -914,6 +914,101 @@ def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, r
 
 
 # ---------------------------------------------------------------------------
+# a command that fails writes nothing: no output, temp file or directory
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(Path(root).rglob("*"))}
+
+
+def test_a_sweep_failing_on_its_second_run_saves_no_model(tiny_workspace, tmp_path, run_cli, monkeypatch):
+    real, calls = bnt.cli.train, []
+
+    def diverges_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise FloatingPointError("training diverged in epoch 1: non-finite loss")
+        return real(*args)
+
+    monkeypatch.setattr(bnt.cli, "train", diverges_second)
+    before = _tree(tmp_path)
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--clusters", "2", "--seeds", "0,1", "--epochs", "1",
+                            "--jobs", "1", "--save-models", str(tmp_path / "models"),
+                            "--out", str(tmp_path / "ablate.csv")])
+    assert code == 3 and "seed=1: training diverged" in err, err
+    assert _tree(tmp_path) == before
+
+
+def _fail_writing_reports(monkeypatch):
+    def no_space(self):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(TrainReport, "to_text", no_space)
+
+
+def test_a_train_failing_to_write_its_report_leaves_no_run(tiny_workspace, tmp_path, run_cli, monkeypatch):
+    _fail_writing_reports(monkeypatch)
+    code, _, err = run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert (code, err) == (2, "data error: [Errno 28] No space left on device\n")
+    assert _tree(tmp_path) == {}
+
+
+def test_a_failing_forced_rerun_leaves_the_old_outputs(tiny_workspace, tmp_path, run_cli, monkeypatch):
+    argv = ["train", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+            "--epochs", "1", "--out", str(tmp_path / "run")]
+    assert run_cli(argv)[0] == 0
+    before = _tree(tmp_path)
+    _fail_writing_reports(monkeypatch)
+    assert run_cli([*argv, "--force"])[0] == 2
+    assert _tree(tmp_path) == before
+
+
+class _FailsInTheTextReport:
+    """A check cell the CSV writer prints but the text report cannot."""
+
+    def __str__(self):
+        return "1.0"
+
+    def __format__(self, spec):
+        raise FloatingPointError("non-finite vif")
+
+
+def test_verify_theory_failing_after_its_csv_is_staged_writes_nothing(tmp_path, run_cli, monkeypatch):
+    monkeypatch.setattr(bnt.cli, "_theory_rows_vif", lambda opt: [["vif", "x", _FailsInTheTextReport(), ""]])
+    code, _, err = run_cli(["verify-theory", "--mode", "vif", "--out", str(tmp_path / "theory")])
+    assert (code, err) == (3, "numerical failure: non-finite vif\n")
+    assert _tree(tmp_path) == {}
+
+
+def test_a_forced_run_onto_a_directory_moves_no_output(tmp_path, run_cli):
+    argv = ["verify-theory", "--mode", "vif", "--out", str(tmp_path / "t")]
+    assert run_cli(argv)[0] == 0
+    (tmp_path / "t.txt").unlink()
+    (tmp_path / "t.txt").mkdir()
+    before = _tree(tmp_path)
+    code, _, err = run_cli([*argv, "--seed", "3", "--force"])
+    assert (code, err) == (2, f"data error: [Errno 21] Is a directory: '{tmp_path / 't.txt'}'\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+def test_eval_refuses_to_overwrite_before_reading_any_input(tmp_path, run_cli, monkeypatch, aggregate):
+    monkeypatch.setattr(bnt.cli, "evaluate", _no_pool)
+    out, missing = tmp_path / "m.csv", str(tmp_path / "missing")
+    out.write_text("old")
+    inputs = ["--aggregate", missing] if aggregate else ["--checkpoint", missing, "--dataset", missing,
+                                                         "--split", missing]
+    argv = ["eval", "--out", str(out), *inputs]
+    code, _, err = run_cli(argv)  # reading the missing inputs first would be a data error
+    assert (code, err) == (1, f"error: refusing to overwrite existing {out} (pass --force)\n")
+    assert _tree(tmp_path) == {"m.csv": b"old"}
+
+
+# ---------------------------------------------------------------------------
 # process-level entry
 
 
@@ -925,7 +1020,8 @@ def test_ctrl_c_on_a_pooled_command_is_one_line_and_exit_130(tiny_workspace, tmp
     if not children.exists():
         pytest.skip("needs /proc/PID/task/PID/children to see the workers start")
     argv = ["ablate", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
-            "--seeds", "0,1", "--epochs", "1000000", "--jobs", "2", "--out", str(tmp_path / "a.csv")]
+            "--seeds", "0,1", "--epochs", "1000000", "--jobs", "2", "--save-models", str(tmp_path / "models"),
+            "--out", str(tmp_path / "a.csv")]
     proc = subprocess.Popen([sys.executable, "-m", "bnt.cli", *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True,
                             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
@@ -944,7 +1040,7 @@ def test_ctrl_c_on_a_pooled_command_is_one_line_and_exit_130(tiny_workspace, tmp
     assert (proc.returncode, err) == (130, "interrupted\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # no worker outlived the command
-    assert not (tmp_path / "a.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # no output, staged temp file or models directory
 
 
 def test_console_entry_point(tmp_path):

@@ -157,6 +157,18 @@ def test_rewrite_is_byte_identical(tmp_path, small_graphs):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_write_failing_midway_leaves_the_old_file_and_no_temp(tmp_path, small_graphs):
+    path = tmp_path / "set.bntd"
+    write_dataset(path, small_graphs)
+    before = path.read_bytes()
+    # the third record's matrix passes the shape check but cannot become float32
+    bad = replace(small_graphs[2], matrix=np.full((16, 16), "x", dtype=object))
+    with pytest.raises(ValueError):
+        write_dataset(path, [*small_graphs[:2], bad])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["set.bntd"]
+
+
 def test_write_rejects_empty_and_mixed_sizes(tmp_path):
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "x.bntd", [])

@@ -8,7 +8,9 @@ prints one line per output file:
 
     SAME|DIFF <sha256 at REV> <sha256 here> <path> [max |a - b| for a CSV]
 
-Manifests are skipped: they hold durations and paths.  The chain is the
+Manifests are compared too, with only their ``duration_seconds`` value
+masked: the chain runs in its own directory with relative paths, so every
+other line, key order included, must match.  The chain is the
 criterion-10 chain (generate, split, 2-epoch train, eval), ``--centers
 learnable``, ``--centers random --weight-decay 0`` (random-unit centers,
 Adam without decay), ``--readout mean``, ``--features profile_identity`` and
@@ -31,6 +33,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -100,14 +103,17 @@ def outputs(root: str) -> list[str]:
     found = []
     for directory, _, files in os.walk(root):
         for name in files:
-            if not (name.endswith(".manifest") or name == "manifest.txt"):
-                found.append(os.path.relpath(os.path.join(directory, name), root))
+            found.append(os.path.relpath(os.path.join(directory, name), root))
     return sorted(found)
 
 
 def sha256(path: str) -> str:
+    """The hash of a file's bytes; of a manifest's with its duration masked."""
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        data = f.read()
+    if path.endswith(".manifest") or os.path.basename(path) == "manifest.txt":
+        data = re.sub(rb"(?m)^duration_seconds = .*$", b"duration_seconds = *", data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def csv_max_diff(path_a: str, path_b: str) -> float:
