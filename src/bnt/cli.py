@@ -22,7 +22,8 @@ A command writes all of its outputs or none.  Each is staged as a hidden
 temp file and moved into place only when the command has succeeded, the
 manifest last; a failed or interrupted command leaves no output, temp
 file or new directory, and --force replaces existing outputs only on
-success.
+success.  Only train's run directory and ablate's --save-models directory
+are made for the command; any other output's directory must exist.
 
 Option resolution order: explicit flag, then --config file entry
 (key = value lines keyed by option name), then the BNT_SEED environment
@@ -38,10 +39,10 @@ import argparse
 import contextlib
 import csv
 import errno
-import itertools
 import math
 import os
 import platform
+import signal
 import statistics
 import sys
 import time
@@ -95,7 +96,14 @@ ENV_SEED = "BNT_SEED"
 _METRIC_FIELDS = ("auroc", "accuracy", "sensitivity", "specificity")
 
 EVAL_HEADER = ["run_id", "seed", *_METRIC_FIELDS]
-ABLATE_HEADER = ["readout", "centers", "clusters", "seed", "selected_epoch", *_METRIC_FIELDS]
+ABLATE_HEADER = [
+    "readout",
+    "centers",
+    "clusters",
+    "seed",
+    "selected_epoch",
+    *_METRIC_FIELDS,
+]
 THEORY_HEADER = ["mode", "descriptor", "estimate", "error"]
 
 
@@ -579,21 +587,33 @@ def _load_test_graphs(opt, config):
     return _select_graphs(graphs, plan.test, "test split")
 
 
-# The spec and config builders below take every option of the same name;
-# a ValueError from validate() is a usage error (exit 1), as main maps it.
+# A ValueError from a spec's or config's validate() is a usage error (exit
+# 1), as main maps it.
 def _build_model_config(opt, nodes, readout, centers, clusters) -> ModelConfig:
     config = ModelConfig(
-        nodes=nodes, clusters=clusters, readout=readout, centers_mode=centers,
-        mlp_hidden=tuple(opt["mlp_hidden"]), feature_mode=opt["features"],
-        **{name: opt[name] for name in ("layers", "heads", "head_dim", "k_eigen")},
+        nodes=nodes,
+        layers=opt["layers"],
+        heads=opt["heads"],
+        clusters=clusters,
+        head_dim=opt["head_dim"],
+        mlp_hidden=tuple(opt["mlp_hidden"]),
+        readout=readout,
+        centers_mode=centers,
+        feature_mode=opt["features"],
+        k_eigen=opt["k_eigen"],
     )
     config.validate()
     return config
 
 
 def _build_train_config(opt, seed) -> TrainConfig:
-    config = TrainConfig(seed=seed, **{name: opt[name] for name in ("lr", "weight_decay", "batch_size",
-                                                                    "epochs")})
+    config = TrainConfig(
+        lr=opt["lr"],
+        weight_decay=opt["weight_decay"],
+        batch_size=opt["batch_size"],
+        epochs=opt["epochs"],
+        seed=seed,
+    )
     config.validate()
     return config
 
@@ -610,11 +630,16 @@ def _generate(opt, args, staged):
             f"--modules ({opt['modules']}) cannot exceed --nodes ({opt['nodes']})"
         )
     spec = GeneratorSpec(
+        nodes=opt["nodes"],
+        modules=opt["modules"],
+        subjects_per_class=opt["subjects_per_class"],
+        sites=opt["sites"],
         within_strength=opt["within"],
         between_strength_class0=opt["between0"],
         between_strength_class1=opt["between1"],
-        **{name: opt[name] for name in ("nodes", "modules", "subjects_per_class", "sites", "site_noise",
-                                        "series_length", "seed")},
+        site_noise=opt["site_noise"],
+        series_length=opt["series_length"],
+        seed=opt["seed"],
     )
     spec.validate()
     graphs = generate_dataset(spec)
@@ -838,12 +863,20 @@ def _export_assignments(opt, args, staged):
             sums[labels[rows.start]] += assignment[0]  # in test-split order
     averaged = {label: sums[label] / labels.count(label) for label in (0, 1)}
 
-    rows = [  # averaged[label] is nodes x clusters
-        ["assignment", str(label), str(cluster), str(node), repr(float(averaged[label][node, cluster]))]
-        for label in (0, 1)
-        for cluster in range(config.clusters)
-        for node in range(config.nodes)
-    ]
+    rows = []
+    for label in (0, 1):
+        matrix = averaged[label]  # nodes x clusters
+        for cluster in range(config.clusters):
+            for node in range(config.nodes):
+                rows.append(
+                    [
+                        "assignment",
+                        str(label),
+                        str(cluster),
+                        str(node),
+                        repr(float(matrix[node, cluster])),
+                    ]
+                )
     score = difference_score(averaged[0], averaged[1])
     rows.append(["difference_score", "", "", "", repr(score)])
 
@@ -854,7 +887,12 @@ def _export_assignments(opt, args, staged):
 
 
 def _combos(opt):
-    return list(itertools.product(opt["readouts"], opt["centers"], opt["clusters"]))
+    return [
+        (readout, centers, clusters)
+        for readout in opt["readouts"]
+        for centers in opt["centers"]
+        for clusters in opt["clusters"]
+    ]
 
 
 def _ablate(opt, args, staged):
@@ -875,7 +913,7 @@ def _ablate(opt, args, staged):
     # Runs train in worker processes; checkpoints, stderr lines and rows
     # follow here in sweep order, as a serial loop would write them.
     rows = []
-    runs = list(itertools.product(combos, seeds))
+    runs = [(combo, seed) for combo in combos for seed in seeds]
     with contextlib.closing(ordered_map(train_run, runs, opt["jobs"])) as outcomes:
         for combo in combos:
             readout, centers, clusters = combo
@@ -890,7 +928,13 @@ def _ablate(opt, args, staged):
                     save_checkpoint(staged[combo, seed], ModelParams(vector, configs[combo]), configs[combo])
                 tests.append(report.test)
                 rows.append(
-                    [readout.value, centers.value, str(clusters), str(seed), str(report.selected_epoch)]
+                    [
+                        readout.value,
+                        centers.value,
+                        str(clusters),
+                        str(seed),
+                        str(report.selected_epoch),
+                    ]
                     + [_fmt_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
                 )
                 print(f"[ablate] {run}: auroc {_fmt_metric(report.test.auroc)}", file=sys.stderr)
@@ -906,9 +950,10 @@ def _ablate(opt, args, staged):
 # the command table and its runner
 
 
-def _outputs(manifest: str, **listed):
-    """(every file, the manifest last, and the outputs the manifest lists)."""
-    return dict(listed, manifest=manifest), listed
+def _outputs(manifest: str, new_dir=None, **listed):
+    """(every file, the manifest last; the outputs the manifest lists; the
+    directory the files may be written into if it does not exist yet)."""
+    return dict(listed, manifest=manifest), listed, new_dir
 
 
 def _beside(key: str):
@@ -920,7 +965,7 @@ def _beside(key: str):
 def _train_outputs(opt):
     checkpoint, report, manifest = (os.path.join(opt["out"], name)
                                     for name in ("checkpoint.bnt", "report.txt", "manifest.txt"))
-    return _outputs(manifest, checkpoint=checkpoint, report=report)
+    return _outputs(manifest, new_dir=opt["out"], checkpoint=checkpoint, report=report)
 
 
 def _theory_outputs(opt):
@@ -928,14 +973,15 @@ def _theory_outputs(opt):
 
 
 def _ablate_outputs(opt):
-    files, listed = _beside("csv")(opt)
-    if opt["save_models"] is not None:
-        listed["models_dir"] = opt["save_models"]
-        for readout, centers, clusters in _combos(opt):
-            for seed in opt["seeds"]:
-                name = f"{readout.value}_{centers.value}_k{clusters}_seed{seed}.bnt"
-                files[(readout, centers, clusters), seed] = os.path.join(opt["save_models"], name)
-    return files, listed
+    files, listed, _ = _beside("csv")(opt)
+    if opt["save_models"] is None:
+        return files, listed, None
+    listed["models_dir"] = opt["save_models"]
+    for readout, centers, clusters in _combos(opt):
+        for seed in opt["seeds"]:
+            name = f"{readout.value}_{centers.value}_k{clusters}_seed{seed}.bnt"
+            files[(readout, centers, clusters), seed] = os.path.join(opt["save_models"], name)
+    return files, listed, opt["save_models"]
 
 
 @dataclass(frozen=True)
@@ -943,38 +989,79 @@ class _Command:
     help: str
     opts: list
     # opt -> ({key: path} of every file written, "manifest" among them, in
-    # guard order; {key: path} the manifest lists as outputs)
+    # guard order; {key: path} the manifest lists as outputs; the directory
+    # the command makes, with its missing parents, or None)
     outputs: Callable
     body: Callable  # (opt, args, {key: staged path}) -> (inputs, extra options, stdout line)
     flags: tuple = ()  # further argparse arguments, as (name, keywords) pairs
 
 
 _COMMANDS = {
-    "generate": _Command("synthesize a connectivity dataset", _GENERATE_OPTS, _beside("dataset"), _generate),
+    "generate": _Command(
+        help="synthesize a connectivity dataset",
+        opts=_GENERATE_OPTS,
+        outputs=_beside("dataset"),
+        body=_generate,
+    ),
     "split": _Command(
-        "write a train/val/test split plan", _SPLIT_OPTS, _beside("split"), _split,
-        (("--no-stratify", dict(action="store_true",
-                                help="plain random split instead of per-(site,label) stratification")),),
+        help="write a train/val/test split plan",
+        opts=_SPLIT_OPTS,
+        outputs=_beside("split"),
+        body=_split,
+        flags=(
+            (
+                "--no-stratify",
+                dict(action="store_true", help="plain random split instead of per-(site,label) stratification"),
+            ),
+        ),
     ),
-    "train": _Command("fit a model and write a run directory", _TRAIN_OPTS, _train_outputs, _train),
+    "train": _Command(
+        help="fit a model and write a run directory",
+        opts=_TRAIN_OPTS,
+        outputs=_train_outputs,
+        body=_train,
+    ),
     "eval": _Command(
-        "score a checkpoint or aggregate metrics CSVs", _EVAL_OPTS, _beside("metrics"), _eval,
-        (("--aggregate", dict(action="store_true",
-                              help="combine the given metrics CSVs and append mean/std rows")),
-         ("inputs", dict(nargs="*", metavar="CSV", help="input metrics CSVs (aggregate mode only)"))),
+        help="score a checkpoint or aggregate metrics CSVs",
+        opts=_EVAL_OPTS,
+        outputs=_beside("metrics"),
+        body=_eval,
+        flags=(
+            (
+                "--aggregate",
+                dict(action="store_true", help="combine the given metrics CSVs and append mean/std rows"),
+            ),
+            ("inputs", dict(nargs="*", metavar="CSV", help="input metrics CSVs (aggregate mode only)")),
+        ),
     ),
-    "verify-theory": _Command("run the numerical theory checks", _THEORY_OPTS, _theory_outputs, _verify_theory),
-    "export-assignments": _Command("export class-averaged cluster assignments", _EXPORT_OPTS,
-                                   _beside("assignments"), _export_assignments),
-    "ablate": _Command("sweep readouts x centers x clusters x seeds", _ABLATE_OPTS, _ablate_outputs, _ablate),
+    "verify-theory": _Command(
+        help="run the numerical theory checks",
+        opts=_THEORY_OPTS,
+        outputs=_theory_outputs,
+        body=_verify_theory,
+    ),
+    "export-assignments": _Command(
+        help="export class-averaged cluster assignments",
+        opts=_EXPORT_OPTS,
+        outputs=_beside("assignments"),
+        body=_export_assignments,
+    ),
+    "ablate": _Command(
+        help="sweep readouts x centers x clusters x seeds",
+        opts=_ABLATE_OPTS,
+        outputs=_ablate_outputs,
+        body=_ablate,
+    ),
 }
 
 
 def _parents(path):
     """(the nearest existing directory above path, the missing ones below
-    it, outermost first)."""
+    it, outermost first); NotADirectoryError if a file stands in the way."""
     directory, missing = os.path.dirname(path) or os.curdir, []
     while not os.path.isdir(directory):
+        if os.path.lexists(directory):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
         missing.insert(0, directory)
         directory = os.path.dirname(directory) or os.curdir
     return directory, missing
@@ -982,34 +1069,47 @@ def _parents(path):
 
 def _run(name: str, args) -> int:
     """Run one command: resolve its options, check --jobs, refuse to overwrite
-    (unless --force), stage every output as a temp file on its target's
-    filesystem, run the body, then make the missing directories and move the
-    outputs into place, the manifest last.  On any exception, Ctrl-C
-    included, the temp files and new directories are removed, and outputs
-    that already existed stay as they were."""
+    (unless --force) or to write where a file cannot go, stage every output
+    as a temp file on its target's filesystem, run the body, then make the
+    missing directories and move the outputs into place, the manifest last.
+    On any exception, Ctrl-C included, the temp files and new directories
+    are removed, and outputs that already existed stay as they were."""
     started = time.monotonic()
     command = _COMMANDS[name]
     opt = _resolve(args, command.opts)
     if "jobs" in opt and not 1 <= opt["jobs"] <= _MAX_JOBS:
         raise UsageError(f"--jobs must be in 1..{_MAX_JOBS}")
-    files, listed = command.outputs(opt)
+    files, listed, new_dir = command.outputs(opt)
+    # Refused here, not when a rename fails after other outputs have moved:
+    # an existing output without --force, one that is a directory, and one
+    # under a file or in a missing directory the command does not make (the
+    # same error text as writing it would give).
     for path in files.values():
         if not args.force and os.path.exists(path):
             raise UsageError(f"refusing to overwrite existing {path} (pass --force)")
-        if os.path.isdir(path):  # its rename would fail after the outputs before it moved
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        in_new_dir = new_dir is not None and os.path.normpath(os.path.dirname(path)) == os.path.normpath(new_dir)
+        if _parents(path)[1] and not in_new_dir:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     staged, made = {}, []
     try:
         for key, path in files.items():
             staged[key] = make_temp(_parents(path)[0], os.path.basename(path))
         inputs, options, line = command.body(opt, args, staged)
         _write_text(staged["manifest"], _manifest_text(name, dict(opt, **options), inputs, listed, started))
-        for key in sorted(files, key=lambda k: k == "manifest"):
-            for directory in _parents(files[key])[1]:
-                os.mkdir(directory)
-                made.append(directory)
-            os.replace(staged[key], files[key])
-            del staged[key]
+        # A Ctrl-C from here waits until every output is in place.
+        unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for path in files.values():
+                for directory in _parents(path)[1]:
+                    os.mkdir(directory)
+                    made.append(directory)
+            for key in sorted(files, key=lambda k: k == "manifest"):
+                os.replace(staged[key], files[key])
+                del staged[key]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
     except BaseException:
         for path in staged.values():
             with contextlib.suppress(OSError):

@@ -578,16 +578,14 @@ def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspac
     return loss, grads
 
 
-# A scoring pool is started only when it takes more than this much forward
-# work off the parent (``_scoring_jobs``).  On 2 cores of an Intel Xeon (one
+# A scoring pool is started only when it takes more than this many forward
+# FLOPs off the parent (``_scoring_jobs``).  On 2 cores of an Intel Xeon (one
 # BLAS thread) a pool's start-up and teardown took 15-19 ms from a 130 MiB
 # parent, 46 ms for the first one, which also imports the process machinery;
-# a graph's forward took 9.1 ms at V=200 (0.19 GFLOP) and 0.19 ms at V=32
-# (0.89 MFLOP).  Both fit 21.6 GFLOP/s plus 0.15 ms per graph, so a graph
-# costs its FLOPs plus a fixed 3.2 MFLOP.  46 ms is 1 GFLOP at that rate; the
-# threshold is twice that.
+# the forward ran at 21 GFLOP/s at V=200 (0.19 GFLOP per graph, 9.1 ms) and
+# 4.6 GFLOP/s at V=32 (0.89 MFLOP per graph, 0.19 ms).  46 ms is 1 GFLOP at
+# the faster rate; the constant is twice that.
 _POOL_MIN_FLOPS = 2e9
-_GRAPH_FLOPS = 3.2e6
 
 
 def _forward_flops(config: ModelConfig) -> int:
@@ -606,12 +604,11 @@ def _forward_flops(config: ModelConfig) -> int:
 def _scoring_jobs(config: ModelConfig, graphs: int, chunk: int, jobs: int) -> int:
     """``jobs`` if min(jobs, chunks) workers, taking chunks in order as they
     free up, take more than ``_POOL_MIN_FLOPS`` of forward work off the parent
-    (all chunks minus the most loaded worker's, at ``_forward_flops`` plus
-    ``_GRAPH_FLOPS`` a graph), else 1."""
+    (all chunks minus the most loaded worker's), else 1."""
     loads = [0] * min(jobs, -(-graphs // chunk))
     for start in range(0, graphs, chunk):
         heapq.heapreplace(loads, loads[0] + min(chunk, graphs - start))
-    saved = (graphs - max(loads, default=0)) * (_forward_flops(config) + _GRAPH_FLOPS)
+    saved = (graphs - max(loads, default=0)) * _forward_flops(config)
     return jobs if saved > _POOL_MIN_FLOPS else 1
 
 

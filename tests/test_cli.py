@@ -1008,6 +1008,63 @@ def test_eval_refuses_to_overwrite_before_reading_any_input(tmp_path, run_cli, m
     assert _tree(tmp_path) == {"m.csv": b"old"}
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_ablate_saving_models_under_a_file_is_refused_before_training(tiny_workspace, tmp_path, run_cli,
+                                                                     monkeypatch, force):
+    real, calls = bnt.cli.train, []
+    monkeypatch.setattr(bnt.cli, "train", lambda *args: calls.append(args) or real(*args))
+    (tmp_path / "models").write_text("not a directory")
+    if force:
+        (tmp_path / "ablate.csv").write_text("old csv")
+        (tmp_path / "ablate.csv.manifest").write_text("old manifest")
+    before = _tree(tmp_path)
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
+                            tiny_workspace["split"], "--clusters", "2", "--seeds", "0", "--epochs", "1",
+                            "--jobs", "1", "--save-models", str(tmp_path / "models"),
+                            "--out", str(tmp_path / "ablate.csv"), *(["--force"] if force else [])])
+    model = tmp_path / "models" / "ocread_orthonormal_k2_seed0.bnt"
+    assert (code, err) == (2, f"data error: [Errno 20] Not a directory: '{model}'\n")
+    assert calls == [] and _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("parent, error", [("nosuch", "[Errno 2] No such file or directory"),
+                                           ("afile", "[Errno 20] Not a directory")])
+def test_a_file_output_is_not_given_a_directory(tmp_path, run_cli, parent, error):
+    # Only train's run directory and ablate's --save-models are made for the
+    # command; a single-file output needs its directory to exist.
+    (tmp_path / "afile").write_text("x")
+    out = tmp_path / parent / "d.bntd"
+    code, _, err = run_cli(["generate", "--nodes", "8", "--modules", "2", "--subjects-per-class", "4",
+                            "--out", str(out)])
+    assert (code, err) == (2, f"data error: {error}: '{out}'\n")
+    assert _tree(tmp_path) == {"afile": b"x"}
+
+
+def test_ctrl_c_while_outputs_move_waits_until_all_are_in_place(tmp_path, run_cli, monkeypatch):
+    real, calls = os.replace, []
+
+    def interrupted_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            signal.raise_signal(signal.SIGINT)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted_second)
+    code, out, err = run_cli(["verify-theory", "--mode", "vif", "--out", str(tmp_path / "t")])
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert sorted(_tree(tmp_path)) == ["t.csv", "t.manifest", "t.txt"]
+
+
+def test_a_forced_rerun_replaces_each_output_instead_of_writing_into_it(tmp_path, run_cli):
+    argv = ["generate", "--nodes", "8", "--modules", "2", "--subjects-per-class", "4",
+            "--out", str(tmp_path / "d.bntd")]
+    assert run_cli(argv)[0] == 0
+    old = (tmp_path / "d.bntd").read_bytes()
+    os.link(tmp_path / "d.bntd", tmp_path / "kept.bntd")
+    assert run_cli([*argv, "--seed", "9", "--force"])[0] == 0
+    assert (tmp_path / "kept.bntd").read_bytes() == old != (tmp_path / "d.bntd").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # process-level entry
 

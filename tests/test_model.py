@@ -547,19 +547,6 @@ def test_the_pool_rule_counts_the_work_a_second_worker_takes_off():
     assert jobs(cc200, 16, 16, 2) == jobs(cc200, 0, 16, 2) == jobs(cc200, 120, 16, 1) == 1
 
 
-def test_the_pool_rule_charges_a_fixed_cost_per_graph():
-    # A V=32 graph costs its 0.885 MFLOP plus 3.2 MFLOP, so a second worker
-    # must take about 490 graphs: V=32 scoring pools from about 1,000 graphs.
-    cc200, v32 = ModelConfig(nodes=200), ModelConfig(nodes=32)
-    jobs = bnt.model._scoring_jobs
-    assert jobs(v32, 960, 16, 2) == jobs(v32, 960, 1, 2) == 1  # 480 graphs off the parent
-    assert jobs(v32, 992, 16, 2) == jobs(v32, 1000, 1, 2) == jobs(v32, 4500, 16, 2) == 2
-    # the benchmark's decisions: sweep-v32's 80 graphs and the cohort's 20-graph
-    # validation pass stay inline, its 120-graph test split pools
-    assert jobs(v32, 80, 16, 2) == jobs(v32, 80, 1, 2) == jobs(cc200, 20, 16, 2) == 1
-    assert jobs(cc200, 120, 16, 2) == jobs(cc200, 120, 1, 2) == 2
-
-
 @pytest.mark.parametrize("v, n", [(32, 80), (200, 20)])
 def test_scoring_under_the_pool_threshold_starts_no_pool(monkeypatch, v, n):
     def no_pool(*args):
