@@ -64,7 +64,7 @@ from .data import (
     write_dataset,
 )
 from .linalg import DegenerateBasisError, EigenConvergenceError, gram_schmidt
-from .metrics import difference_score
+from .metrics import difference_score, format_metric
 from .model import CentersMode, FeatureMode, ModelConfig, ModelParams, Readout, score_chunks
 from .rng import Rng
 from .theory import (
@@ -131,12 +131,14 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Opt:
-    name: str  # argparse dest and config-file key
-    flag: str
+    name: str  # argparse dest and config-file key; the flag is --name, dashed
     parse: Callable[[str], object]
     default: object
     help: str
-    seed_like: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
 def _parse_int(text: str) -> int:
@@ -200,7 +202,6 @@ _MAX_JOBS = 64
 # ablate runs, Monte Carlo blocks and scoring chunks in worker processes
 _JOBS_OPT = _Opt(
     "jobs",
-    "--jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
     f"worker processes, 1..{_MAX_JOBS}, at most one per run, block or scoring chunk; "
@@ -212,84 +213,75 @@ _TRAIN_DEFAULTS = TrainConfig()
 _MODEL_DEFAULTS = ModelConfig(nodes=8)  # dummy nodes; only shared defaults read
 
 _GENERATE_OPTS = [
-    _Opt("out", "--out", str, _REQUIRED, "output dataset path"),
-    _Opt("nodes", "--nodes", _parse_int, _GEN_DEFAULTS.nodes, "nodes per graph"),
-    _Opt("modules", "--modules", _parse_int, _GEN_DEFAULTS.modules, "planted module count"),
+    _Opt("out", str, _REQUIRED, "output dataset path"),
+    _Opt("nodes", _parse_int, _GEN_DEFAULTS.nodes, "nodes per graph"),
+    _Opt("modules", _parse_int, _GEN_DEFAULTS.modules, "planted module count"),
     _Opt(
         "subjects_per_class",
-        "--subjects-per-class",
         _parse_int,
         _GEN_DEFAULTS.subjects_per_class,
         "subjects per class (two classes)",
     ),
-    _Opt("sites", "--sites", _parse_int, _GEN_DEFAULTS.sites, "collection site count"),
-    _Opt("within", "--within", _parse_float, _GEN_DEFAULTS.within_strength, "within-module signal strength"),
+    _Opt("sites", _parse_int, _GEN_DEFAULTS.sites, "collection site count"),
+    _Opt("within", _parse_float, _GEN_DEFAULTS.within_strength, "within-module signal strength"),
     _Opt(
         "between0",
-        "--between0",
         _parse_float,
         _GEN_DEFAULTS.between_strength_class0,
         "between-module mixing for class 0",
     ),
     _Opt(
         "between1",
-        "--between1",
         _parse_float,
         _GEN_DEFAULTS.between_strength_class1,
         "between-module mixing for class 1",
     ),
-    _Opt("site_noise", "--site-noise", _parse_float, _GEN_DEFAULTS.site_noise, "site effect scale"),
+    _Opt("site_noise", _parse_float, _GEN_DEFAULTS.site_noise, "site effect scale"),
     _Opt(
         "series_length",
-        "--series-length",
         _parse_int,
         _GEN_DEFAULTS.series_length,
         "synthetic time-series length",
     ),
-    _Opt("seed", "--seed", _parse_int, _GEN_DEFAULTS.seed, "generator seed", seed_like=True),
+    _Opt("seed", _parse_int, _GEN_DEFAULTS.seed, "generator seed"),
 ]
 
 _SPLIT_OPTS = [
-    _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
-    _Opt("out", "--out", str, _REQUIRED, "output split-plan path"),
+    _Opt("dataset", str, _REQUIRED, "input dataset path"),
+    _Opt("out", str, _REQUIRED, "output split-plan path"),
     _Opt(
         "fractions",
-        "--fractions",
         _parse_fractions,
         (0.7, 0.1, 0.2),
         "train,val,test fractions summing to 1",
     ),
-    _Opt("seed", "--seed", _parse_int, 0, "shuffle seed", seed_like=True),
+    _Opt("seed", _parse_int, 0, "shuffle seed"),
 ]
 
 
 _MODEL_OPTS = [
-    _Opt("layers", "--layers", _parse_int, _MODEL_DEFAULTS.layers, "attention layers"),
-    _Opt("heads", "--heads", _parse_int, _MODEL_DEFAULTS.heads, "attention heads per layer"),
+    _Opt("layers", _parse_int, _MODEL_DEFAULTS.layers, "attention layers"),
+    _Opt("heads", _parse_int, _MODEL_DEFAULTS.heads, "attention heads per layer"),
     _Opt(
         "head_dim",
-        "--head-dim",
         _parse_int,
         None,
         "per-head width (default: ceil(nodes/heads))",
     ),
     _Opt(
         "mlp_hidden",
-        "--mlp-hidden",
         _parse_int_list,
         tuple(_MODEL_DEFAULTS.mlp_hidden),
         "classifier hidden widths, comma-separated",
     ),
     _Opt(
         "features",
-        "--features",
         _parse_feature,
         _MODEL_DEFAULTS.feature_mode,
         "node features: profile | profile_identity | profile_eigen",
     ),
     _Opt(
         "k_eigen",
-        "--k-eigen",
         _parse_int,
         _MODEL_DEFAULTS.k_eigen,
         "eigenvector count for profile_eigen features",
@@ -297,102 +289,95 @@ _MODEL_OPTS = [
 ]
 
 _HYPER_OPTS = [
-    _Opt("lr", "--lr", _parse_float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
+    _Opt("lr", _parse_float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
     _Opt(
         "weight_decay",
-        "--weight-decay",
         _parse_float,
         _TRAIN_DEFAULTS.weight_decay,
         "l2 penalty added to gradients",
     ),
-    _Opt("batch_size", "--batch-size", _parse_int, _TRAIN_DEFAULTS.batch_size, "minibatch size"),
-    _Opt("epochs", "--epochs", _parse_int, _TRAIN_DEFAULTS.epochs, "training epochs"),
+    _Opt("batch_size", _parse_int, _TRAIN_DEFAULTS.batch_size, "minibatch size"),
+    _Opt("epochs", _parse_int, _TRAIN_DEFAULTS.epochs, "training epochs"),
 ]
 
 
 _TRAIN_OPTS = (
     [
-        _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
-        _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
-        _Opt("out", "--out", str, _REQUIRED, "output run directory"),
-        _Opt("readout", "--readout", _parse_readout, _MODEL_DEFAULTS.readout, "graph readout kind"),
+        _Opt("dataset", str, _REQUIRED, "input dataset path"),
+        _Opt("split", str, _REQUIRED, "input split-plan path"),
+        _Opt("out", str, _REQUIRED, "output run directory"),
+        _Opt("readout", _parse_readout, _MODEL_DEFAULTS.readout, "graph readout kind"),
         _Opt(
             "centers",
-            "--centers",
             _parse_centers,
             _MODEL_DEFAULTS.centers_mode,
             "cluster centers: orthonormal | random | learnable",
         ),
-        _Opt("clusters", "--clusters", _parse_int, _MODEL_DEFAULTS.clusters, "readout cluster count"),
+        _Opt("clusters", _parse_int, _MODEL_DEFAULTS.clusters, "readout cluster count"),
     ]
     + _MODEL_OPTS
     + _HYPER_OPTS
-    + [_Opt("seed", "--seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed", seed_like=True),
+    + [_Opt("seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed"),
        _JOBS_OPT]
 )
 
 _EVAL_OPTS = [
-    _Opt("checkpoint", "--checkpoint", str, None, "model checkpoint path"),
-    _Opt("dataset", "--dataset", str, None, "input dataset path"),
-    _Opt("split", "--split", str, None, "input split-plan path"),
-    _Opt("out", "--out", str, _REQUIRED, "output metrics CSV path"),
-    _Opt("report", "--report", str, None, "train report providing the seed column"),
-    _Opt("run_id", "--run-id", str, None, "row label (default: checkpoint stem)"),
+    _Opt("checkpoint", str, None, "model checkpoint path"),
+    _Opt("dataset", str, None, "input dataset path"),
+    _Opt("split", str, None, "input split-plan path"),
+    _Opt("out", str, _REQUIRED, "output metrics CSV path"),
+    _Opt("report", str, None, "train report providing the seed column"),
+    _Opt("run_id", str, None, "row label (default: checkpoint stem)"),
     _JOBS_OPT,
 ]
 
 _THEORY_OPTS = [
-    _Opt("out", "--out", str, _REQUIRED, "output prefix (writes PREFIX.csv/.txt/.manifest)"),
-    _Opt("mode", "--mode", _parse_theory_mode, "all", "which checks to run: mc | 2d | vif | all"),
-    _Opt("r", "--r", _parse_float, 3.0, "ball / disc radius"),
-    _Opt("samples", "--samples", _parse_int, 1_000_000, "Monte Carlo sample count"),
-    _Opt("nodes", "--nodes", _parse_int, 8, "embedding dimension for the mc check"),
-    _Opt("clusters", "--clusters", _parse_int, 4, "cluster count for the mc check"),
-    _Opt("cosine", "--cosine", _parse_float, 0.5, "pairwise cosine of the correlated centers"),
-    _Opt("quad_nodes", "--quad-nodes", _parse_int, 64, "quadrature nodes per axis (2d mode)"),
+    _Opt("out", str, _REQUIRED, "output prefix (writes PREFIX.csv/.txt/.manifest)"),
+    _Opt("mode", _parse_theory_mode, "all", "which checks to run: mc | 2d | vif | all"),
+    _Opt("r", _parse_float, 3.0, "ball / disc radius"),
+    _Opt("samples", _parse_int, 1_000_000, "Monte Carlo sample count"),
+    _Opt("nodes", _parse_int, 8, "embedding dimension for the mc check"),
+    _Opt("clusters", _parse_int, 4, "cluster count for the mc check"),
+    _Opt("cosine", _parse_float, 0.5, "pairwise cosine of the correlated centers"),
+    _Opt("quad_nodes", _parse_int, 64, "quadrature nodes per axis (2d mode)"),
     _JOBS_OPT,
-    _Opt("seed", "--seed", _parse_int, 0, "sampling seed", seed_like=True),
+    _Opt("seed", _parse_int, 0, "sampling seed"),
 ]
 
 _EXPORT_OPTS = [
-    _Opt("checkpoint", "--checkpoint", str, _REQUIRED, "model checkpoint path"),
-    _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
-    _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
-    _Opt("out", "--out", str, _REQUIRED, "output assignments CSV path"),
+    _Opt("checkpoint", str, _REQUIRED, "model checkpoint path"),
+    _Opt("dataset", str, _REQUIRED, "input dataset path"),
+    _Opt("split", str, _REQUIRED, "input split-plan path"),
+    _Opt("out", str, _REQUIRED, "output assignments CSV path"),
     _JOBS_OPT,
 ]
 
 _ABLATE_OPTS = (
     [
-        _Opt("dataset", "--dataset", str, _REQUIRED, "input dataset path"),
-        _Opt("split", "--split", str, _REQUIRED, "input split-plan path"),
-        _Opt("out", "--out", str, _REQUIRED, "output combined CSV path"),
+        _Opt("dataset", str, _REQUIRED, "input dataset path"),
+        _Opt("split", str, _REQUIRED, "input split-plan path"),
+        _Opt("out", str, _REQUIRED, "output combined CSV path"),
         _Opt(
             "readouts",
-            "--readouts",
             _parse_readout_list,
             (Readout.OCREAD,),
             "readouts to sweep, comma-separated",
         ),
         _Opt(
             "centers",
-            "--centers",
             _parse_centers_list,
             (CentersMode.ORTHONORMAL, CentersMode.RANDOM_UNIT),
             "center modes to sweep (only affect the ocread readout)",
         ),
-        _Opt("clusters", "--clusters", _parse_int_list, (4,), "cluster counts to sweep"),
+        _Opt("clusters", _parse_int_list, (4,), "cluster counts to sweep"),
         _Opt(
             "seeds",
-            "--seeds",
             _parse_int_list,
             (0, 1, 2, 3, 4),
             "training seeds to sweep",
-            seed_like=True,
         ),
         _Opt(
             "save_models",
-            "--save-models",
             str,
             None,
             "directory receiving one checkpoint per run",
@@ -440,7 +425,7 @@ def _resolve(args, opts) -> dict:
         source = opt.flag
         if raw is None and opt.name in config_values:
             raw, source = config_values[opt.name], f"config key '{opt.name}'"
-        if raw is None and opt.seed_like and env_seed is not None:
+        if raw is None and opt.name in ("seed", "seeds") and env_seed is not None:
             raw, source = env_seed, ENV_SEED
         if raw is None:
             if opt.default is _REQUIRED:
@@ -502,17 +487,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _fmt_metric(value) -> str:
-    return "undefined" if value is None else repr(float(value))
-
-
 def _summary_rows(columns, lead):
     """The mean and std rows over metric ``columns``: ``lead(stat)`` then one
     cell per column, "undefined" where the column holds an undefined (None)
     value."""
     return [
         lead(stat) + [
-            _fmt_metric(None if any(v is None for v in column) else reducer([float(v) for v in column]))
+            format_metric(None if any(v is None for v in column) else reducer([float(v) for v in column]))
             for column in columns
         ]
         for stat, reducer in (("mean", statistics.fmean), ("std", statistics.pstdev))
@@ -538,7 +519,7 @@ def _load_text(path, what: str, parse, error=DataError):
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}")
     try:
         return parse(text)
@@ -553,38 +534,29 @@ def _load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {exc}")
 
 
-def _select_graphs(graphs, ids, what: str):
-    by_id = {g.subject_id: g for g in graphs}
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise DataError(f"{what} references subject id {missing[0]} absent from the dataset")
-    return [by_id[i] for i in ids]
+def _load_plan(opt, graphs, names=("train", "val", "test")):
+    """The --split plan and the graphs of its named lists; a plan that does
+    not fit ``graphs`` (``SplitPlan.select``) is a data error naming the file."""
 
+    def parse(text):
+        plan = SplitPlan.from_text(text)
+        return plan, plan.select(graphs, names)
 
-def _check_plan_classes(plan: SplitPlan, graphs, where: str) -> None:
-    """DataError unless every id of the plan is in the dataset and train and
-    val each hold both classes, as training needs."""
-    for name in ("train", "val", "test"):
-        ids = getattr(plan, name)
-        classes = {g.label for g in _select_graphs(graphs, ids, f"{where}: {name} list")}
-        if name != "test" and classes != {0, 1}:
-            held = f"holds only class {classes.pop()}" if ids else "is empty"
-            raise DataError(f"{where}: the {name} list {held}; train and val need both classes")
+    return _load_text(opt["split"], "split plan", parse)
 
 
 def _load_training_inputs(opt):
     """The dataset, its node count and the checked split plan that train and ablate read."""
     graphs = _load_dataset(opt["dataset"])
-    plan = _load_text(opt["split"], "split plan", SplitPlan.from_text)
-    _check_plan_classes(plan, graphs, opt["split"])
+    plan, _ = _load_plan(opt, graphs)
     return graphs, graphs[0].matrix.shape[0], plan
 
 
 def _load_test_graphs(opt, config):
     """The test split's graphs, for a checkpoint of ``config``."""
     graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
-    plan = _load_text(opt["split"], "split plan", SplitPlan.from_text)
-    return _select_graphs(graphs, plan.test, "test split")
+    _, (test_graphs,) = _load_plan(opt, graphs, ("test",))
+    return test_graphs
 
 
 # A ValueError from a spec's or config's validate() is a usage error (exit
@@ -651,7 +623,7 @@ def _split(opt, args, staged):
     graphs = _load_dataset(opt["dataset"])
     splitter = random_split if args.no_stratify else stratified_split
     plan = splitter(graphs, opt["fractions"], Rng(opt["seed"]))
-    _check_plan_classes(plan, graphs, "split refused")
+    plan.select(graphs)  # refuses a plan that training could not use
     _write_text(staged["split"], plan.to_text())
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -668,8 +640,8 @@ def _train(opt, args, staged):
     save_checkpoint(staged["checkpoint"], params, model_config)
     _write_text(staged["report"], report.to_text())
     test = report.test
-    line = (f"selected epoch {report.selected_epoch}; test auroc {_fmt_metric(test.auroc)} "
-            f"accuracy {_fmt_metric(test.accuracy)} -> {opt['out']}")
+    line = (f"selected epoch {report.selected_epoch}; test auroc {format_metric(test.auroc)} "
+            f"accuracy {format_metric(test.accuracy)} -> {opt['out']}")
     inputs = {"dataset": opt["dataset"], "split": opt["split"]}
     return inputs, {"nodes": nodes, "head_dim": model_config.head_dim}, line
 
@@ -695,9 +667,9 @@ def _eval(opt, args, staged):
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]
 
-    row = [run_id, seed] + [_fmt_metric(getattr(result, m)) for m in _METRIC_FIELDS]
+    row = [run_id, seed] + [format_metric(getattr(result, m)) for m in _METRIC_FIELDS]
     _write_csv(staged["metrics"], EVAL_HEADER, [row])
-    line = (f"{run_id}: auroc {_fmt_metric(result.auroc)} accuracy {_fmt_metric(result.accuracy)} "
+    line = (f"{run_id}: auroc {format_metric(result.auroc)} accuracy {format_metric(result.accuracy)} "
             f"({result.n_pos} pos / {result.n_neg} neg) -> {opt['out']}")
     inputs = {name: opt[name] for name in ("checkpoint", "dataset", "split")}
     return inputs, {"aggregate": False}, line
@@ -734,7 +706,7 @@ def _eval_aggregate(opt, args, staged):
                     if row[0] in ("mean", "std"):
                         continue  # already-aggregated rows are not data
                     rows.append(row)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read metrics CSV {path}: {exc}")
     if not rows:
         raise DataError("no data rows found in the input CSVs")
@@ -935,9 +907,9 @@ def _ablate(opt, args, staged):
                         str(seed),
                         str(report.selected_epoch),
                     ]
-                    + [_fmt_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
+                    + [format_metric(getattr(report.test, m)) for m in _METRIC_FIELDS]
                 )
-                print(f"[ablate] {run}: auroc {_fmt_metric(report.test.auroc)}", file=sys.stderr)
+                print(f"[ablate] {run}: auroc {format_metric(report.test.auroc)}", file=sys.stderr)
             columns = [[getattr(t, m) for t in tests] for m in _METRIC_FIELDS]
             rows += _summary_rows(columns, lambda stat: [readout.value, centers.value, str(clusters), stat, ""])
 

@@ -81,6 +81,10 @@ class VMismatchError(DatasetFormatError):
     """Graph size disagrees with the file header or with other graphs."""
 
 
+class SplitError(DatasetFormatError, ValueError):
+    """A split plan that leaks or does not fit its dataset."""
+
+
 @dataclass
 class ConnectivityGraph:
     subject_id: int
@@ -338,15 +342,35 @@ class SplitPlan:
         return plan
 
     def validate(self):
-        """Raise ValueError if an id repeats within a list or sits in two
+        """Raise SplitError if an id repeats within a list or sits in two
         lists, so no subject can leak from one split into another."""
         seen: dict[int, str] = {}
         for name in ("train", "val", "test"):
             for i in getattr(self, name):
                 if i in seen:
                     where = f"twice in {name}" if seen[i] == name else f"in both {seen[i]} and {name}"
-                    raise ValueError(f"subject id {i} appears {where}")
+                    raise SplitError(f"subject id {i} appears {where}")
                 seen[i] = name
+
+    def select(self, graphs, names=("train", "val", "test")) -> list[list[ConnectivityGraph]]:
+        """The graphs of each named list, in list order.  SplitError if the
+        plan leaks (``validate``), if a named list holds an id that ``graphs``
+        lacks, or if train or val is empty or holds one class: training needs
+        both classes for its loss and for model selection."""
+        self.validate()
+        by_id = {g.subject_id: g for g in graphs}
+        selected = []
+        for name in names:
+            ids = getattr(self, name)
+            missing = [i for i in ids if i not in by_id]
+            if missing:
+                raise SplitError(f"{name} list references subject id {missing[0]} absent from the dataset")
+            selected.append([by_id[i] for i in ids])
+            classes = {g.label for g in selected[-1]}
+            if name != "test" and classes != {0, 1}:
+                held = f"holds only class {classes.pop()}" if ids else "is empty"
+                raise SplitError(f"the {name} list {held}; train and val need both classes")
+        return selected
 
 
 def _check_fractions(fractions):
@@ -371,6 +395,22 @@ def _largest_remainder(n: int, fractions) -> list[int]:
     return base.tolist()
 
 
+def _deal(cells, fractions, rng: Rng, stratified: bool) -> SplitPlan:
+    """Shuffle each cell of subject ids in turn and deal it to train, val
+    and test by largest remainder; each list ends sorted."""
+    plan = SplitPlan([], [], [], _check_fractions(fractions), seed=rng.seed, stratified=stratified)
+    buckets = (plan.train, plan.val, plan.test)
+    for ids in cells:
+        perm = rng.shuffle(len(ids))
+        pos = 0
+        for bucket, c in zip(buckets, _largest_remainder(len(ids), plan.fractions)):
+            bucket.extend(ids[i] for i in perm[pos : pos + c])
+            pos += c
+    for bucket in buckets:
+        bucket.sort()
+    return plan
+
+
 def stratified_split(graphs, fractions, rng: Rng) -> SplitPlan:
     """Split subjects into train/val/test, stratified by (site, label).
 
@@ -379,45 +419,20 @@ def stratified_split(graphs, fractions, rng: Rng) -> SplitPlan:
     deviates from its proportional share by at most 1.  ``graphs`` only
     needs ``subject_id``/``site``/``label`` attributes.
     """
-    fractions = _check_fractions(fractions)
     cells: dict[tuple[int, int], list[int]] = {}
     for g in graphs:
         cells.setdefault((g.site, g.label), []).append(g.subject_id)
-
-    plan = SplitPlan([], [], [], fractions, seed=rng.seed, stratified=True)
-    n_active = sum(1 for f in fractions if f > 0)
-    buckets = (plan.train, plan.val, plan.test)
-    for key in sorted(cells):
-        ids = cells[key]
+    plan = _deal([cells[key] for key in sorted(cells)], fractions, rng, stratified=True)
+    n_active = sum(1 for f in plan.fractions if f > 0)
+    for (site, label), ids in sorted(cells.items()):
         if len(ids) < n_active:
             plan.warnings.append(
-                f"cell site={key[0]} label={key[1]} has {len(ids)} subjects "
+                f"cell site={site} label={label} has {len(ids)} subjects "
                 f"for {n_active} non-empty splits"
             )
-        perm = rng.shuffle(len(ids))
-        shuffled = [ids[i] for i in perm]
-        counts = _largest_remainder(len(ids), fractions)
-        pos = 0
-        for bucket, c in zip(buckets, counts):
-            bucket.extend(shuffled[pos : pos + c])
-            pos += c
-    for bucket in buckets:
-        bucket.sort()
     return plan
 
 
 def random_split(graphs, fractions, rng: Rng) -> SplitPlan:
-    """Plain shuffled split without stratification."""
-    fractions = _check_fractions(fractions)
-    ids = [g.subject_id for g in graphs]
-    perm = rng.shuffle(len(ids))
-    shuffled = [ids[i] for i in perm]
-    counts = _largest_remainder(len(ids), fractions)
-    plan = SplitPlan([], [], [], fractions, seed=rng.seed, stratified=False)
-    pos = 0
-    for bucket, c in zip((plan.train, plan.val, plan.test), counts):
-        bucket.extend(shuffled[pos : pos + c])
-        pos += c
-    for bucket in (plan.train, plan.val, plan.test):
-        bucket.sort()
-    return plan
+    """Plain shuffled split without stratification: one cell of every subject."""
+    return _deal([[g.subject_id for g in graphs]], fractions, rng, stratified=False)

@@ -19,6 +19,11 @@ class EvalResult:
     n_neg: int
 
 
+def format_metric(value) -> str:
+    """A metric as report and CSV text: "undefined" for None, else the float's repr."""
+    return "undefined" if value is None else repr(float(value))
+
+
 def _check_scores_labels(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)

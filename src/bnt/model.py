@@ -240,25 +240,27 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
 
 
 def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
-    """Node feature matrix for one graph.
+    """Node feature matrices of one graph (V, V) or of a batch (..., V, V).
 
     PROFILE keeps the connection profile rows as they are;
     PROFILE_IDENTITY appends a one-hot node identity block;
     PROFILE_EIGEN appends the top k_eigen eigenvectors (as columns) of
-    the symmetric input.
+    each symmetric input, one eigendecomposition per graph.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    v = x.shape[0]
+    if x.ndim < 2 or x.shape[-2] != x.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {x.shape}")
+    v = x.shape[-1]
     if mode is FeatureMode.PROFILE:
         return x
     if mode is FeatureMode.PROFILE_IDENTITY:
-        return np.hstack([x, np.eye(v)])
+        return np.concatenate([x, np.broadcast_to(np.eye(v), x.shape)], axis=-1)
     if not 1 <= k_eigen <= v:
         raise ValueError(f"k_eigen must be in 1..{v}, got {k_eigen}")
-    _, vecs = linalg.symmetric_eigendecomposition(x)
-    return np.hstack([x, vecs[:, :k_eigen]])
+    vecs = np.empty(x.shape[:-1] + (k_eigen,))
+    for index in np.ndindex(x.shape[:-2]):
+        vecs[index] = linalg.symmetric_eigendecomposition(x[index])[1][:, :k_eigen]
+    return np.concatenate([x, vecs], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +402,6 @@ class _BatchTrace:
         self.logits = None
 
 
-def _features_batch(x: np.ndarray, config: ModelConfig) -> np.ndarray:
-    if config.feature_mode is FeatureMode.PROFILE:
-        return x
-    return np.stack([node_feature(xi, config.feature_mode, config.k_eigen) for xi in x])
-
-
 def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: _Workspace) -> _BatchTrace:
     """Forward pass over x (B, V, V) into ``ws``, a ``_Workspace`` for >= B
     graphs.  A training workspace keeps every layer's cache for the backward;
@@ -419,7 +415,7 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: 
         raise ValueError(f"workspace holds {ws.graphs} graphs, got {b}")
 
     tr = _BatchTrace()
-    z = _features_batch(x, config)
+    z = node_feature(x, config.feature_mode, config.k_eigen)
     tr.z.append(z)
     for layer, buf in zip(params.layers, ws.layers):
         z, cache = _mhsa_forward(z, layer, buf)

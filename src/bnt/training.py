@@ -131,10 +131,6 @@ class TrainReport:
 
     def to_text(self) -> str:
         mc, tc = self.model_config, self.train_config
-
-        def fmt(x):
-            return "undefined" if x is None else repr(float(x))
-
         lines = [
             "kind = train_report",
             f"seed = {self.seed}",
@@ -156,10 +152,10 @@ class TrainReport:
             f"train.epochs = {tc.epochs}",
             "train_loss = " + " ".join(repr(x) for x in self.train_loss),
             "val_auroc = " + " ".join(repr(x) for x in self.val_auroc),
-            f"test.auroc = {fmt(self.test.auroc)}",
-            f"test.accuracy = {fmt(self.test.accuracy)}",
-            f"test.sensitivity = {fmt(self.test.sensitivity)}",
-            f"test.specificity = {fmt(self.test.specificity)}",
+            f"test.auroc = {metrics_mod.format_metric(self.test.auroc)}",
+            f"test.accuracy = {metrics_mod.format_metric(self.test.accuracy)}",
+            f"test.sensitivity = {metrics_mod.format_metric(self.test.sensitivity)}",
+            f"test.specificity = {metrics_mod.format_metric(self.test.specificity)}",
             f"test.n_pos = {self.test.n_pos}",
             f"test.n_neg = {self.test.n_neg}",
         ]
@@ -253,22 +249,12 @@ def train(
     jobs: int = 1,
 ) -> tuple[ModelParams, TrainReport]:
     """Train on the plan's train ids, select on val AUROC, report on test.
+    A plan that does not fit ``graphs`` raises ``SplitError`` (``SplitPlan.select``).
     Validation and test scoring use up to ``jobs`` processes where that pays
     (``model.predict_proba``); nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
-    plan.validate()
-    by_id = {g.subject_id: g for g in graphs}
-    missing = [i for ids in (plan.train, plan.val, plan.test) for i in ids if i not in by_id]
-    if missing:
-        raise ValueError(f"split references unknown subject ids, e.g. {missing[0]}")
-    train_graphs = [by_id[i] for i in plan.train]
-    val_graphs = [by_id[i] for i in plan.val]
-    test_graphs = [by_id[i] for i in plan.test]
-    if not train_graphs:
-        raise ValueError("training split is empty")
-    if {g.label for g in val_graphs} != {0, 1}:
-        raise ValueError("validation split must contain both classes for model selection")
+    train_graphs, val_graphs, test_graphs = plan.select(graphs)
 
     rng = Rng(train_config.seed)
     params = init_params(model_config, rng.derive(_INIT_STREAM))

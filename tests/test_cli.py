@@ -170,6 +170,21 @@ def test_config_file_supplies_and_loses_to_flags(tmp_path, run_cli):
         assert f.read() != g.read()
 
 
+def test_env_seed_sets_only_the_seed_options(monkeypatch):
+    monkeypatch.setenv("BNT_SEED", "7")
+    for name, command in bnt.cli._COMMANDS.items():
+        required = [opt.name for opt in command.opts if opt.default is bnt.cli._REQUIRED]
+        argv = [name] + [f"--{opt.replace('_', '-')}={opt}" for opt in required]
+        resolved = bnt.cli._resolve(bnt.cli.build_parser().parse_args(argv), command.opts)
+        for opt in command.opts:
+            if opt.name in required:
+                assert resolved[opt.name] == opt.name
+            elif opt.name in ("seed", "seeds"):
+                assert resolved[opt.name] == opt.parse("7"), (name, opt.name)
+            else:
+                assert resolved[opt.name] == opt.default, (name, opt.name)
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, run_cli):
     config = tmp_path / "bad.cfg"
     config.write_text("bogus = 1\n")
@@ -837,6 +852,47 @@ def test_eval_report_without_auroc_is_a_data_error(tiny_workspace, tmp_path, run
         out, out + ".manifest",
     )
     assert "test.auroc" in err
+
+
+@pytest.mark.parametrize(
+    "what, argv",
+    [
+        ("split plan", lambda ws, bad, out: ["train", "--dataset", ws["dataset"], "--split", bad,
+                                             "--epochs", "1", "--out", out]),
+        ("train report", lambda ws, bad, out: ["eval", "--checkpoint", ws["checkpoint"], "--dataset",
+                                               ws["dataset"], "--split", ws["split"], "--report", bad,
+                                               "--out", out]),
+        ("metrics CSV", lambda ws, bad, out: ["eval", "--aggregate", bad, "--out", out]),
+    ],
+)
+def test_a_non_utf8_input_is_a_data_error_naming_the_file(tiny_workspace, tmp_path, run_cli, what, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("caf\xe9 = 1\n".encode("latin-1"))
+    out = str(tmp_path / "out")
+    err = _assert_data_error(run_cli(argv(tiny_workspace, str(bad), out)), out, out + ".manifest")
+    assert err.startswith(f"data error: cannot read {what} {bad}: 'utf-8' codec can't decode byte 0xe9"), err
+
+
+def test_a_non_utf8_config_file_is_a_usage_error_naming_the_file(tmp_path, run_cli):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("nodes = 12  # caf\xe9\n".encode("latin-1"))
+    out = tmp_path / "d.bntd"
+    code, _, err = run_cli(["generate", "--config", str(config), "--out", str(out)])
+    assert code == 1 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec can't decode"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-assignments"])
+def test_scoring_commands_refuse_an_unknown_test_id(tiny_workspace, tmp_path, run_cli, command):
+    split = _split_with_unknown_test_id(tiny_workspace, tmp_path)
+    out = str(tmp_path / "out.csv")
+    err = _assert_data_error(
+        run_cli([command, "--checkpoint", tiny_workspace["checkpoint"], "--dataset", tiny_workspace["dataset"],
+                 "--split", split, "--out", out]),
+        out, out + ".manifest",
+    )
+    assert err == f"data error: {split}: test list references subject id 999 absent from the dataset\n"
 
 
 def test_train_refuses_a_dataset_with_nan(tiny_workspace, tmp_path, run_cli):

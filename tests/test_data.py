@@ -1,5 +1,6 @@
 """Synthetic generator, binary dataset format, and split planning."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from bnt.data import (
     ConnectivityGraph,
     DatasetFormatError,
     GeneratorSpec,
+    SplitError,
     SplitPlan,
     TruncationError,
     VMismatchError,
@@ -317,6 +319,71 @@ def test_random_split_partitions(small_graphs):
     assert not plan.stratified
     all_ids = sorted(plan.train + plan.val + plan.test)
     assert all_ids == sorted(g.subject_id for g in small_graphs)
+
+
+# Duck-typed records over 3 sites with uneven cells, some too small for
+# three non-empty splits (so stratified plans carry warnings).
+_UNEVEN = [
+    ConnectivityGraph(subject_id=3 * i + 1, label=(i * i) % 2, site=i % 5 % 3, matrix=np.eye(1))
+    for i in range(23)
+]
+
+
+# Digests of each splitter's plan texts at seeds 0, 5, 17 and three fraction
+# triples: a split file must not change when the splitters' code does.
+@pytest.mark.parametrize(
+    "dataset, splitter, digest",
+    [
+        ("small", stratified_split, "bda0c64b7e9b84b3"),
+        ("small", random_split, "f5f41eb6ddefe776"),
+        ("uneven", stratified_split, "1580875d2daaac24"),
+        ("uneven", random_split, "c60773b58549923b"),
+        ("tiny", stratified_split, "0bf22e99b9315866"),
+        ("tiny", random_split, "d06995d2b587c0f6"),
+    ],
+)
+def test_split_plan_texts_are_pinned(small_graphs, dataset, splitter, digest):
+    graphs = {"small": small_graphs, "uneven": _UNEVEN, "tiny": _UNEVEN[:2]}[dataset]
+    texts = "".join(
+        splitter(graphs, fractions, Rng(seed)).to_text()
+        for seed in (0, 5, 17)
+        for fractions in ((0.7, 0.1, 0.2), (0.5, 0.25, 0.25), (0.6, 0.0, 0.4))
+    )
+    assert hashlib.sha256(texts.encode()).hexdigest()[:16] == digest
+
+
+def _alternating(n):
+    """Records with ids 10, 11, ... labelled 0, 1, 0, 1, ..."""
+    return [ConnectivityGraph(subject_id=10 + i, label=i % 2, site=0, matrix=np.eye(1)) for i in range(n)]
+
+
+def test_select_returns_each_named_list_in_list_order():
+    graphs = _alternating(6)
+    plan = SplitPlan([13, 10], [12, 11], [15, 14], (0.4, 0.3, 0.3))
+    assert [[g.subject_id for g in part] for part in plan.select(graphs)] == [[13, 10], [12, 11], [15, 14]]
+    # naming only the test list leaves train and val unchecked
+    plan = SplitPlan([99], [], [15, 14], (0.4, 0.3, 0.3))
+    assert [[g.subject_id for g in part] for part in plan.select(graphs, ("test",))] == [[15, 14]]
+
+
+@pytest.mark.parametrize(
+    "train, val, test, message",
+    [
+        ([10, 99], [12, 13], [14], "train list references subject id 99 absent from the dataset"),
+        ([10, 11], [12, 13], [14, 99], "test list references subject id 99 absent from the dataset"),
+        ([], [12, 13], [14], "the train list is empty; train and val need both classes"),
+        ([11, 13], [12, 15], [14], "the train list holds only class 1; train and val need both classes"),
+        ([10, 11], [], [14], "the val list is empty; train and val need both classes"),
+        ([10, 11], [12, 14], [13], "the val list holds only class 0; train and val need both classes"),
+        ([10, 11], [12, 13], [13], "subject id 13 appears in both val and test"),
+    ],
+)
+def test_select_refuses_a_plan_that_does_not_fit(train, val, test, message):
+    plan = SplitPlan(train, val, test, (0.4, 0.3, 0.3))
+    with pytest.raises(SplitError, match=f"^{message}$") as caught:
+        plan.select(_alternating(6))
+    # a data error to the CLI (exit 2), a ValueError to library callers
+    assert isinstance(caught.value, DatasetFormatError) and isinstance(caught.value, ValueError)
 
 
 def test_split_plan_text_roundtrip(small_graphs):

@@ -113,6 +113,14 @@ def test_node_feature_shapes_and_content():
     assert np.array_equal(with_id[:, 5:], np.eye(5))
 
 
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_node_feature_of_a_batch_matches_each_graph(mode):
+    batch = np.stack([_correlation_input(6, seed=s) for s in range(6)]).reshape(2, 3, 6, 6)
+    out = node_feature(batch, mode, k_eigen=2)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(out[index], node_feature(batch[index], mode, k_eigen=2))
+
+
 def test_node_feature_eigen_columns_are_eigenvectors():
     x = _correlation_input(6, seed=2)
     out = node_feature(x, FeatureMode.PROFILE_EIGEN, k_eigen=2)

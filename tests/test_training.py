@@ -148,6 +148,17 @@ def test_train_rejects_bad_splits():
         train(graphs, leaky, config, tc)
 
 
+def test_train_refuses_a_one_class_train_list():
+    graphs, plan, config = _workbench()
+    ones = {g.subject_id for g in graphs if g.label == 1}
+    one_class_train = type(plan)(
+        train=[i for i in plan.train if i in ones], val=plan.val, test=plan.test,
+        fractions=plan.fractions,
+    )
+    with pytest.raises(ValueError, match="^the train list holds only class 1; train and val need both classes$"):
+        train(graphs, one_class_train, config, TrainConfig(epochs=1))
+
+
 @pytest.mark.parametrize("batch_size,what", [(4, "loss"), (64, "validation scores")])
 def test_train_divergence_names_the_epoch_without_warnings(batch_size, what):
     # lr 1e300: the first step's weights overflow the next forward, which is

@@ -11,9 +11,10 @@ prints one line per output file:
 Manifests are compared too, with only their ``duration_seconds`` value
 masked: the chain runs in its own directory with relative paths, so every
 other line, key order included, must match.  The chain is the
-criterion-10 chain (generate, split, 2-epoch train, eval), ``--centers
-learnable``, ``--centers random --weight-decay 0`` (random-unit centers,
-Adam without decay), ``--readout mean``, ``--features profile_identity`` and
+criterion-10 chain (generate, split, 2-epoch train, eval), a ``split
+--no-stratify``, ``--centers learnable``, ``--centers random
+--weight-decay 0`` (random-unit centers, Adam without decay), ``--readout
+mean``, ``--features profile_identity`` and
 ``--features profile_eigen`` trains with their evals, a 3-layer train and
 eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
@@ -61,6 +62,8 @@ def chain() -> list[list[str]]:
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "10", "--sites", "2",
          "--series-length", "48", "--seed", "11", "--out", small[0]],
         ["split", "--dataset", small[0], "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", small[1]],
+        ["split", "--dataset", small[0], "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "3",
+         "--out", "random_split.txt"],
         *train("run", *small, "--epochs", "2"),
         *train("learnable", *small, "--epochs", "2", "--centers", "learnable"),
         *train("random", *small, "--epochs", "2", "--centers", "random", "--weight-decay", "0"),
