@@ -46,7 +46,7 @@ import signal
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -183,7 +183,7 @@ def _parse_fractions(text: str):
     parts = _list_of(str)(text)
     if len(parts) != 3:
         raise ValueError("expected three comma-separated fractions, e.g. 0.7,0.1,0.2")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 _parse_readout = _choice({r.value: r for r in Readout})
@@ -559,33 +559,24 @@ def _load_test_graphs(opt, config):
     return test_graphs
 
 
-# A ValueError from a spec's or config's validate() is a usage error (exit
-# 1), as main maps it.
-def _build_model_config(opt, nodes, readout, centers, clusters) -> ModelConfig:
-    config = ModelConfig(
-        nodes=nodes,
-        layers=opt["layers"],
-        heads=opt["heads"],
-        clusters=clusters,
-        head_dim=opt["head_dim"],
-        mlp_hidden=tuple(opt["mlp_hidden"]),
-        readout=readout,
-        centers_mode=centers,
-        feature_mode=opt["features"],
-        k_eigen=opt["k_eigen"],
-    )
-    config.validate()
-    return config
+# The option of each config field not named after it.
+_OPTION_OF = {
+    "within_strength": "within",
+    "between_strength_class0": "between0",
+    "between_strength_class1": "between1",
+    "centers_mode": "centers",
+    "feature_mode": "features",
+}
 
 
-def _build_train_config(opt, seed) -> TrainConfig:
-    config = TrainConfig(
-        lr=opt["lr"],
-        weight_decay=opt["weight_decay"],
-        batch_size=opt["batch_size"],
-        epochs=opt["epochs"],
-        seed=seed,
-    )
+def _config(cls, opt, **given):
+    """A validated ``cls``, each field ``given`` or else the resolved option
+    ``_OPTION_OF`` names (by default, the field's own); a field set by neither
+    raises KeyError instead of taking its default.  A ValueError from validate() exits 1."""
+    for field in fields(cls):
+        if field.name not in given:
+            given[field.name] = opt[_OPTION_OF.get(field.name, field.name)]
+    config = cls(**given)
     config.validate()
     return config
 
@@ -601,22 +592,9 @@ def _generate(opt, args, staged):
         raise UsageError(
             f"--modules ({opt['modules']}) cannot exceed --nodes ({opt['nodes']})"
         )
-    spec = GeneratorSpec(
-        nodes=opt["nodes"],
-        modules=opt["modules"],
-        subjects_per_class=opt["subjects_per_class"],
-        sites=opt["sites"],
-        within_strength=opt["within"],
-        between_strength_class0=opt["between0"],
-        between_strength_class1=opt["between1"],
-        site_noise=opt["site_noise"],
-        series_length=opt["series_length"],
-        seed=opt["seed"],
-    )
-    spec.validate()
-    graphs = generate_dataset(spec)
+    graphs = generate_dataset(_config(GeneratorSpec, opt))
     write_dataset(staged["dataset"], graphs)
-    return {}, {}, f"wrote {len(graphs)} graphs of {spec.nodes} nodes to {opt['out']}"
+    return {}, {}, f"wrote {len(graphs)} graphs of {opt['nodes']} nodes to {opt['out']}"
 
 
 def _split(opt, args, staged):
@@ -634,8 +612,8 @@ def _split(opt, args, staged):
 
 def _train(opt, args, staged):
     graphs, nodes, plan = _load_training_inputs(opt)
-    model_config = _build_model_config(opt, nodes, opt["readout"], opt["centers"], opt["clusters"])
-    train_config = _build_train_config(opt, opt["seed"])
+    model_config = _config(ModelConfig, opt, nodes=nodes)
+    train_config = _config(TrainConfig, opt)
     params, report = train(graphs, plan, model_config, train_config, opt["jobs"])
     save_checkpoint(staged["checkpoint"], params, model_config)
     _write_text(staged["report"], report.to_text())
@@ -778,12 +756,10 @@ def _builtin_orthogonal_design(seed: int, s: int = 1024, r: int = 4) -> np.ndarr
     return basis[1:].T
 
 
-def _builtin_correlated_design(seed: int, s: int = 10_000, rho: float = 0.9) -> np.ndarray:
-    base = Rng(seed)
-    x = base.derive(2).normal(s)
-    z = base.derive(3).normal(s)
-    y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return np.column_stack([x, y])
+def _builtin_correlated_design(seed: int, rho: float = 0.9) -> np.ndarray:
+    # From two mean-zero orthonormal columns the sample correlation is exactly rho.
+    x, z = _builtin_orthogonal_design(seed, 10_000, 2).T
+    return np.column_stack([x, rho * x + math.sqrt(1.0 - rho * rho) * z])
 
 
 def _theory_rows_vif(opt):
@@ -874,8 +850,9 @@ def _ablate(opt, args, staged):
         raise UsageError("the sweep is empty")
 
     # validate every combination before spending minutes training any
-    configs = {combo: _build_model_config(opt, nodes, *combo) for combo in combos}
-    train_configs = {seed: _build_train_config(opt, seed) for seed in seeds}
+    configs = {(r, c, k): _config(ModelConfig, opt, nodes=nodes, readout=r, centers_mode=c, clusters=k)
+               for r, c, k in combos}
+    train_configs = {seed: _config(TrainConfig, opt, seed=seed) for seed in seeds}
 
     def train_run(run):
         combo, seed = run
@@ -1049,6 +1026,10 @@ def _run(name: str, args) -> int:
     started = time.monotonic()
     command = _COMMANDS[name]
     opt = _resolve(args, command.opts)
+    texts = [(o.flag, opt[o.name]) for o in command.opts] + [("input", p) for p in getattr(args, "inputs", ())]
+    for where, value in texts:  # a line break, any that str.splitlines sees, would forge manifest lines
+        if isinstance(value, str) and "".join(value.splitlines()) != value:
+            raise UsageError(f"{where} value {value!r} contains a line break")
     if "jobs" in opt and not 1 <= opt["jobs"] <= _MAX_JOBS:
         raise UsageError(f"--jobs must be in 1..{_MAX_JOBS}")
     files, listed, new_dir = command.outputs(opt)

@@ -377,6 +377,8 @@ def _check_fractions(fractions):
     fractions = tuple(float(x) for x in fractions)
     if len(fractions) != 3:
         raise ValueError("expected three fractions (train, val, test)")
+    if not np.isfinite(fractions).all():
+        raise ValueError(f"fractions must be finite, got {fractions}")
     if any(x < 0 for x in fractions):
         raise ValueError("fractions must be nonnegative")
     if abs(sum(fractions) - 1.0) > 1e-9:

@@ -53,9 +53,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     batch_size: int = 64
     epochs: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def validate(self):
@@ -67,10 +64,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass
@@ -88,6 +81,8 @@ class AdamState:
 # is element-wise, so slicing changes no bit.
 _ADAM_SLICE = 8192
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig,
               spans: list[slice]) -> None:
@@ -96,19 +91,19 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, config: T
     outside them (frozen tensors) never change or enter the moments."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for span in spans:
         for start in range(span.start, span.stop, _ADAM_SLICE):
             s = slice(start, min(start + _ADAM_SLICE, span.stop))
             p, g, m, v = params[s], grads[s], state.m[s], state.v[s]
             if config.weight_decay:
                 g = g + config.weight_decay * p
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * (g * g)
-            p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class _ReportFields(dict):

@@ -62,19 +62,21 @@ def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
 def adam_per_tensor(param_map, grad_map, moments: dict, step: int, config) -> None:
     """Adam step ``step``, in place, tensor by tensor over param_map; ``moments``
     maps a name to its (m, v) pair and gains zeros on a tensor's first step.
-    Tensors absent from param_map are frozen: they are never read or written."""
-    bc1 = 1.0 - config.beta1**step
-    bc2 = 1.0 - config.beta2**step
+    Tensors absent from param_map are frozen: they are never read or written.
+    The betas and eps are Kingma and Ba's defaults, written out, not imported."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
     for name, p in param_map.items():
         g = grad_map[name]
         if config.weight_decay:
             g = g + config.weight_decay * p
         m, v = moments.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def finite_difference_grads(batch, params: ModelParams, config: ModelConfig, h: float = 1e-5):

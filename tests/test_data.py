@@ -299,9 +299,11 @@ def test_split_deterministic(small_graphs):
 
 
 def test_split_rejects_bad_fractions(small_graphs):
-    for fractions in ((0.5, 0.5), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5)):
-        with pytest.raises(ValueError):
-            stratified_split(small_graphs, fractions, Rng(0))
+    nan = float("nan")  # passes the sum check: abs(nan - 1) > 1e-9 is False
+    for fractions in ((0.5, 0.5), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5), (nan, 0.5, 0.5), (0.7, nan, 0.3)):
+        for splitter in (stratified_split, random_split):
+            with pytest.raises(ValueError):
+                splitter(small_graphs, fractions, Rng(0))
 
 
 def test_small_cells_warn():

@@ -2,16 +2,19 @@
 
     python3 tools/same_bytes.py REV        # e.g. HEAD, HEAD~1, a commit id
 
-Checks out REV in a temporary ``git worktree``, runs the same chain of
-``bnt`` commands with each side's ``src`` (BLAS pinned to one thread), and
-prints one line per output file:
+Extracts REV's ``src`` into a temporary directory (``git archive``), runs
+the same chain of ``bnt`` commands with each side's ``src`` (BLAS pinned to
+one thread), saves each side's ``bnt COMMAND --help`` text of all seven
+commands as ``help_COMMAND.txt`` (at 80 columns), and prints one line per
+output file:
 
     SAME|DIFF <sha256 at REV> <sha256 here> <path> [max |a - b| for a CSV]
 
 Manifests are compared too, with only their ``duration_seconds`` value
 masked: the chain runs in its own directory with relative paths, so every
 other line, key order included, must match.  The chain is the
-criterion-10 chain (generate, split, 2-epoch train, eval), a ``split
+criterion-10 chain (generate with every generator flag off its default,
+split, 2-epoch train, eval), a ``split
 --no-stratify``, ``--centers learnable``, ``--centers random
 --weight-decay 0`` (random-unit centers, Adam without decay), ``--readout
 mean``, ``--features profile_identity`` and
@@ -26,7 +29,7 @@ estimate, pooled where more than one CPU is usable), and one V=200 round
 run with their default ``--jobs``, so where more than one CPU is usable the
 V=200 train's test pass, eval and export score in worker processes.
 Exits 1 on any DIFF or on a command that fails on either side, and removes
-the worktree in any case.
+its temporary directory in any case.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAUNCH = "import sys; from bnt.cli import main; sys.exit(main())"
+COMMANDS = ("generate", "split", "train", "eval", "verify-theory", "export-assignments", "ablate")
 
 
 def chain() -> list[list[str]]:
@@ -60,6 +64,7 @@ def chain() -> list[list[str]]:
     cc200 = ("cc200.bntd", "cc200_split.txt")
     return [
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "10", "--sites", "2",
+         "--within", "0.8", "--between0", "0.15", "--between1", "0.35", "--site-noise", "0.2",
          "--series-length", "48", "--seed", "11", "--out", small[0]],
         ["split", "--dataset", small[0], "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", small[1]],
         ["split", "--dataset", small[0], "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "3",
@@ -90,15 +95,18 @@ def chain() -> list[list[str]]:
 
 def run_chain(src: str, out: str) -> bool:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", COLUMNS="80")
     env.pop("BNT_SEED", None)
     os.makedirs(out)
-    for argv in chain():
+    for argv in chain() + [[command, "--help"] for command in COMMANDS]:
         proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], cwd=out, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"FAIL {src}: bnt {' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
             return False
+        if argv[-1] == "--help":
+            with open(os.path.join(out, f"help_{argv[0]}.txt"), "w", encoding="utf-8") as f:
+                f.write(proc.stdout)
     return True
 
 
@@ -158,14 +166,14 @@ def main(argv: list[str]) -> int:
     scratch = tempfile.mkdtemp(prefix="same_bytes_")
     tree = os.path.join(scratch, "rev")
     try:
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
-                       check=True)
+        os.makedirs(tree)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", argv[0], "src"], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         ok = (run_chain(os.path.join(tree, "src"), os.path.join(scratch, "a"))
               and run_chain(os.path.join(ROOT, "src"), os.path.join(scratch, "b")))
         return 0 if ok and compare(os.path.join(scratch, "a"), os.path.join(scratch, "b")) else 1
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], capture_output=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
 
