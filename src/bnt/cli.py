@@ -640,7 +640,7 @@ def _eval(opt, args, staged):
 
     seed = ""
     if opt["report"] is not None:
-        seed = str(_load_text(opt["report"], "train report", TrainReport.from_text).seed)
+        seed = str(_load_text(opt["report"], "train report", TrainReport.from_text).train_config.seed)
     run_id = opt["run_id"]
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]
@@ -658,9 +658,9 @@ def _metric_column(texts, name: str):
     if "undefined" in texts:
         return [None]
     try:
-        return [float(t) for t in texts]
+        return [_parse_float(t) for t in texts]
     except ValueError as exc:
-        raise DataError(f"non-numeric {name} value in input CSVs ({exc})")
+        raise DataError(f"invalid {name} value in input CSVs ({exc})")
 
 
 def _eval_aggregate(opt, args, staged):

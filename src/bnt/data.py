@@ -182,7 +182,7 @@ def generate_dataset(spec: GeneratorSpec) -> list[ConnectivityGraph]:
             + spec.site_noise * site_pattern[site][:, None] * common
         )
 
-        corr = np.corrcoef(series)
+        corr = np.corrcoef(series).reshape(v, v)  # one series gives a 0-d array
         corr = (corr + corr.T) / 2.0
         np.clip(corr, -1.0, 1.0, out=corr)
         np.fill_diagonal(corr, 1.0)
@@ -279,6 +279,30 @@ def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGrap
 # ---------------------------------------------------------------------------
 
 
+class _KeyValues(dict):
+    def __missing__(self, key):  # only read once the kind line is checked
+        raise ValueError(f"{self['kind'].replace('_', ' ')} has no {key} line")
+
+
+def key_values(text: str, kind: str, repeated: str | None = None) -> dict:
+    """The stripped ``key = value`` lines of a text document whose ``kind``
+    line is ``kind``; a later line of a key replaces an earlier one, except
+    that ``repeated`` maps to the list of its values in order.  A document of
+    another kind, or reading a key it lacks, raises ValueError naming it."""
+    values = _KeyValues()
+    for line in text.splitlines():
+        key, eq, value = line.partition("=")
+        if eq:
+            key, value = key.strip(), value.strip()
+            if key == repeated:
+                values.setdefault(key, []).append(value)
+            else:
+                values[key] = value
+    if values.get("kind") != kind:
+        raise ValueError(f"not a {kind.replace('_', ' ')} document")
+    return values
+
+
 @dataclass
 class SplitPlan:
     train: list[int]
@@ -305,29 +329,13 @@ class SplitPlan:
 
     @classmethod
     def from_text(cls, text: str) -> "SplitPlan":
-        fields: dict[str, str] = {}
-        warnings = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "warning":
-                warnings.append(value)
-            else:
-                fields[key] = value
-        if fields.get("kind") != "split_plan":
-            raise ValueError("not a split plan document")
-        if "fractions" not in fields:
-            raise ValueError("split plan has no fractions line")
+        fields = key_values(text, "split_plan", repeated="warning")
         frac = tuple(float(x) for x in fields["fractions"].split())
         if len(frac) != 3:
             raise ValueError("fractions must have three entries")
 
         def ids(name):
-            value = fields.get(name, "")
-            return [int(x) for x in value.split()] if value else []
+            return [int(x) for x in fields.get(name, "").split()]
 
         plan = cls(
             train=ids("train"),
@@ -336,7 +344,7 @@ class SplitPlan:
             fractions=frac,  # type: ignore[arg-type]
             seed=int(fields.get("seed", "0")),
             stratified=fields.get("stratified", "true") == "true",
-            warnings=warnings,
+            warnings=fields.get("warning", []),
         )
         plan.validate()
         return plan

@@ -35,6 +35,8 @@ from .rng import Rng
 from .workers import ordered_map
 
 
+# A checkpoint stores each enum below by its declaration index, so their
+# member order is part of the .bnt format: append new members only.
 class Readout(Enum):
     OCREAD = "ocread"
     MEAN = "mean"

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from enum import Enum, EnumMeta
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import replacing
+from .data import key_values, replacing
 from .model import (
-    CentersMode,
-    FeatureMode,
     ModelConfig,
     ModelParams,
-    Readout,
     _Workspace,
     init_params,
     loss_and_grad,
@@ -106,16 +106,49 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, config: T
             p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-class _ReportFields(dict):
-    """Key-value lines of a report; reading an absent key is a format error."""
+# The report's config.*, train.* and test.* lines hold the fields of
+# ModelConfig, TrainConfig and EvalResult, and the checkpoint header those of
+# ModelConfig, in declaration order.  Each is coded by its type: an int as
+# text or "<I", a float by repr (exact on reading back), None as "undefined",
+# a tuple of ints space-separated or as a "<I" count and "<I" entries, an enum
+# by its value or as a "<B" declaration index.
 
-    def __missing__(self, key):
-        raise ValueError(f"train report has no {key} line")
+
+def _format_field(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return " ".join(str(x) for x in value)
+    if value is None or isinstance(value, float):
+        return metrics_mod.format_metric(value)
+    return str(value)
+
+
+def _parse_field(hint, text: str):
+    if get_origin(hint) is UnionType:  # X | None
+        return None if text == "undefined" else _parse_field(get_args(hint)[0], text)
+    if get_origin(hint) is tuple:
+        return tuple(int(x) for x in text.split())
+    if isinstance(hint, EnumMeta):
+        return hint(text)
+    return float(text) if hint is float else int(text)
+
+
+def _field_lines(obj, prefix: str, omit=()) -> list[str]:
+    return [f"{prefix}{f.name} = {_format_field(getattr(obj, f.name))}"
+            for f in fields(obj) if f.name not in omit]
+
+
+def _read_fields(cls, kv, prefix: str, **given):
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = _parse_field(hints[f.name], kv[prefix + f.name])
+    return cls(**given)
 
 
 @dataclass
 class TrainReport:
-    seed: int
     selected_epoch: int
     train_loss: list[float]
     val_auroc: list[float]
@@ -125,86 +158,30 @@ class TrainReport:
     weight_decay_mode: str = WEIGHT_DECAY_MODE
 
     def to_text(self) -> str:
-        mc, tc = self.model_config, self.train_config
         lines = [
             "kind = train_report",
-            f"seed = {self.seed}",
+            f"seed = {self.train_config.seed}",
             f"selected_epoch = {self.selected_epoch}",
             f"weight_decay_mode = {self.weight_decay_mode}",
-            f"config.nodes = {mc.nodes}",
-            f"config.layers = {mc.layers}",
-            f"config.heads = {mc.heads}",
-            f"config.clusters = {mc.clusters}",
-            f"config.head_dim = {mc.head_dim}",
-            "config.mlp_hidden = " + " ".join(str(h) for h in mc.mlp_hidden),
-            f"config.readout = {mc.readout.value}",
-            f"config.centers_mode = {mc.centers_mode.value}",
-            f"config.feature_mode = {mc.feature_mode.value}",
-            f"config.k_eigen = {mc.k_eigen}",
-            f"train.lr = {tc.lr!r}",
-            f"train.weight_decay = {tc.weight_decay!r}",
-            f"train.batch_size = {tc.batch_size}",
-            f"train.epochs = {tc.epochs}",
+            *_field_lines(self.model_config, "config."),
+            *_field_lines(self.train_config, "train.", omit=("seed",)),
             "train_loss = " + " ".join(repr(x) for x in self.train_loss),
             "val_auroc = " + " ".join(repr(x) for x in self.val_auroc),
-            f"test.auroc = {metrics_mod.format_metric(self.test.auroc)}",
-            f"test.accuracy = {metrics_mod.format_metric(self.test.accuracy)}",
-            f"test.sensitivity = {metrics_mod.format_metric(self.test.sensitivity)}",
-            f"test.specificity = {metrics_mod.format_metric(self.test.specificity)}",
-            f"test.n_pos = {self.test.n_pos}",
-            f"test.n_neg = {self.test.n_neg}",
+            *_field_lines(self.test, "test."),
         ]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "TrainReport":
         """Parse to_text output; a missing or malformed line raises ValueError."""
-        kv: dict[str, str] = _ReportFields()
-        for line in text.splitlines():
-            if "=" in line:
-                key, _, value = line.partition("=")
-                kv[key.strip()] = value.strip()
-        if kv.get("kind") != "train_report":
-            raise ValueError("not a train report document")
-
-        def opt(value):
-            return None if value == "undefined" else float(value)
-
-        mc = ModelConfig(
-            nodes=int(kv["config.nodes"]),
-            layers=int(kv["config.layers"]),
-            heads=int(kv["config.heads"]),
-            clusters=int(kv["config.clusters"]),
-            head_dim=int(kv["config.head_dim"]),
-            mlp_hidden=tuple(int(x) for x in kv["config.mlp_hidden"].split()),
-            readout=Readout(kv["config.readout"]),
-            centers_mode=CentersMode(kv["config.centers_mode"]),
-            feature_mode=FeatureMode(kv["config.feature_mode"]),
-            k_eigen=int(kv["config.k_eigen"]),
-        )
-        tc = TrainConfig(
-            lr=float(kv["train.lr"]),
-            weight_decay=float(kv["train.weight_decay"]),
-            batch_size=int(kv["train.batch_size"]),
-            epochs=int(kv["train.epochs"]),
-            seed=int(kv["seed"]),
-        )
-        test = metrics_mod.EvalResult(
-            auroc=opt(kv["test.auroc"]),
-            accuracy=opt(kv["test.accuracy"]),
-            sensitivity=opt(kv["test.sensitivity"]),
-            specificity=opt(kv["test.specificity"]),
-            n_pos=int(kv["test.n_pos"]),
-            n_neg=int(kv["test.n_neg"]),
-        )
+        kv = key_values(text, "train_report")
         return cls(
-            seed=int(kv["seed"]),
+            model_config=_read_fields(ModelConfig, kv, "config."),
+            train_config=_read_fields(TrainConfig, kv, "train.", seed=int(kv["seed"])),
+            test=_read_fields(metrics_mod.EvalResult, kv, "test."),
             selected_epoch=int(kv["selected_epoch"]),
             train_loss=[float(x) for x in kv.get("train_loss", "").split()],
             val_auroc=[float(x) for x in kv.get("val_auroc", "").split()],
-            test=test,
-            model_config=mc,
-            train_config=tc,
             weight_decay_mode=kv.get("weight_decay_mode", WEIGHT_DECAY_MODE),
         )
 
@@ -297,7 +274,6 @@ def train(
     best_params = ModelParams(best, model_config)
     test_result, _ = evaluate(best_params, model_config, test_graphs, jobs)
     report = TrainReport(
-        seed=train_config.seed,
         selected_epoch=best_epoch,
         train_loss=train_losses,
         val_auroc=val_aurocs,
@@ -309,35 +285,20 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic, version, config fields, then the parameter vector as
-# little-endian float64 (every tensor in declaration order).
+# Checkpoints: magic, version, the ModelConfig fields (coded as above), then
+# the parameter vector as little-endian float64 (every tensor in declaration
+# order).
 # ---------------------------------------------------------------------------
 
-_READOUT_CODES = [Readout.OCREAD, Readout.MEAN, Readout.MAX, Readout.SUM, Readout.CONCAT]
-_CENTERS_CODES = [CentersMode.ORTHONORMAL, CentersMode.RANDOM_UNIT, CentersMode.LEARNABLE]
-_FEATURE_CODES = [FeatureMode.PROFILE, FeatureMode.PROFILE_IDENTITY, FeatureMode.PROFILE_EIGEN]
-
-
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    head = struct.pack(
-        "<4sIIIIII",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        config.nodes,
-        config.layers,
-        config.heads,
-        config.clusters,
-        config.head_dim,
-    )
-    head += struct.pack("<I", len(config.mlp_hidden))
-    head += struct.pack(f"<{len(config.mlp_hidden)}I", *config.mlp_hidden)
-    head += struct.pack(
-        "<BBBI",
-        _READOUT_CODES.index(config.readout),
-        _CENTERS_CODES.index(config.centers_mode),
-        _FEATURE_CODES.index(config.feature_mode),
-        config.k_eigen,
-    )
+    head = struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    for value in astuple(config):
+        if isinstance(value, tuple):
+            head += struct.pack(f"<I{len(value)}I", len(value), *value)
+        elif isinstance(value, Enum):
+            head += struct.pack("<B", list(type(value)).index(value))
+        else:
+            head += struct.pack("<I", value)
     with replacing(path) as f:
         f.write(head)
         f.write(params.vector.astype("<f8", copy=False).tobytes())
@@ -348,29 +309,29 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"not a checkpoint file: magic {raw[:4]!r}")
+    off = 4
+
+    def take(fmt):
+        nonlocal off
+        values = struct.unpack_from("<" + fmt, raw, off)
+        off += struct.calcsize("<" + fmt)
+        return values
+
     try:
-        version, nodes, layers, heads, clusters, head_dim = struct.unpack_from("<IIIIII", raw, 4)
-        off = 4 + 24
+        (version,) = take("I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (n_hidden,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        hidden = struct.unpack_from(f"<{n_hidden}I", raw, off)
-        off += 4 * n_hidden
-        r_code, c_code, f_code, k_eigen = struct.unpack_from("<BBBI", raw, off)
-        off += 7
-        config = ModelConfig(
-            nodes=nodes,
-            layers=layers,
-            heads=heads,
-            clusters=clusters,
-            head_dim=head_dim,
-            mlp_hidden=tuple(hidden),
-            readout=_READOUT_CODES[r_code],
-            centers_mode=_CENTERS_CODES[c_code],
-            feature_mode=_FEATURE_CODES[f_code],
-            k_eigen=k_eigen,
-        )
+        given = {}
+        hints = get_type_hints(ModelConfig)
+        for f in fields(ModelConfig):
+            hint = hints[f.name]
+            if get_origin(hint) is tuple:
+                given[f.name] = take(f"{take('I')[0]}I")
+            elif isinstance(hint, EnumMeta):
+                given[f.name] = list(hint)[take("B")[0]]
+            else:
+                (given[f.name],) = take("I")
+        config = ModelConfig(**given)
     except (struct.error, IndexError) as exc:
         raise CheckpointFormatError(f"corrupt checkpoint header: {exc}") from exc
     try:

@@ -237,6 +237,17 @@ def test_overwrite_needs_force(tiny_workspace, run_cli):
     assert run_cli(args + ["--force"])[0] == 0
 
 
+def test_generate_one_node(tmp_path, run_cli):
+    # the correlation matrix of one series is 1 x 1, not 0-d
+    out = str(tmp_path / "one.bntd")
+    code, _, err = run_cli(["generate", "--nodes", "1", "--modules", "1", "--subjects-per-class", "2",
+                            "--out", out])
+    assert code == 0, err
+    graphs = read_dataset(out)
+    assert len(graphs) == 4
+    assert all(g.matrix.tolist() == [[1.0]] for g in graphs)
+
+
 def test_generate_rejects_modules_over_nodes(tmp_path, run_cli):
     code, _, err = run_cli(
         ["generate", "--nodes", "4", "--modules", "8", "--out", str(tmp_path / "x.bntd")]
@@ -319,7 +330,7 @@ def test_eval_reproduces_the_report(tiny_workspace, tmp_path, run_cli):
     assert run_id == "checkpoint"  # defaults to the checkpoint stem
     with open(tiny_workspace["report"], encoding="utf-8") as f:
         report = TrainReport.from_text(f.read())
-    assert seed == str(report.seed)
+    assert seed == str(report.train_config.seed)
     assert float(auroc) == report.test.auroc
     assert float(accuracy) == report.test.accuracy
     assert float(sensitivity) == report.test.sensitivity
@@ -397,6 +408,18 @@ def test_eval_aggregate_propagates_undefined(tmp_path, run_cli):
     mean_row = rows[-2]
     assert mean_row[4] == "undefined"  # sensitivity column
     assert mean_row[2] == repr(statistics.fmean([0.8, 0.6]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_eval_aggregate_refuses_a_non_finite_cell(tmp_path, run_cli, cell):
+    a = tmp_path / "a.csv"
+    _metrics_csv(a, [["r0", "", "0.8", "0.75", "0.7", "0.8"],
+                     ["r1", "", "0.6", cell, "0.6", "0.4"]])
+    out = tmp_path / "agg.csv"
+    code, _, err = run_cli(["eval", "--aggregate", str(a), "--out", str(out)])
+    assert code == 2
+    assert err.count("\n") == 1 and "accuracy" in err
+    assert sorted(os.listdir(tmp_path)) == ["a.csv"]
 
 
 def test_eval_aggregate_error_paths(tmp_path, run_cli, tiny_workspace):

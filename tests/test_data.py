@@ -19,6 +19,7 @@ from bnt.data import (
     TruncationError,
     VMismatchError,
     generate_dataset,
+    key_values,
     module_of_node,
     random_split,
     read_dataset,
@@ -366,6 +367,17 @@ def test_select_returns_each_named_list_in_list_order():
     # naming only the test list leaves train and val unchecked
     plan = SplitPlan([99], [], [15, 14], (0.4, 0.3, 0.3))
     assert [[g.subject_id for g in part] for part in plan.select(graphs, ("test",))] == [[15, 14]]
+
+
+def test_key_values_reads_the_lines_of_one_kind():
+    text = "kind = split_plan\nwarning = b\n x = 1 \nno equals sign\nwarning = a\nx = 2 = 3\n"
+    kv = key_values(text, "split_plan", repeated="warning")
+    assert kv["warning"] == ["b", "a"]  # in document order
+    assert kv["x"] == "2 = 3"  # the last line wins; a value may hold '='
+    with pytest.raises(ValueError, match="^split plan has no fractions line$"):
+        kv["fractions"]
+    with pytest.raises(ValueError, match="^not a train report document$"):
+        key_values(text, "train_report")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Adam updates, the training loop, checkpoints, and report files."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -274,6 +275,68 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(CheckpointFormatError, match="layers must be >= 1"):
         load_checkpoint(no_layers)
 
+    # a header cut short, or a readout code past the last member (its byte
+    # follows magic, version, five sizes, the hidden count and one width)
+    for name, data in [("cut", raw[:20]), ("readout_code", raw[:36] + b"\x05" + raw[37:])]:
+        bad = tmp_path / f"{name}.bnt"
+        bad.write_bytes(data)
+        with pytest.raises(CheckpointFormatError, match="^corrupt checkpoint header: "):
+            load_checkpoint(bad)
+
+
+# every ModelConfig and TrainConfig field off its default (nodes has none)
+_OFF_DEFAULT_MODEL = ModelConfig(nodes=9, layers=3, heads=2, clusters=5, head_dim=6, mlp_hidden=(7, 3),
+                                 readout=Readout.CONCAT, centers_mode=CentersMode.LEARNABLE,
+                                 feature_mode=FeatureMode.PROFILE_EIGEN, k_eigen=2)
+_OFF_DEFAULT_TRAIN = TrainConfig(lr=0.003, weight_decay=2.5e-05, batch_size=16, epochs=7, seed=12)
+
+
+def test_checkpoint_header_bytes(tmp_path):
+    path = tmp_path / "model.bnt"
+    params = init_params(_OFF_DEFAULT_MODEL, Rng(0))
+    save_checkpoint(path, params, _OFF_DEFAULT_MODEL)
+    head = bytes.fromhex(
+        "424e544d 01000000"  # magic, version
+        " 09000000 03000000 02000000 05000000 06000000"  # nodes, layers, heads, clusters, head_dim
+        " 02000000 07000000 03000000"  # mlp_hidden: count, widths
+        " 04 02 02"  # readout concat, centers learnable, features profile_eigen
+        " 02000000"  # k_eigen
+    )
+    raw = path.read_bytes()
+    assert raw[: len(head)] == head
+    assert raw[len(head):] == params.vector.tobytes()
+    assert load_checkpoint(path)[1] == _OFF_DEFAULT_MODEL
+
+
+_ENUM_CODES = [
+    ("readout", Readout.OCREAD, 0),
+    ("readout", Readout.MEAN, 1),
+    ("readout", Readout.MAX, 2),
+    ("readout", Readout.SUM, 3),
+    ("readout", Readout.CONCAT, 4),
+    ("centers_mode", CentersMode.ORTHONORMAL, 0),
+    ("centers_mode", CentersMode.RANDOM_UNIT, 1),
+    ("centers_mode", CentersMode.LEARNABLE, 2),
+    ("feature_mode", FeatureMode.PROFILE, 0),
+    ("feature_mode", FeatureMode.PROFILE_IDENTITY, 1),
+    ("feature_mode", FeatureMode.PROFILE_EIGEN, 2),
+]
+
+
+def test_enum_code_table_covers_every_member():
+    assert {member for _, member, _ in _ENUM_CODES} == {*Readout, *CentersMode, *FeatureMode}
+
+
+@pytest.mark.parametrize("field, member, code", _ENUM_CODES)
+def test_checkpoint_enum_codes(tmp_path, field, member, code):
+    config = ModelConfig(nodes=6, layers=1, heads=2, clusters=2, mlp_hidden=(3,), k_eigen=2, **{field: member})
+    path = tmp_path / "model.bnt"
+    save_checkpoint(path, init_params(config, Rng(0)), config)
+    # the three mode bytes follow magic, version, five sizes, the hidden count and one width
+    offset = 36 + ["readout", "centers_mode", "feature_mode"].index(field)
+    assert path.read_bytes()[offset] == code
+    assert getattr(load_checkpoint(path)[1], field) is member
+
 
 @pytest.mark.parametrize("readout", list(Readout))
 @pytest.mark.parametrize("features", list(FeatureMode))
@@ -296,7 +359,6 @@ def test_report_text_roundtrip():
     config = ModelConfig(nodes=8, layers=1, heads=2, clusters=3, mlp_hidden=(5, 4))
     tc = TrainConfig(lr=2e-4, weight_decay=1e-5, batch_size=8, epochs=3, seed=6)
     report = TrainReport(
-        seed=6,
         selected_epoch=2,
         train_loss=[0.7012345678901234, 0.65, 0.61],
         val_auroc=[0.5, 0.75, 0.75],
@@ -307,7 +369,7 @@ def test_report_text_roundtrip():
         train_config=tc,
     )
     back = TrainReport.from_text(report.to_text())
-    assert back.seed == report.seed
+    assert back.train_config == report.train_config
     assert back.selected_epoch == report.selected_epoch
     assert back.train_loss == report.train_loss
     assert back.val_auroc == report.val_auroc
@@ -316,10 +378,43 @@ def test_report_text_roundtrip():
     assert back.to_text() == report.to_text()
 
 
+def test_report_config_lines():
+    for config in (_OFF_DEFAULT_MODEL, _OFF_DEFAULT_TRAIN):
+        assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
+    report = TrainReport(
+        selected_epoch=1,
+        train_loss=[0.5],
+        val_auroc=[0.5],
+        test=EvalResult(auroc=0.5, accuracy=0.5, sensitivity=0.5, specificity=0.5, n_pos=1, n_neg=1),
+        model_config=_OFF_DEFAULT_MODEL,
+        train_config=_OFF_DEFAULT_TRAIN,
+    )
+    text = report.to_text()
+    lines = [l for l in text.splitlines() if l.startswith(("seed ", "config.", "train."))]
+    assert lines == [
+        "seed = 12",
+        "config.nodes = 9",
+        "config.layers = 3",
+        "config.heads = 2",
+        "config.clusters = 5",
+        "config.head_dim = 6",
+        "config.mlp_hidden = 7 3",
+        "config.readout = concat",
+        "config.centers_mode = learnable",
+        "config.feature_mode = profile_eigen",
+        "config.k_eigen = 2",
+        "train.lr = 0.003",
+        "train.weight_decay = 2.5e-05",
+        "train.batch_size = 16",
+        "train.epochs = 7",
+    ]
+    back = TrainReport.from_text(text)
+    assert (back.model_config, back.train_config) == (_OFF_DEFAULT_MODEL, _OFF_DEFAULT_TRAIN)
+
+
 def test_report_undefined_metrics_roundtrip():
     config = ModelConfig(nodes=8, layers=1, heads=2, clusters=3, mlp_hidden=(5,))
     report = TrainReport(
-        seed=0,
         selected_epoch=1,
         train_loss=[0.7],
         val_auroc=[0.5],
@@ -344,7 +439,6 @@ def test_report_rejects_other_documents():
 def test_report_missing_key_names_it():
     config = ModelConfig(nodes=8, layers=1, heads=2, clusters=3, mlp_hidden=(5,))
     report = TrainReport(
-        seed=0,
         selected_epoch=1,
         train_loss=[0.7],
         val_auroc=[0.5],

@@ -17,7 +17,8 @@ criterion-10 chain (generate with every generator flag off its default,
 split, 2-epoch train, eval), a ``split
 --no-stratify``, ``--centers learnable``, ``--centers random
 --weight-decay 0`` (random-unit centers, Adam without decay), ``--readout
-mean``, ``--features profile_identity`` and
+mean``, ``--readout sum``, ``--readout concat`` (so every readout code of the
+checkpoint header), ``--features profile_identity`` and
 ``--features profile_eigen`` trains with their evals, a 3-layer train and
 eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
@@ -73,6 +74,8 @@ def chain() -> list[list[str]]:
         *train("learnable", *small, "--epochs", "2", "--centers", "learnable"),
         *train("random", *small, "--epochs", "2", "--centers", "random", "--weight-decay", "0"),
         *train("mean", *small, "--epochs", "2", "--readout", "mean"),
+        *train("sum", *small, "--epochs", "2", "--readout", "sum"),
+        *train("concat", *small, "--epochs", "2", "--readout", "concat"),
         *train("identity", *small, "--epochs", "2", "--features", "profile_identity"),
         *train("eigen", *small, "--epochs", "2", "--features", "profile_eigen", "--k-eigen", "4"),
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "35", "--sites", "2",
