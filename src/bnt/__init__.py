@@ -5,7 +5,7 @@ Library layout:
 - ``bnt.rng``      deterministic counter-based random streams
 - ``bnt.linalg``   softmax, Xavier init, Gram-Schmidt, sign-fixed LAPACK eigensolver
 - ``bnt.model``    parameter vector layout, attention stack, readouts, analytic gradients
-- ``bnt.data``     synthetic correlation graphs, dataset file, splits
+- ``bnt.data``     one-array ``Dataset``, synthetic correlation graphs, dataset file, splits
 - ``bnt.training`` Adam loop, checkpoints, train reports
 - ``bnt.metrics``  AUROC, threshold metrics, assignment difference score
 - ``bnt.theory``   variance-functional and VIF verification suite
@@ -45,7 +45,7 @@ from .model import (
     ocread,
 )
 from .data import (
-    ConnectivityGraph,
+    Dataset,
     GeneratorSpec,
     SplitPlan,
     generate_dataset,

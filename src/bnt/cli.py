@@ -506,12 +506,12 @@ def _summary_rows(columns, lead):
 
 def _load_dataset(path, expect_nodes=None):
     try:
-        graphs = read_dataset(path, expect_nodes=expect_nodes)
+        dataset = read_dataset(path, expect_nodes=expect_nodes)
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}")
-    if not graphs:
+    if not len(dataset):
         raise DataError(f"dataset {path} contains no graphs")
-    return graphs
+    return dataset
 
 
 def _load_text(path, what: str, parse, error=DataError):
@@ -534,29 +534,29 @@ def _load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {exc}")
 
 
-def _load_plan(opt, graphs, names=("train", "val", "test")):
-    """The --split plan and the graphs of its named lists; a plan that does
-    not fit ``graphs`` (``SplitPlan.select``) is a data error naming the file."""
+def _load_plan(opt, dataset, names=("train", "val", "test")):
+    """The --split plan and the dataset rows of its named lists; a plan that
+    does not fit ``dataset`` (``SplitPlan.select``) is a data error naming the file."""
 
     def parse(text):
         plan = SplitPlan.from_text(text)
-        return plan, plan.select(graphs, names)
+        return plan, plan.select(dataset, names)
 
     return _load_text(opt["split"], "split plan", parse)
 
 
 def _load_training_inputs(opt):
     """The dataset, its node count and the checked split plan that train and ablate read."""
-    graphs = _load_dataset(opt["dataset"])
-    plan, _ = _load_plan(opt, graphs)
-    return graphs, graphs[0].matrix.shape[0], plan
+    dataset = _load_dataset(opt["dataset"])
+    plan, _ = _load_plan(opt, dataset)
+    return dataset, dataset.matrices.shape[1], plan
 
 
-def _load_test_graphs(opt, config):
-    """The test split's graphs, for a checkpoint of ``config``."""
-    graphs = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
-    _, (test_graphs,) = _load_plan(opt, graphs, ("test",))
-    return test_graphs
+def _load_test_split(opt, config):
+    """The test split's matrices and labels, for a checkpoint of ``config``."""
+    dataset = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
+    _, (rows,) = _load_plan(opt, dataset, ("test",))
+    return dataset.matrices[rows], dataset.labels[rows]
 
 
 # The option of each config field not named after it.
@@ -592,29 +592,29 @@ def _generate(opt, args, staged):
         raise UsageError(
             f"--modules ({opt['modules']}) cannot exceed --nodes ({opt['nodes']})"
         )
-    graphs = generate_dataset(_config(GeneratorSpec, opt))
-    write_dataset(staged["dataset"], graphs)
-    return {}, {}, f"wrote {len(graphs)} graphs of {opt['nodes']} nodes to {opt['out']}"
+    dataset = generate_dataset(_config(GeneratorSpec, opt))
+    write_dataset(staged["dataset"], dataset)
+    return {}, {}, f"wrote {len(dataset)} graphs of {opt['nodes']} nodes to {opt['out']}"
 
 
 def _split(opt, args, staged):
-    graphs = _load_dataset(opt["dataset"])
+    dataset = _load_dataset(opt["dataset"])
     splitter = random_split if args.no_stratify else stratified_split
-    plan = splitter(graphs, opt["fractions"], Rng(opt["seed"]))
-    plan.select(graphs)  # refuses a plan that training could not use
+    plan = splitter(dataset, opt["fractions"], Rng(opt["seed"]))
+    plan.select(dataset)  # refuses a plan that training could not use
     _write_text(staged["split"], plan.to_text())
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    line = (f"split {len(graphs)} graphs into {len(plan.train)} train / "
+    line = (f"split {len(dataset)} graphs into {len(plan.train)} train / "
             f"{len(plan.val)} val / {len(plan.test)} test -> {opt['out']}")
     return {"dataset": opt["dataset"]}, {"stratified": not args.no_stratify}, line
 
 
 def _train(opt, args, staged):
-    graphs, nodes, plan = _load_training_inputs(opt)
+    dataset, nodes, plan = _load_training_inputs(opt)
     model_config = _config(ModelConfig, opt, nodes=nodes)
     train_config = _config(TrainConfig, opt)
-    params, report = train(graphs, plan, model_config, train_config, opt["jobs"])
+    params, report = train(dataset, plan, model_config, train_config, opt["jobs"])
     save_checkpoint(staged["checkpoint"], params, model_config)
     _write_text(staged["report"], report.to_text())
     test = report.test
@@ -633,14 +633,16 @@ def _eval(opt, args, staged):
         if opt[name] is None:
             raise UsageError(f"missing required option --{name}")
     params, config = _load_checkpoint(opt["checkpoint"])
-    test_graphs = _load_test_graphs(opt, config)
-    if not test_graphs:
+    matrices, labels = _load_test_split(opt, config)
+    if not len(labels):
         raise DataError("test split is empty; nothing to evaluate")
-    result, _ = evaluate(params, config, test_graphs, opt["jobs"])
-
     seed = ""
     if opt["report"] is not None:
-        seed = str(_load_text(opt["report"], "train report", TrainReport.from_text).train_config.seed)
+        report = _load_text(opt["report"], "train report", TrainReport.from_text)
+        if report.model_config != config:
+            raise DataError(f"train report {opt['report']} does not describe checkpoint {opt['checkpoint']}")
+        seed = str(report.train_config.seed)
+    result, _ = evaluate(params, config, matrices, labels, opt["jobs"])
     run_id = opt["run_id"]
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]
@@ -796,20 +798,20 @@ def _export_assignments(opt, args, staged):
             f"checkpoint readout is '{config.readout.value}'; "
             "cluster assignments exist only for the ocread readout"
         )
-    test_graphs = _load_test_graphs(opt, config)
-    labels = [g.label for g in test_graphs]
+    matrices, labels = _load_test_split(opt, config)
+    counts = np.bincount(labels, minlength=2)
     for label in (0, 1):
-        if label not in labels:
+        if not counts[label]:
             raise DataError(f"test split has no class-{label} graphs to average over")
 
     # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
     # of every V, and a working set that stays in cache.
     sums = np.zeros((2, config.nodes, config.clusters))
-    chunks = score_chunks([g.matrix for g in test_graphs], params, config, 1, opt["jobs"])
+    chunks = score_chunks(matrices, params, config, 1, opt["jobs"])
     with contextlib.closing(chunks):
         for rows, _, assignment in chunks:
             sums[labels[rows.start]] += assignment[0]  # in test-split order
-    averaged = {label: sums[label] / labels.count(label) for label in (0, 1)}
+    averaged = {label: sums[label] / counts[label] for label in (0, 1)}
 
     rows = []
     for label in (0, 1):
@@ -844,7 +846,7 @@ def _combos(opt):
 
 
 def _ablate(opt, args, staged):
-    graphs, nodes, plan = _load_training_inputs(opt)
+    dataset, nodes, plan = _load_training_inputs(opt)
     combos, seeds = _combos(opt), opt["seeds"]
     if not combos or not seeds:
         raise UsageError("the sweep is empty")
@@ -856,7 +858,7 @@ def _ablate(opt, args, staged):
 
     def train_run(run):
         combo, seed = run
-        params, report = train(graphs, plan, configs[combo], train_configs[seed], opt["jobs"])
+        params, report = train(dataset, plan, configs[combo], train_configs[seed], opt["jobs"])
         return params.vector, report
 
     # Runs train in worker processes; checkpoints, stderr lines and rows

@@ -27,7 +27,6 @@ from .rng import Rng
 MAGIC = b"BNTD"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
-_RECORD_HEAD = struct.Struct("<IBHB")
 
 _SITE_STREAM = 1
 _SUBJECT_STREAM = 2
@@ -61,7 +60,7 @@ def replacing(path):
         raise
 
 
-class DatasetFormatError(Exception):
+class DatasetFormatError(ValueError):
     """Base class for dataset file format problems."""
 
 
@@ -78,34 +77,53 @@ class TruncationError(DatasetFormatError):
 
 
 class VMismatchError(DatasetFormatError):
-    """Graph size disagrees with the file header or with other graphs."""
+    """The file's node count is not the one expected."""
 
 
-class SplitError(DatasetFormatError, ValueError):
+class SplitError(DatasetFormatError):
     """A split plan that leaks or does not fit its dataset."""
 
 
 @dataclass
-class ConnectivityGraph:
-    subject_id: int
-    label: int
-    site: int
-    matrix: np.ndarray  # (V, V) float64, symmetric, unit diagonal
+class Dataset:
+    """N subjects in file order: row i of ``subject_ids``, ``labels`` and
+    ``sites`` (N,) and of ``matrices`` (N, V, V), float64, is subject i's."""
+
+    subject_ids: np.ndarray
+    labels: np.ndarray
+    sites: np.ndarray
+    matrices: np.ndarray  # each symmetric, unit diagonal, entries in [-1, 1]
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
 
     def validate(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        if np.abs(m - m.T).max() > 1e-6:
-            raise ValueError("matrix is not symmetric within 1e-6")
-        if not (m.diagonal() == 1.0).all():
-            raise ValueError("diagonal must be exactly 1")
-        if m.min() < -1.0 or m.max() > 1.0:
-            raise ValueError("entries must lie in [-1, 1]")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+        """Raise DatasetFormatError naming the first subject, in row order,
+        whose id repeats or does not fit the file, or whose label, site or
+        matrix (finite, symmetric, unit diagonal, in [-1, 1]) is invalid."""
+        n, v = len(self), self.matrices.shape[-1]
+        if (self.labels.shape, self.sites.shape, self.matrices.shape) != ((n,), (n,), (n, v, v)):
+            raise DatasetFormatError(f"expected {n} labels, {n} sites and {n} square matrices")
+        seen = set()
+        for sid, label, site, m in zip(self.subject_ids.tolist(), self.labels.tolist(),
+                                       self.sites.tolist(), self.matrices):
+            if sid in seen:
+                raise DatasetFormatError(f"subject {sid} appears twice in the dataset")
+            seen.add(sid)
+            if not 0 <= sid < 2**32:
+                raise DatasetFormatError(f"subject {sid}: subject_id out of range")
+            if label not in (0, 1):
+                raise DatasetFormatError(f"subject {sid}: label must be 0 or 1, got {label}")
+            if not 0 <= site < 2**16:
+                raise DatasetFormatError(f"subject {sid}: site out of range: {site}")
+            if not np.isfinite(m).all():
+                raise DatasetFormatError(f"subject {sid}: matrix has non-finite entries")
+            if np.abs(m - m.T).max() > 1e-6:
+                raise DatasetFormatError(f"subject {sid}: matrix is not symmetric within 1e-6")
+            if not (m.diagonal() == 1.0).all():
+                raise DatasetFormatError(f"subject {sid}: diagonal must be exactly 1")
+            if m.min() < -1.0 or m.max() > 1.0:
+                raise DatasetFormatError(f"subject {sid}: entries must lie in [-1, 1]")
 
 
 @dataclass
@@ -147,7 +165,7 @@ def module_of_node(nodes: int, modules: int) -> np.ndarray:
     return (np.arange(nodes) * modules) // nodes
 
 
-def generate_dataset(spec: GeneratorSpec) -> list[ConnectivityGraph]:
+def generate_dataset(spec: GeneratorSpec) -> Dataset:
     """Deterministic synthetic dataset; subject i's stream depends only on
     (seed, i), so any subset can be regenerated independently."""
     spec.validate()
@@ -158,11 +176,12 @@ def generate_dataset(spec: GeneratorSpec) -> list[ConnectivityGraph]:
         [base.derive(_SITE_STREAM, s).normal(v) for s in range(spec.sites)]
     )
 
-    graphs = []
     n = 2 * spec.subjects_per_class
-    for sid in range(n):
-        label = sid // spec.subjects_per_class
-        site = (sid % spec.subjects_per_class) % spec.sites
+    ids = np.arange(n)
+    labels = ids // spec.subjects_per_class
+    sites = (ids % spec.subjects_per_class) % spec.sites
+    matrices = np.empty((n, v, v))
+    for sid, label, site in zip(ids, labels, sites):
         between = spec.between_strength_class1 if label else spec.between_strength_class0
 
         srng = base.derive(_SUBJECT_STREAM, sid)
@@ -183,95 +202,73 @@ def generate_dataset(spec: GeneratorSpec) -> list[ConnectivityGraph]:
         )
 
         corr = np.corrcoef(series).reshape(v, v)  # one series gives a 0-d array
-        corr = (corr + corr.T) / 2.0
-        np.clip(corr, -1.0, 1.0, out=corr)
-        np.fill_diagonal(corr, 1.0)
-        g = ConnectivityGraph(subject_id=sid, label=int(label), site=int(site), matrix=corr)
-        g.validate()
-        graphs.append(g)
-    return graphs
+        np.clip((corr + corr.T) / 2.0, -1.0, 1.0, out=matrices[sid])
+        np.fill_diagonal(matrices[sid], 1.0)
+    dataset = Dataset(ids, labels, sites, matrices)
+    dataset.validate()
+    return dataset
 
 
-def write_dataset(path, graphs) -> None:
-    """Write graphs to the binary dataset format (matrices as float32).
+def _record_dtype(v: int) -> np.dtype:
+    """One .bntd record: id, label, site, a pad byte, then the V x V matrix.
+    NumPy sizes a dtype by a C int, so V is at most 23,170."""
+    if 8 + 4 * v * v > np.iinfo(np.intc).max:
+        raise DatasetFormatError(f"a record of {v} nodes exceeds the largest NumPy dtype")
+    return np.dtype([("id", "<u4"), ("label", "u1"), ("site", "<u2"), ("pad", "u1"), ("matrix", "<f4", (v, v))])
 
-    Every record is checked before the file is opened, so a bad record
-    leaves no file behind, and the file replaces ``path`` only once it is
-    whole (``replacing``).
+
+def write_dataset(path, dataset: Dataset) -> None:
+    """Write a dataset to the binary format (matrices as float32).
+
+    The dataset is checked (``Dataset.validate``) before the file is opened,
+    so a bad record leaves no file behind; 16 records at a time go through
+    one buffer; the file replaces ``path`` only once whole (``replacing``).
     """
-    if len(graphs) == 0:
+    if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
-    v = graphs[0].matrix.shape[0]
-    seen = set()
-    for g in graphs:
-        if not 0 <= g.subject_id < 2**32:
-            raise ValueError(f"subject_id out of range: {g.subject_id}")
-        if g.subject_id in seen:
-            raise ValueError(f"subject {g.subject_id} appears twice")
-        seen.add(g.subject_id)
-        if g.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {g.label}")
-        if not 0 <= g.site < 2**16:
-            raise ValueError(f"site out of range: {g.site}")
-        if g.matrix.shape != (v, v):
-            raise VMismatchError(
-                f"subject {g.subject_id} has shape {g.matrix.shape}, expected ({v}, {v})"
-            )
+    dataset.validate()
+    v = dataset.matrices.shape[1]
+    records = np.zeros(min(len(dataset), 16), _record_dtype(v))
     with replacing(path) as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, len(graphs)))
-        for g in graphs:
-            f.write(_RECORD_HEAD.pack(g.subject_id, g.label, g.site, 0))
-            f.write(np.ascontiguousarray(g.matrix, dtype="<f4").tobytes())
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, len(dataset)))
+        for start in range(0, len(dataset), len(records)):
+            chunk = records[: len(dataset) - start]
+            rows = slice(start, start + len(chunk))
+            chunk["id"], chunk["label"] = dataset.subject_ids[rows], dataset.labels[rows]
+            chunk["site"], chunk["matrix"] = dataset.sites[rows], dataset.matrices[rows]
+            f.write(chunk)
 
 
-def read_dataset(path, expect_nodes: int | None = None) -> list[ConnectivityGraph]:
+def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
     """Read a binary dataset file; matrices widen to float64.
 
-    Every record is checked with ConnectivityGraph.validate, and subject
-    ids must be unique; a failure raises DatasetFormatError naming the
-    subject id.
+    The records are checked with ``Dataset.validate``.
     """
     with open(path, "rb") as f:
         raw = f.read()
+    if raw[:4] != MAGIC:
+        raise BadMagicError(f"not a dataset file: magic {raw[:4]!r}")
     if len(raw) < _HEADER.size:
-        if raw[:4] != MAGIC:
-            raise BadMagicError(f"not a dataset file: magic {raw[:4]!r}")
         raise TruncationError(f"header truncated at {len(raw)} bytes")
-    magic, version, v, n = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"not a dataset file: magic {magic!r}")
+    _, version, v, n = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
         raise BadVersionError(f"unsupported dataset version {version}")
     if expect_nodes is not None and v != expect_nodes:
         raise VMismatchError(f"dataset has {v} nodes, expected {expect_nodes}")
 
-    rec_size = _RECORD_HEAD.size + 4 * v * v
-    expected = _HEADER.size + n * rec_size
+    record = _record_dtype(v)
+    expected = _HEADER.size + n * record.itemsize
     if len(raw) != expected:
         raise TruncationError(f"file is {len(raw)} bytes, expected {expected} for {n} records")
 
-    graphs = []
-    seen = set()
-    off = _HEADER.size
-    for _ in range(n):
-        sid, label, site, _pad = _RECORD_HEAD.unpack_from(raw, off)
-        if sid in seen:
-            raise DatasetFormatError(f"subject {sid} appears twice in the dataset")
-        seen.add(sid)
-        off += _RECORD_HEAD.size
-        mat = np.frombuffer(raw, dtype="<f4", count=v * v, offset=off).reshape(v, v)
-        off += 4 * v * v
-        # Checking the stored float32 values moves half the bytes of checking
-        # the widened copy; widening is exact, so only the 1e-6 symmetry test
-        # can round differently, and only at its threshold.
-        try:
-            ConnectivityGraph(sid, label, site, mat).validate()
-        except ValueError as exc:
-            raise DatasetFormatError(f"subject {sid}: {exc}") from None
-        graphs.append(
-            ConnectivityGraph(subject_id=sid, label=label, site=site, matrix=mat.astype(np.float64))
-        )
-    return graphs
+    records = np.frombuffer(raw, record, count=n, offset=_HEADER.size)
+    dataset = Dataset(*(records[name].astype(np.int64) for name in ("id", "label", "site")), records["matrix"])
+    # Checking the stored float32 values moves half the bytes of checking
+    # the widened copy; widening is exact, so only the 1e-6 symmetry test
+    # can round differently, and only at its threshold.
+    dataset.validate()
+    dataset.matrices = dataset.matrices.astype(np.float64)
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +327,7 @@ class SplitPlan:
     @classmethod
     def from_text(cls, text: str) -> "SplitPlan":
         fields = key_values(text, "split_plan", repeated="warning")
-        frac = tuple(float(x) for x in fields["fractions"].split())
-        if len(frac) != 3:
-            raise ValueError("fractions must have three entries")
+        frac = _check_fractions(fields["fractions"].split())
 
         def ids(name):
             return [int(x) for x in fields.get(name, "").split()]
@@ -360,21 +355,22 @@ class SplitPlan:
                     raise SplitError(f"subject id {i} appears {where}")
                 seen[i] = name
 
-    def select(self, graphs, names=("train", "val", "test")) -> list[list[ConnectivityGraph]]:
-        """The graphs of each named list, in list order.  SplitError if the
-        plan leaks (``validate``), if a named list holds an id that ``graphs``
-        lacks, or if train or val is empty or holds one class: training needs
-        both classes for its loss and for model selection."""
+    def select(self, dataset: Dataset, names=("train", "val", "test")) -> list[np.ndarray]:
+        """The ``dataset`` rows of each named list's subjects, in list order.
+        SplitError if the plan leaks (``validate``), if a named list holds an
+        id that ``dataset`` lacks, or if train or val is empty or holds one
+        class: training needs both classes for its loss and for model
+        selection."""
         self.validate()
-        by_id = {g.subject_id: g for g in graphs}
+        row_of = {sid: row for row, sid in enumerate(dataset.subject_ids.tolist())}
         selected = []
         for name in names:
             ids = getattr(self, name)
-            missing = [i for i in ids if i not in by_id]
+            missing = [i for i in ids if i not in row_of]
             if missing:
                 raise SplitError(f"{name} list references subject id {missing[0]} absent from the dataset")
-            selected.append([by_id[i] for i in ids])
-            classes = {g.label for g in selected[-1]}
+            selected.append(np.array([row_of[i] for i in ids], dtype=np.intp))
+            classes = set(dataset.labels[selected[-1]].tolist())
             if name != "test" and classes != {0, 1}:
                 held = f"holds only class {classes.pop()}" if ids else "is empty"
                 raise SplitError(f"the {name} list {held}; train and val need both classes")
@@ -421,17 +417,17 @@ def _deal(cells, fractions, rng: Rng, stratified: bool) -> SplitPlan:
     return plan
 
 
-def stratified_split(graphs, fractions, rng: Rng) -> SplitPlan:
+def stratified_split(dataset: Dataset, fractions, rng: Rng) -> SplitPlan:
     """Split subjects into train/val/test, stratified by (site, label).
 
     Within every (site, label) cell the subjects are shuffled and
     apportioned by largest remainder, so each cell's count in a split
-    deviates from its proportional share by at most 1.  ``graphs`` only
-    needs ``subject_id``/``site``/``label`` attributes.
+    deviates from its proportional share by at most 1.  Only the
+    dataset's ids, labels and sites are read.
     """
     cells: dict[tuple[int, int], list[int]] = {}
-    for g in graphs:
-        cells.setdefault((g.site, g.label), []).append(g.subject_id)
+    for sid, label, site in zip(dataset.subject_ids.tolist(), dataset.labels.tolist(), dataset.sites.tolist()):
+        cells.setdefault((site, label), []).append(sid)
     plan = _deal([cells[key] for key in sorted(cells)], fractions, rng, stratified=True)
     n_active = sum(1 for f in plan.fractions if f > 0)
     for (site, label), ids in sorted(cells.items()):
@@ -443,6 +439,6 @@ def stratified_split(graphs, fractions, rng: Rng) -> SplitPlan:
     return plan
 
 
-def random_split(graphs, fractions, rng: Rng) -> SplitPlan:
+def random_split(dataset: Dataset, fractions, rng: Rng) -> SplitPlan:
     """Plain shuffled split without stratification: one cell of every subject."""
-    return _deal([[g.subject_id for g in graphs]], fractions, rng, stratified=False)
+    return _deal([dataset.subject_ids.tolist()], fractions, rng, stratified=False)

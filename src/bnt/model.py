@@ -522,22 +522,25 @@ def baseline_readout(z, kind: Readout) -> np.ndarray:
     raise ValueError(f"not a baseline readout: {kind}")
 
 
-def loss_and_grad(batch, params: ModelParams, config: ModelConfig, ws: _Workspace | None = None):
-    """Mean cross-entropy over the batch and analytic parameter gradients.
+def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Workspace | None = None):
+    """Mean cross-entropy over the batch x (B, V, V) with class ``labels``
+    (B,), and analytic parameter gradients.
 
     Gradients come back as a ModelParams over a fresh vector.  Centers
     receive gradient only for the learnable-centers clustering readout;
     otherwise their slot is zero.  ``ws`` is a training ``_Workspace`` for
-    at least len(batch) graphs that successive calls share; without one,
-    the call builds its own.  Nothing returned refers to it.
+    at least B graphs that successive calls share; without one, the call
+    builds its own.  Nothing returned refers to it.
     """
-    if len(batch) == 0:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.intp)
+    b = len(x)
+    if b == 0:
         raise ValueError("batch must be non-empty")
-    x = np.stack([np.asarray(g, dtype=np.float64) for g, _ in batch])
-    y = np.array([label for _, label in batch], dtype=np.intp)
+    if y.shape != (b,):
+        raise ValueError(f"expected {b} labels, got shape {y.shape}")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    b = len(batch)
     if ws is None:
         ws = _Workspace(b, config, train=True)
     elif not ws.train:
@@ -611,9 +614,9 @@ def _scoring_jobs(config: ModelConfig, graphs: int, chunk: int, jobs: int) -> in
 
 
 def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1):
-    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs, in
-    order: ``rows`` slices ``graphs``, ``assignment`` is the chunk's
-    (graphs, V, K) clustering-readout soft assignment or None.
+    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs of
+    ``graphs`` ((N, V, V), or N matrices stacked once), in order: ``rows``
+    slices ``graphs``, ``assignment`` is the chunk's soft assignment or None.
 
     Chunks run in up to ``jobs`` forked worker processes
     (``bnt.workers.ordered_map``) when that pays for the pool
@@ -625,18 +628,18 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    x = np.asarray(graphs, dtype=np.float64)
     ws = None
 
     def score(start):
         nonlocal ws
         if ws is None:
-            ws = _Workspace(min(chunk, len(graphs)), config)
-        x = np.stack([np.asarray(g, dtype=np.float64) for g in graphs[start : start + chunk]])
-        tr = _forward_batch(x, params, config, ws)
-        return slice(start, start + len(x)), tr.logits, tr.assignment
+            ws = _Workspace(min(chunk, len(x)), config)
+        tr = _forward_batch(x[start : start + chunk], params, config, ws)
+        return slice(start, min(start + chunk, len(x))), tr.logits, tr.assignment
 
-    starts = range(0, len(graphs), chunk)
-    yield from ordered_map(score, starts, _scoring_jobs(config, len(graphs), chunk, jobs))
+    starts = range(0, len(x), chunk)
+    yield from ordered_map(score, starts, _scoring_jobs(config, len(x), chunk, jobs))
 
 
 def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16,

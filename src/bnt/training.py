@@ -186,16 +186,16 @@ class TrainReport:
         )
 
 
-def evaluate(params: ModelParams, config: ModelConfig, graphs,
+def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
              jobs: int = 1) -> tuple[metrics_mod.EvalResult, np.ndarray]:
-    """Score graphs (``predict_proba`` in up to ``jobs`` processes) and
-    compute the evaluation metrics.
+    """Score ``matrices`` (``predict_proba`` in up to ``jobs`` processes)
+    and compute the evaluation metrics against their class ``labels``.
 
     AUROC is None when only one class is present (threshold metrics are
     still reported where defined).
     """
-    labels = np.array([g.label for g in graphs], dtype=np.intp)
-    scores = predict_proba([g.matrix for g in graphs], params, config, jobs=jobs)
+    labels = np.asarray(labels, dtype=np.intp)
+    scores = predict_proba(matrices, params, config, jobs=jobs)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     auroc_val = metrics_mod.auroc(scores, labels) if n_pos and n_neg else None
@@ -214,19 +214,20 @@ def _diverged(epoch: int, what: str) -> FloatingPointError:
 # checked once; errstate keeps NumPy's warnings about it off stderr.
 @np.errstate(all="ignore")
 def train(
-    graphs,
+    dataset,
     plan,
     model_config: ModelConfig,
     train_config: TrainConfig,
     jobs: int = 1,
 ) -> tuple[ModelParams, TrainReport]:
     """Train on the plan's train ids, select on val AUROC, report on test.
-    A plan that does not fit ``graphs`` raises ``SplitError`` (``SplitPlan.select``).
+    A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
     Validation and test scoring use up to ``jobs`` processes where that pays
     (``model.predict_proba``); nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
-    train_graphs, val_graphs, test_graphs = plan.select(graphs)
+    train_rows, val_rows, test_rows = plan.select(dataset)
+    matrices, labels = dataset.matrices, dataset.labels
 
     rng = Rng(train_config.seed)
     params = init_params(model_config, rng.derive(_INIT_STREAM))
@@ -234,12 +235,9 @@ def train(
     state = AdamState(np.zeros_like(params.vector), np.zeros_like(params.vector))
     best = np.empty_like(params.vector)  # the selected epoch's parameters
 
-    samples = [(g.matrix, g.label) for g in train_graphs]
-    n = len(samples)
+    n = len(train_rows)
     bs = train_config.batch_size
     ws = _Workspace(min(bs, n), model_config, train=True)  # every step's large arrays
-    val_matrices = [g.matrix for g in val_graphs]
-    val_labels = np.array([g.label for g in val_graphs], dtype=np.intp)
 
     best_auroc = -np.inf
     best_epoch = 0
@@ -250,21 +248,21 @@ def train(
         perm = rng.derive(_EPOCH_STREAM_BASE + epoch).shuffle(n)
         epoch_loss = 0.0
         for start in range(0, n, bs):
-            batch = [samples[i] for i in perm[start : start + bs]]
-            loss, grads = loss_and_grad(batch, params, model_config, ws=ws)
+            rows = train_rows[perm[start : start + bs]]
+            loss, grads = loss_and_grad(matrices[rows], params, model_config, labels[rows], ws=ws)
             if not math.isfinite(loss):
                 raise _diverged(epoch, "loss")
             if not np.isfinite(grads.vector).all():
                 bad = next(name for name, g in grads.named_tensors() if not np.isfinite(g).all())
                 raise _diverged(epoch, f"gradient of {bad}")
             adam_step(params.vector, grads.vector, state, train_config, spans)
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * len(rows)
         train_losses.append(epoch_loss / n)
 
-        val_scores = predict_proba(val_matrices, params, model_config, jobs=jobs)
+        val_scores = predict_proba(matrices[val_rows], params, model_config, jobs=jobs)
         if not np.isfinite(val_scores).all():
             raise _diverged(epoch, "validation scores")
-        val_aurocs.append(metrics_mod.auroc(val_scores, val_labels))
+        val_aurocs.append(metrics_mod.auroc(val_scores, labels[val_rows]))
         if val_aurocs[-1] > best_auroc:
             best_auroc = val_aurocs[-1]
             best_epoch = epoch
@@ -272,7 +270,7 @@ def train(
 
     del ws  # so workers forked for the test pass do not inherit the step buffers
     best_params = ModelParams(best, model_config)
-    test_result, _ = evaluate(best_params, model_config, test_graphs, jobs)
+    test_result, _ = evaluate(best_params, model_config, matrices[test_rows], labels[test_rows], jobs)
     report = TrainReport(
         selected_epoch=best_epoch,
         train_loss=train_losses,

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from bnt.cli import main as cli_main
-from bnt.data import ConnectivityGraph, GeneratorSpec, generate_dataset, stratified_split
+from bnt.data import Dataset, GeneratorSpec, generate_dataset, stratified_split
 from bnt.linalg import gram_schmidt
 from bnt.metrics import auroc
 from bnt.model import CentersMode, ModelConfig, Readout, forward, init_params, loss_and_grad, trainable_names
@@ -52,8 +52,8 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
         nodes=8, modules=2, subjects_per_class=1, sites=1, series_length=32, seed=1
     )
     graphs = generate_dataset(spec)
-    batch = [(g.matrix, g.label) for g in graphs]
-    assert sorted(g.label for g in graphs) == [0, 1]
+    batch = list(zip(graphs.matrices, graphs.labels.tolist()))
+    assert sorted(graphs.labels.tolist()) == [0, 1]
 
     worst = 0.0
     tested = 0
@@ -64,7 +64,7 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
                 readout=readout, centers_mode=centers,
             )
             params = init_params(config, Rng(7))
-            _, grads = loss_and_grad(batch, params, config)
+            _, grads = loss_and_grad(graphs.matrices, params, config, graphs.labels)
             numeric = finite_difference_grads(batch, params, config, h=1e-5)
             analytic = dict(grads.named_tensors())
             for name in trainable_names(config):
@@ -216,26 +216,21 @@ def test_criterion_09_stratified_cells_stay_proportional():
         sites = 1 + int(srng.uniform(1)[0] * 5)
         per_class = 2 + int(srng.uniform(1)[0] * 49)
         site_draw = srng.uniform(2 * per_class)
-        graphs = [
-            ConnectivityGraph(
-                subject_id=i,
-                label=i % 2,
-                site=int(site_draw[i] * sites),
-                matrix=np.eye(1),
-            )
-            for i in range(2 * per_class)
-        ]
+        n = 2 * per_class
+        labels = np.arange(n) % 2
+        site_of = (site_draw * sites).astype(int)
+        graphs = Dataset(np.arange(n), labels, site_of, np.ones((n, 1, 1)))
         fractions = (0.7, 0.1, 0.2)
         plan = stratified_split(graphs, fractions, srng.derive(1))
         totals = {}
-        for g in graphs:
-            totals[(g.site, g.label)] = totals.get((g.site, g.label), 0) + 1
-        by_id = {g.subject_id: g for g in graphs}
+        for i in range(n):
+            cell = (site_of[i], labels[i])
+            totals[cell] = totals.get(cell, 0) + 1
         for fraction, ids in zip(fractions, (plan.train, plan.val, plan.test)):
             counts = {}
-            for i in ids:
-                g = by_id[i]
-                counts[(g.site, g.label)] = counts.get((g.site, g.label), 0) + 1
+            for i in ids:  # subject i is row i
+                cell = (site_of[i], labels[i])
+                counts[cell] = counts.get(cell, 0) + 1
             for cell, total in totals.items():
                 worst = max(worst, abs(counts.get(cell, 0) - fraction * total))
     _criterion(

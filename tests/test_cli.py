@@ -13,6 +13,7 @@ import time
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     return rows[0], rows[1:]
+
+
+class _Subject(NamedTuple):
+    matrix: np.ndarray
+    label: int
+
+
+def _subjects(path):
+    """{subject id: its matrix and label} of a dataset file."""
+    d = read_dataset(path)
+    rows = zip(d.subject_ids.tolist(), d.matrices, d.labels.tolist())
+    return {sid: _Subject(m, label) for sid, m, label in rows}
 
 
 def _read_manifest(path):
@@ -245,7 +258,7 @@ def test_generate_one_node(tmp_path, run_cli):
     assert code == 0, err
     graphs = read_dataset(out)
     assert len(graphs) == 4
-    assert all(g.matrix.tolist() == [[1.0]] for g in graphs)
+    assert all(m.tolist() == [[1.0]] for m in graphs.matrices)
 
 
 def test_generate_rejects_modules_over_nodes(tmp_path, run_cli):
@@ -559,7 +572,7 @@ def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
     for _, label, cluster, node, value in assignment_rows:
         matrices[int(label)][int(node), int(cluster)] = float(value)
     params, _ = load_checkpoint(tiny_workspace["checkpoint"])
-    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    by_id = _subjects(tiny_workspace["dataset"])
     with open(tiny_workspace["split"], encoding="utf-8") as f:
         test_ids = SplitPlan.from_text(f.read()).test
     for label in (0, 1):
@@ -576,7 +589,7 @@ def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
 def test_export_assignments_refuses_a_one_class_test_split_before_scoring(
     tiny_workspace, tmp_path, run_cli, monkeypatch
 ):
-    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    by_id = _subjects(tiny_workspace["dataset"])
     with open(tiny_workspace["split"], encoding="utf-8") as f:
         plan = SplitPlan.from_text(f.read())
     plan.test = [i for i in plan.test if by_id[i].label == 0]
@@ -733,8 +746,8 @@ def test_scoring_commands_refuse_jobs_out_of_range_before_any_input(tmp_path, ru
 @pytest.fixture(scope="module")
 def wide_test_split(tiny_workspace, tmp_path_factory):
     """A plan over the tiny dataset whose 18-graph test split spans two 16-graph chunks."""
-    ids = {label: [g.subject_id for g in read_dataset(tiny_workspace["dataset"]) if g.label == label]
-           for label in (0, 1)}
+    dataset = read_dataset(tiny_workspace["dataset"])
+    ids = {label: dataset.subject_ids[dataset.labels == label].tolist() for label in (0, 1)}
     plan = SplitPlan(ids[0][:2] + ids[1][:2], ids[0][2:3] + ids[1][2:3], ids[0][3:] + ids[1][3:],
                      (0.2, 0.1, 0.7))
     path = tmp_path_factory.mktemp("wide") / "split.txt"
@@ -863,7 +876,7 @@ def test_split_refuses_duplicate_subject_ids(tiny_workspace, tmp_path, run_cli):
     # write_dataset refuses a repeated id, so copy record 0's id into record 1
     with open(tiny_workspace["dataset"], "rb") as f:
         raw = f.read()
-    second = 16 + 8 + 4 * graphs[0].matrix.shape[0] ** 2
+    second = 16 + 8 + 4 * graphs.matrices.shape[1] ** 2
     dataset = tmp_path / "twice.bntd"
     dataset.write_bytes(raw[:second] + raw[16:20] + raw[second + 4 :])
     out = str(tmp_path / "split.txt")
@@ -871,7 +884,7 @@ def test_split_refuses_duplicate_subject_ids(tiny_workspace, tmp_path, run_cli):
         run_cli(["split", "--dataset", str(dataset), "--out", out]),
         out, out + ".manifest",
     )
-    assert f"subject {graphs[0].subject_id} appears twice" in err
+    assert f"subject {graphs.subject_ids[0]} appears twice" in err
 
 
 def test_split_refuses_a_plan_without_both_classes_in_train_and_val(tmp_path, run_cli):
@@ -886,7 +899,7 @@ def test_split_refuses_a_plan_without_both_classes_in_train_and_val(tmp_path, ru
 
 
 def test_train_refuses_a_plan_with_a_one_class_val_list(tiny_workspace, tmp_path, run_cli):
-    by_id = {g.subject_id: g for g in read_dataset(tiny_workspace["dataset"])}
+    by_id = _subjects(tiny_workspace["dataset"])
     with open(tiny_workspace["split"], encoding="utf-8") as f:
         plan = SplitPlan.from_text(f.read())
     plan.test += [i for i in plan.val if by_id[i].label == 0]
@@ -900,6 +913,38 @@ def test_train_refuses_a_plan_with_a_one_class_val_list(tiny_workspace, tmp_path
         run_dir,
     )
     assert "the val list holds only class 1" in err
+
+
+@pytest.mark.parametrize("fractions", ["nan -5 inf", "0.5 0.5 0.5", "-0.2 0.6 0.6"])
+def test_train_refuses_split_fractions_that_split_refuses(tiny_workspace, tmp_path, run_cli, fractions):
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        text = "".join(f"fractions = {fractions}\n" if l.startswith("fractions") else l for l in f)
+    split = tmp_path / "badfrac.txt"
+    split.write_text(text, encoding="utf-8")
+    run_dir = str(tmp_path / "run")
+    err = _assert_data_error(
+        run_cli(["train", "--dataset", tiny_workspace["dataset"], "--split", str(split),
+                 "--epochs", "1", "--out", run_dir]),
+        run_dir,
+    )
+    assert err.startswith(f"data error: {split}: fractions must "), err
+
+
+@pytest.mark.parametrize("line", ["config.readout = mean", "config.clusters = 3", "config.head_dim = 5"])
+def test_eval_refuses_a_report_of_another_model(tiny_workspace, tmp_path, run_cli, line):
+    key = line.partition(" ")[0]
+    report = tmp_path / "report.txt"
+    with open(tiny_workspace["report"], encoding="utf-8") as f:
+        report.write_text("".join(line + "\n" if l.startswith(key + " ") else l for l in f), encoding="utf-8")
+    assert line in report.read_text(encoding="utf-8").splitlines()
+    out = str(tmp_path / "m.csv")
+    err = _assert_data_error(
+        run_cli(["eval", "--checkpoint", tiny_workspace["checkpoint"],
+                 "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+                 "--report", str(report), "--out", out]),
+        out, out + ".manifest",
+    )
+    assert err == f"data error: train report {report} does not describe checkpoint {tiny_workspace['checkpoint']}\n"
 
 
 def test_eval_report_without_auroc_is_a_data_error(tiny_workspace, tmp_path, run_cli):

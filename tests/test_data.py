@@ -1,17 +1,19 @@
 """Synthetic generator, binary dataset format, and split planning."""
 
 import hashlib
-from dataclasses import replace
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnt.data
 from bnt.data import (
     BadMagicError,
     BadVersionError,
-    ConnectivityGraph,
+    Dataset,
     DatasetFormatError,
     GeneratorSpec,
     SplitError,
@@ -36,6 +38,19 @@ SMALL = GeneratorSpec(
 @pytest.fixture(scope="module")
 def small_graphs():
     return generate_dataset(SMALL)
+
+
+def _records(ids, labels, sites):
+    """A dataset of 1 x 1 unit matrices; the splitters read only ids, labels and sites."""
+    return Dataset(np.array(ids), np.array(labels), np.array(sites), np.ones((len(ids), 1, 1)))
+
+
+def _with_row(dataset, index, **change):
+    """A copy of ``dataset`` whose row ``index`` takes the given field values."""
+    copy = Dataset(*(getattr(dataset, f.name).copy() for f in fields(Dataset)))
+    for name, value in change.items():
+        getattr(copy, name)[index] = value
+    return copy
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +90,16 @@ def test_generator_spec_rejects(kwargs):
 
 def test_generate_count_labels_sites(small_graphs):
     assert len(small_graphs) == 2 * SMALL.subjects_per_class
-    for g in small_graphs:
-        assert g.subject_id // SMALL.subjects_per_class == g.label
-        assert g.site == (g.subject_id % SMALL.subjects_per_class) % SMALL.sites
-    labels = [g.label for g in small_graphs]
+    for subject_id, label, site in zip(small_graphs.subject_ids, small_graphs.labels, small_graphs.sites):
+        assert subject_id // SMALL.subjects_per_class == label
+        assert site == (subject_id % SMALL.subjects_per_class) % SMALL.sites
+    labels = small_graphs.labels.tolist()
     assert labels.count(0) == labels.count(1) == SMALL.subjects_per_class
 
 
 def test_generate_matrix_properties(small_graphs):
-    for g in small_graphs:
-        m = g.matrix
+    assert small_graphs.matrices.dtype == np.float64
+    for m in small_graphs.matrices:
         assert m.shape == (SMALL.nodes, SMALL.nodes)
         assert np.array_equal(m, m.T)
         assert (np.diagonal(m) == 1.0).all()
@@ -95,18 +110,17 @@ def test_generate_matrix_properties(small_graphs):
 
 def test_generate_deterministic(small_graphs):
     again = generate_dataset(SMALL)
-    for a, b in zip(small_graphs, again):
-        assert (a.subject_id, a.label, a.site) == (b.subject_id, b.label, b.site)
-        assert np.array_equal(a.matrix, b.matrix)
+    for f in fields(Dataset):
+        assert np.array_equal(getattr(small_graphs, f.name), getattr(again, f.name))
 
 
 def test_within_module_correlation_dominates(small_graphs):
     member = module_of_node(SMALL.nodes, SMALL.modules)
     same = member[:, None] == member[None, :]
     off_diag = ~np.eye(SMALL.nodes, dtype=bool)
-    for g in small_graphs:
-        within = g.matrix[same & off_diag].mean()
-        between = g.matrix[~same].mean()
+    for m in small_graphs.matrices:
+        within = m[same & off_diag].mean()
+        between = m[~same].mean()
         assert within > between
 
 
@@ -114,8 +128,8 @@ def test_class_contrast_in_between_module_correlation(small_graphs):
     member = module_of_node(SMALL.nodes, SMALL.modules)
     cross = member[:, None] != member[None, :]
     means = {0: [], 1: []}
-    for g in small_graphs:
-        means[g.label].append(g.matrix[cross].mean())
+    for label, m in zip(small_graphs.labels, small_graphs.matrices):
+        means[label].append(m[cross].mean())
     # class 1 mixes modules more strongly than class 0 by construction
     assert np.mean(means[1]) > np.mean(means[0])
 
@@ -131,10 +145,12 @@ def test_graph_validate_rejects_bad_matrices():
     ]
     for matrix in cases:
         with pytest.raises(ValueError):
-            ConnectivityGraph(subject_id=0, label=0, site=0, matrix=matrix).validate()
-    ConnectivityGraph(subject_id=0, label=0, site=0, matrix=good).validate()
+            Dataset(np.array([0]), np.array([0]), np.array([0]), matrix[None]).validate()
+    Dataset(np.array([0]), np.array([0]), np.array([0]), good[None]).validate()
     with pytest.raises(ValueError):
-        ConnectivityGraph(subject_id=0, label=3, site=0, matrix=good).validate()
+        Dataset(np.array([0]), np.array([3]), np.array([0]), good[None]).validate()
+    with pytest.raises(ValueError, match="expected 2 labels, 2 sites and 2 square matrices"):
+        Dataset(np.array([0, 1]), np.array([0]), np.array([0, 0]), np.stack([good, good])).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +162,11 @@ def test_roundtrip_preserves_records(tmp_path, small_graphs):
     write_dataset(path, small_graphs)
     back = read_dataset(path)
     assert len(back) == len(small_graphs)
-    for a, b in zip(small_graphs, back):
-        assert (a.subject_id, a.label, a.site) == (b.subject_id, b.label, b.site)
-        # storage is float32; the roundtrip must be exactly the f32 cast
-        assert np.array_equal(b.matrix, a.matrix.astype(np.float32).astype(np.float64))
+    for name in ("subject_ids", "labels", "sites"):
+        assert getattr(back, name).tolist() == getattr(small_graphs, name).tolist()
+    # storage is float32; the roundtrip must be exactly the f32 cast
+    assert back.matrices.dtype == np.float64
+    assert np.array_equal(back.matrices, small_graphs.matrices.astype(np.float32).astype(np.float64))
 
 
 def test_rewrite_is_byte_identical(tmp_path, small_graphs):
@@ -160,27 +177,40 @@ def test_rewrite_is_byte_identical(tmp_path, small_graphs):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_a_write_failing_midway_leaves_the_old_file_and_no_temp(tmp_path, small_graphs):
+class _FailingRecords:
+    """A binary file whose second write, the records after the header, fails."""
+
+    def __init__(self, path, mode):
+        self.file, self.writes = open(path, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise ValueError("write failed")
+        return self.file.write(data)
+
+
+def test_a_write_failing_midway_leaves_the_old_file_and_no_temp(tmp_path, small_graphs, monkeypatch):
     path = tmp_path / "set.bntd"
     write_dataset(path, small_graphs)
     before = path.read_bytes()
-    # the third record's matrix passes the shape check but cannot become float32
-    bad = replace(small_graphs[2], matrix=np.full((16, 16), "x", dtype=object))
+    # the header is written, then writing the records fails
+    monkeypatch.setattr(bnt.data, "open", _FailingRecords, raising=False)
     with pytest.raises(ValueError):
-        write_dataset(path, [*small_graphs[:2], bad])
+        write_dataset(path, small_graphs)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["set.bntd"]
 
 
 def test_write_rejects_empty_and_mixed_sizes(tmp_path):
     with pytest.raises(ValueError):
-        write_dataset(tmp_path / "x.bntd", [])
-    graphs = [
-        ConnectivityGraph(0, 0, 0, np.eye(3)),
-        ConnectivityGraph(1, 0, 0, np.eye(4)),
-    ]
-    with pytest.raises(VMismatchError):
-        write_dataset(tmp_path / "x.bntd", graphs)
+        write_dataset(tmp_path / "x.bntd", _records([], [], []))
 
 
 def test_read_error_kinds(tmp_path, small_graphs):
@@ -208,6 +238,13 @@ def test_read_error_kinds(tmp_path, small_graphs):
     with pytest.raises(TruncationError):
         read_dataset(padded)
 
+    # a node count whose record no NumPy dtype can hold, with and without records
+    for n in (0, 1):
+        huge = tmp_path / f"huge{n}.bntd"
+        huge.write_bytes(raw[:8] + (2**16).to_bytes(4, "little") + n.to_bytes(4, "little") + raw[16:16 + 8 * n])
+        with pytest.raises(DatasetFormatError, match="exceeds the largest NumPy dtype"):
+            read_dataset(huge)
+
     with pytest.raises(VMismatchError):
         read_dataset(path, expect_nodes=SMALL.nodes + 1)
     assert len(read_dataset(path, expect_nodes=SMALL.nodes)) == len(small_graphs)
@@ -215,11 +252,11 @@ def test_read_error_kinds(tmp_path, small_graphs):
     # 16-byte file header, 8-byte record head, then entry (0, 0) and (0, 1)
     nan = tmp_path / "nan.bntd"
     nan.write_bytes(raw[:28] + np.float32(np.nan).tobytes() + raw[32:])
-    with pytest.raises(DatasetFormatError, match=f"subject {small_graphs[0].subject_id}: .*non-finite"):
+    with pytest.raises(DatasetFormatError, match=f"subject {small_graphs.subject_ids[0]}: .*non-finite"):
         read_dataset(nan)
 
     # write_dataset refuses a repeated id, so copy record 0's id into record 1
-    sid = small_graphs[0].subject_id
+    sid = small_graphs.subject_ids[0]
     second = 16 + 8 + 4 * SMALL.nodes**2
     twice = tmp_path / "twice.bntd"
     twice.write_bytes(raw[:second] + raw[16:20] + raw[second + 4 :])
@@ -227,22 +264,66 @@ def test_read_error_kinds(tmp_path, small_graphs):
         read_dataset(twice)
 
 
+def _eye_with(entries):
+    """The SMALL-sized identity with the given {(row, column): value} entries."""
+    m = np.eye(SMALL.nodes)
+    for at, value in entries.items():
+        m[at] = value
+    return m
+
+
 @pytest.mark.parametrize(
     "index, change, match",
     [
-        (1, dict(subject_id=0), "subject 0 appears twice"),  # record 0 has id 0
-        (2, dict(label=2), "label must be 0 or 1"),
-        (3, dict(site=2**16), "site out of range"),
-        (4, dict(subject_id=-1), "subject_id out of range"),
+        (1, dict(subject_ids=0), "subject 0 appears twice"),  # record 0 has id 0
+        (2, dict(labels=2), "label must be 0 or 1"),
+        (3, dict(sites=2**16), "site out of range"),
+        (4, dict(subject_ids=-1), "subject_id out of range"),
+        # matrices read_dataset refuses are refused before a file is opened too
+        (5, dict(matrices=_eye_with({(0, 1): 0.5})), "subject 5: matrix is not symmetric within 1e-6"),
+        (6, dict(matrices=_eye_with({(2, 2): 0.9})), "subject 6: diagonal must be exactly 1"),
+        (7, dict(matrices=_eye_with({(0, 1): 1.5, (1, 0): 1.5})), r"subject 7: entries must lie in \[-1, 1\]"),
     ],
 )
 def test_write_checks_every_record_before_opening(tmp_path, small_graphs, index, change, match):
-    graphs = list(small_graphs)
-    graphs[index] = replace(graphs[index], **change)
     path = tmp_path / "bad.bntd"
     with pytest.raises(ValueError, match=match):
-        write_dataset(path, graphs)
+        write_dataset(path, _with_row(small_graphs, index, **change))
     assert not path.exists()
+
+
+# Digests of write_dataset(generate_dataset(spec)) taken before the writer
+# became one record dtype: a .bntd file must not change when its code does.
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (GeneratorSpec(nodes=1, modules=1, subjects_per_class=6, sites=2, seed=0), "100d6e3f7eab420a"),
+        (GeneratorSpec(nodes=7, modules=3, subjects_per_class=9, sites=3, seed=1), "eb0e58f449c4a77f"),
+        (GeneratorSpec(nodes=32, subjects_per_class=10, seed=2), "02db1bb2c38eafe4"),
+    ],
+)
+def test_dataset_bytes_are_pinned(tmp_path, spec, digest):
+    path = tmp_path / "set.bntd"
+    write_dataset(path, generate_dataset(spec))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("nan_record, repeat_record", [(2, 4), (4, 2)])
+def test_read_names_the_first_bad_record(tmp_path, small_graphs, nan_record, repeat_record):
+    path = tmp_path / "set.bntd"
+    write_dataset(path, small_graphs)
+    raw = bytearray(path.read_bytes())
+    record = 8 + 4 * SMALL.nodes**2
+    start = 16 + nan_record * record + 8 + 4  # the matrix entry (0, 1)
+    raw[start : start + 4] = np.float32(np.nan).tobytes()
+    start = 16 + repeat_record * record
+    raw[start : start + 4] = raw[16:20]  # record 0's id
+    path.write_bytes(bytes(raw))
+    ids = small_graphs.subject_ids
+    first = (f"subject {ids[nan_record]}: matrix has non-finite entries" if nan_record < repeat_record
+             else f"subject {ids[0]} appears twice in the dataset")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(first)}$"):
+        read_dataset(path)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +332,17 @@ def test_write_checks_every_record_before_opening(tmp_path, small_graphs, index,
 
 def _cell_counts(graphs, ids):
     counts = {}
-    by_id = {g.subject_id: g for g in graphs}
+    row_of = {sid: row for row, sid in enumerate(graphs.subject_ids.tolist())}
     for i in ids:
-        g = by_id[i]
-        counts[(g.site, g.label)] = counts.get((g.site, g.label), 0) + 1
+        cell = (graphs.sites[row_of[i]], graphs.labels[row_of[i]])
+        counts[cell] = counts.get(cell, 0) + 1
     return counts
 
 
 def test_stratified_split_partitions_everything(small_graphs):
     plan = stratified_split(small_graphs, (0.5, 0.25, 0.25), Rng(0))
     all_ids = sorted(plan.train + plan.val + plan.test)
-    assert all_ids == sorted(g.subject_id for g in small_graphs)
+    assert all_ids == sorted(small_graphs.subject_ids.tolist())
     assert set(plan.train).isdisjoint(plan.val)
     assert set(plan.train).isdisjoint(plan.test)
     assert set(plan.val).isdisjoint(plan.test)
@@ -275,17 +356,15 @@ def test_stratified_split_partitions_everything(small_graphs):
 )
 @settings(deadline=None, max_examples=40)
 def test_stratified_cells_deviate_at_most_one(per_class, sites, seed):
-    # duck-typed records: the splitter only needs subject_id, label, site
+    # 1 x 1 records: the splitter reads only ids, labels and sites
     rng = Rng(seed)
-    graphs = [
-        ConnectivityGraph(subject_id=i, label=i % 2, site=int(rng.uniform(1)[0] * sites), matrix=np.eye(1))
-        for i in range(2 * per_class)
-    ]
+    n = 2 * per_class
+    graphs = _records(range(n), [i % 2 for i in range(n)], [int(rng.uniform(1)[0] * sites) for _ in range(n)])
     fractions = (0.7, 0.1, 0.2)
     plan = stratified_split(graphs, fractions, Rng(seed + 1))
     for part_index, ids in enumerate((plan.train, plan.val, plan.test)):
         counts = _cell_counts(graphs, ids)
-        totals = _cell_counts(graphs, [g.subject_id for g in graphs])
+        totals = _cell_counts(graphs, graphs.subject_ids.tolist())
         for cell, total in totals.items():
             target = fractions[part_index] * total
             assert abs(counts.get(cell, 0) - target) <= 1.0
@@ -309,10 +388,7 @@ def test_split_rejects_bad_fractions(small_graphs):
 
 def test_small_cells_warn():
     # one subject per (site, label) cell cannot cover three non-empty splits
-    graphs = [
-        ConnectivityGraph(subject_id=i, label=i % 2, site=0, matrix=np.eye(1))
-        for i in range(2)
-    ]
+    graphs = _records([0, 1], [0, 1], [0, 0])
     plan = stratified_split(graphs, (0.7, 0.1, 0.2), Rng(0))
     assert len(plan.warnings) == 2
 
@@ -321,15 +397,12 @@ def test_random_split_partitions(small_graphs):
     plan = random_split(small_graphs, (0.5, 0.25, 0.25), Rng(1))
     assert not plan.stratified
     all_ids = sorted(plan.train + plan.val + plan.test)
-    assert all_ids == sorted(g.subject_id for g in small_graphs)
+    assert all_ids == sorted(small_graphs.subject_ids.tolist())
 
 
-# Duck-typed records over 3 sites with uneven cells, some too small for
+# Records over 3 sites with uneven cells, some too small for
 # three non-empty splits (so stratified plans carry warnings).
-_UNEVEN = [
-    ConnectivityGraph(subject_id=3 * i + 1, label=(i * i) % 2, site=i % 5 % 3, matrix=np.eye(1))
-    for i in range(23)
-]
+_UNEVEN = _records([3 * i + 1 for i in range(23)], [(i * i) % 2 for i in range(23)], [i % 5 % 3 for i in range(23)])
 
 
 # Digests of each splitter's plan texts at seeds 0, 5, 17 and three fraction
@@ -346,7 +419,8 @@ _UNEVEN = [
     ],
 )
 def test_split_plan_texts_are_pinned(small_graphs, dataset, splitter, digest):
-    graphs = {"small": small_graphs, "uneven": _UNEVEN, "tiny": _UNEVEN[:2]}[dataset]
+    tiny = Dataset(*(getattr(_UNEVEN, f.name)[:2] for f in fields(Dataset)))
+    graphs = {"small": small_graphs, "uneven": _UNEVEN, "tiny": tiny}[dataset]
     texts = "".join(
         splitter(graphs, fractions, Rng(seed)).to_text()
         for seed in (0, 5, 17)
@@ -357,16 +431,18 @@ def test_split_plan_texts_are_pinned(small_graphs, dataset, splitter, digest):
 
 def _alternating(n):
     """Records with ids 10, 11, ... labelled 0, 1, 0, 1, ..."""
-    return [ConnectivityGraph(subject_id=10 + i, label=i % 2, site=0, matrix=np.eye(1)) for i in range(n)]
+    return _records([10 + i for i in range(n)], [i % 2 for i in range(n)], [0] * n)
 
 
 def test_select_returns_each_named_list_in_list_order():
     graphs = _alternating(6)
     plan = SplitPlan([13, 10], [12, 11], [15, 14], (0.4, 0.3, 0.3))
-    assert [[g.subject_id for g in part] for part in plan.select(graphs)] == [[13, 10], [12, 11], [15, 14]]
+    parts = plan.select(graphs)
+    assert [rows.tolist() for rows in parts] == [[3, 0], [2, 1], [5, 4]]  # dataset rows
+    assert [graphs.subject_ids[rows].tolist() for rows in parts] == [[13, 10], [12, 11], [15, 14]]
     # naming only the test list leaves train and val unchecked
     plan = SplitPlan([99], [], [15, 14], (0.4, 0.3, 0.3))
-    assert [[g.subject_id for g in part] for part in plan.select(graphs, ("test",))] == [[15, 14]]
+    assert [graphs.subject_ids[rows].tolist() for rows in plan.select(graphs, ("test",))] == [[15, 14]]
 
 
 def test_key_values_reads_the_lines_of_one_kind():
@@ -404,10 +480,7 @@ def test_split_plan_text_roundtrip(small_graphs):
     plan = stratified_split(small_graphs, (0.7, 0.1, 0.2), Rng(7))
     assert SplitPlan.from_text(plan.to_text()) == plan
     # warnings must survive the trip too
-    tiny = [
-        ConnectivityGraph(subject_id=i, label=i % 2, site=0, matrix=np.eye(1))
-        for i in range(2)
-    ]
+    tiny = _records([0, 1], [0, 1], [0, 0])
     warned = stratified_split(tiny, (0.7, 0.1, 0.2), Rng(7))
     assert warned.warnings
     assert SplitPlan.from_text(warned.to_text()) == warned

@@ -48,6 +48,11 @@ def _correlation_input(v, seed, t=40):
     return x
 
 
+def _loss_and_grad(batch, params, config, **kwargs):
+    """loss_and_grad over (matrix, label) pairs, the batch form the oracles take."""
+    return loss_and_grad(np.array([x for x, _ in batch]), params, config, [y for _, y in batch], **kwargs)
+
+
 def _small_config(readout, centers, v=6):
     return ModelConfig(
         nodes=v,
@@ -300,7 +305,7 @@ def test_loss_and_grad_value_matches_batch_loss():
     config = _small_config(Readout.CONCAT, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(3))
     batch = [(_correlation_input(6, seed=s), s % 2) for s in range(2)]
-    loss, _ = loss_and_grad(batch, params, config)
+    loss, _ = _loss_and_grad(batch, params, config)
     assert abs(loss - batch_loss_reference(batch, params, config)) < 1e-12
 
 
@@ -316,7 +321,7 @@ def test_gradients_match_finite_differences(readout, centers):
     config = _small_config(readout, centers)
     params = init_params(config, Rng(4))
     batch = [(_correlation_input(6, seed=10 + s), s % 2) for s in range(2)]
-    _, grads = loss_and_grad(batch, params, config)
+    _, grads = _loss_and_grad(batch, params, config)
     numeric = finite_difference_grads(batch, params, config)
     trainable = trainable_names(config)
     grad_map = dict(grads.named_tensors())
@@ -335,9 +340,9 @@ def test_attention_blocks_change_no_bit(monkeypatch):
     config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
     params = init_params(config, Rng(4))
     batch = [(_correlation_input(6, seed=60 + s), s % 2) for s in range(5)]
-    loss, grads = loss_and_grad(batch, params, config)
+    loss, grads = _loss_and_grad(batch, params, config)
     _one_graph_blocks(monkeypatch)
-    blocked_loss, blocked_grads = loss_and_grad(batch, params, config)
+    blocked_loss, blocked_grads = _loss_and_grad(batch, params, config)
     assert blocked_loss == loss
     for (name, g), (_, blocked) in zip(grads.named_tensors(), blocked_grads.named_tensors()):
         assert np.array_equal(blocked, g), name
@@ -348,7 +353,7 @@ def test_gradients_match_finite_differences_in_one_graph_blocks(monkeypatch):
     config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
     params = init_params(config, Rng(4))
     batch = [(_correlation_input(6, seed=10 + s), s % 2) for s in range(3)]
-    _, grads = loss_and_grad(batch, params, config)
+    _, grads = _loss_and_grad(batch, params, config)
     numeric = finite_difference_grads(batch, params, config)
     grad_map = dict(grads.named_tensors())
     for name in sorted(trainable_names(config)):
@@ -376,8 +381,8 @@ def test_a_reused_training_workspace_changes_no_bit(case):
     ws = bnt.model._Workspace(64, config, train=True)
     for step, b in enumerate((64, 24, 64)):
         batch = [(graphs[(i + 5 * step) % 64], (i + step) % 2) for i in range(b)]
-        loss, grads = loss_and_grad(batch, params, config, ws=ws)
-        fresh_loss, fresh = loss_and_grad(batch, params, config)
+        loss, grads = _loss_and_grad(batch, params, config, ws=ws)
+        fresh_loss, fresh = _loss_and_grad(batch, params, config)
         assert loss == fresh_loss, step
         for (name, g), (_, f) in zip(grads.named_tensors(), fresh.named_tensors()):
             assert np.array_equal(g, f), (step, name)
@@ -390,9 +395,9 @@ def test_loss_and_grad_refuses_a_scoring_or_small_workspace():
     params = init_params(config, Rng(5))
     batch = [(_correlation_input(6, seed=s), s % 2) for s in range(3)]
     with pytest.raises(ValueError, match="training workspace"):
-        loss_and_grad(batch, params, config, ws=bnt.model._Workspace(3, config))
+        _loss_and_grad(batch, params, config, ws=bnt.model._Workspace(3, config))
     with pytest.raises(ValueError, match="workspace holds 2 graphs"):
-        loss_and_grad(batch, params, config, ws=bnt.model._Workspace(2, config, train=True))
+        _loss_and_grad(batch, params, config, ws=bnt.model._Workspace(2, config, train=True))
 
 
 def test_a_warm_training_workspace_allocates_a_quarter_of_a_step():
@@ -400,12 +405,12 @@ def test_a_warm_training_workspace_allocates_a_quarter_of_a_step():
     params = init_params(config, Rng(12))
     batch = [(_correlation_input(32, seed=90 + s), s % 2) for s in range(64)]
     ws = bnt.model._Workspace(64, config, train=True)
-    loss_and_grad(batch, params, config, ws=ws)
+    _loss_and_grad(batch, params, config, ws=ws)
     peaks = []
     for kwargs in ({}, {"ws": ws}):
         tracemalloc.start()
         try:
-            loss_and_grad(batch, params, config, **kwargs)
+            _loss_and_grad(batch, params, config, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -416,7 +421,11 @@ def test_loss_and_grad_rejects_bad_labels():
     config = _small_config(Readout.MEAN, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(5))
     with pytest.raises(ValueError):
-        loss_and_grad([(_correlation_input(6, seed=0), 2)], params, config)
+        _loss_and_grad([(_correlation_input(6, seed=0), 2)], params, config)
+    x = np.array([_correlation_input(6, seed=s) for s in range(3)])
+    for labels in ([0, 1], [[0, 1, 0]], [1]):  # one label per graph, no broadcasting
+        with pytest.raises(ValueError, match="expected 3 labels"):
+            loss_and_grad(x, params, config, labels)
 
 
 def test_forward_rejects_non_finite_input():
@@ -437,7 +446,7 @@ def _take_adam_steps(config, params, batch, steps=25, lr=3e-3):
     spans = trainable_spans(config)
     state = AdamState(np.zeros_like(params.vector), np.zeros_like(params.vector))
     for _ in range(steps):
-        _, grads = loss_and_grad(batch, params, config)
+        _, grads = _loss_and_grad(batch, params, config)
         adam_step(params.vector, grads.vector, state, tc, spans)
 
 
@@ -456,7 +465,7 @@ def test_flat_adam_matches_the_per_tensor_reference(centers, weight_decay, adam_
     moments = {}
     batch = [(_correlation_input(6, seed=40 + s), s % 2) for s in range(4)]
     for step in range(1, 26):
-        _, grads = loss_and_grad(batch, flat, config)
+        _, grads = _loss_and_grad(batch, flat, config)
         adam_step(flat.vector, grads.vector, state, tc, trainable_spans(config))
         adam_per_tensor(param_map, dict(grads.named_tensors()), moments, step, tc)
         assert np.array_equal(flat.vector, reference.vector), step
@@ -513,6 +522,7 @@ def test_predict_proba_chunking_invariant():
     whole = predict_proba(graphs, params, config, chunk=256)
     assert np.array_equal(predict_proba(graphs, params, config, chunk=3), whole)
     assert np.array_equal(predict_proba(graphs, params, config), whole)
+    assert np.array_equal(predict_proba(np.array(graphs), params, config, chunk=3), whole)
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             predict_proba(graphs, params, config, chunk=chunk)

@@ -133,7 +133,7 @@ def test_train_rejects_bad_splits():
     empty_train = type(plan)(train=[], val=plan.val, test=plan.test, fractions=plan.fractions)
     with pytest.raises(ValueError, match="empty"):
         train(graphs, empty_train, config, tc)
-    ones = {g.subject_id for g in graphs if g.label == 1}
+    ones = set(graphs.subject_ids[graphs.labels == 1].tolist())
     one_class_val = type(plan)(
         train=plan.train, val=[i for i in plan.val if i in ones], test=plan.test,
         fractions=plan.fractions,
@@ -149,7 +149,7 @@ def test_train_rejects_bad_splits():
 
 def test_train_refuses_a_one_class_train_list():
     graphs, plan, config = _workbench()
-    ones = {g.subject_id for g in graphs if g.label == 1}
+    ones = set(graphs.subject_ids[graphs.labels == 1].tolist())
     one_class_train = type(plan)(
         train=[i for i in plan.train if i in ones], val=plan.val, test=plan.test,
         fractions=plan.fractions,
@@ -173,8 +173,8 @@ def test_train_divergence_names_the_epoch_without_warnings(batch_size, what):
 def test_train_divergence_names_the_first_non_finite_gradient(monkeypatch):
     real = bnt.training.loss_and_grad
 
-    def poisoned(batch, params, config, ws=None):
-        loss, grads = real(batch, params, config, ws=ws)
+    def poisoned(x, params, config, labels, ws=None):
+        loss, grads = real(x, params, config, labels, ws=ws)
         grads.layers[0].w_key[0, 0, 0] = np.inf
         grads.mlp_biases[0][0] = np.nan
         return loss, grads
@@ -190,9 +190,10 @@ def test_evaluate_single_class_has_no_auroc():
     spec = GeneratorSpec(
         nodes=12, modules=3, subjects_per_class=3, sites=1, series_length=48, seed=2
     )
-    graphs = [g for g in generate_dataset(spec) if g.label == 0]
+    dataset = generate_dataset(spec)
+    zeros = dataset.labels == 0
     params = init_params(config, Rng(0))
-    result, scores = evaluate(params, config, graphs)
+    result, scores = evaluate(params, config, dataset.matrices[zeros], dataset.labels[zeros])
     assert result.auroc is None
     assert result.sensitivity is None
     assert result.n_pos == 0 and result.n_neg == 3

@@ -24,7 +24,9 @@ eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
 ``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
-estimate, pooled where more than one CPU is usable), and one V=200 round
+estimate, pooled where more than one CPU is usable), a V=7, 3-site
+``generate`` and its ``split --no-stratify`` (an odd-V record layout), and
+one V=200 round
 (3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.
 ``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
 run with their default ``--jobs``, so where more than one CPU is usable the
@@ -88,6 +90,10 @@ def chain() -> list[list[str]]:
         *export("run", *small),
         *export("learnable", *small),
         ["verify-theory", "--mode", "all", "--samples", "200000", "--out", "theory"],
+        ["generate", "--nodes", "7", "--modules", "3", "--subjects-per-class", "10", "--sites", "3",
+         "--series-length", "32", "--seed", "13", "--out", "odd.bntd"],
+        ["split", "--dataset", "odd.bntd", "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "5",
+         "--out", "odd_split.txt"],
         ["generate", "--nodes", "200", "--modules", "8", "--subjects-per-class", "100", "--sites", "4",
          "--seed", "3", "--out", cc200[0]],
         ["split", "--dataset", cc200[0], "--fractions", "0.3,0.1,0.6", "--seed", "4", "--out", cc200[1]],
