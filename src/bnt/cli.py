@@ -27,7 +27,9 @@ are made for the command; any other output's directory must exist.
 
 Option resolution order: explicit flag, then --config file entry
 (key = value lines keyed by option name), then the BNT_SEED environment
-variable (seed options only), then the built-in default.
+variable (seed options only), then the built-in default.  An option that
+sets a GeneratorSpec, ModelConfig or TrainConfig field takes that field's
+default, and its parser from the field's type, so the two cannot drift.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure or out of memory, 130 interrupted (Ctrl-C).
@@ -47,7 +49,8 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Callable
+from enum import Enum
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -208,46 +211,48 @@ _JOBS_OPT = _Opt(
     "defaults to the usable CPUs",
 )
 
-_GEN_DEFAULTS = GeneratorSpec()
-_TRAIN_DEFAULTS = TrainConfig()
-_MODEL_DEFAULTS = ModelConfig(nodes=8)  # dummy nodes; only shared defaults read
+# The option of each config field not named after it.
+_OPTION_OF = {
+    "within_strength": "within",
+    "between_strength_class0": "between0",
+    "between_strength_class1": "between1",
+    "centers_mode": "centers",
+    "feature_mode": "features",
+}
 
-_GENERATE_OPTS = [
-    _Opt("out", str, _REQUIRED, "output dataset path"),
-    _Opt("nodes", _parse_int, _GEN_DEFAULTS.nodes, "nodes per graph"),
-    _Opt("modules", _parse_int, _GEN_DEFAULTS.modules, "planted module count"),
-    _Opt(
-        "subjects_per_class",
-        _parse_int,
-        _GEN_DEFAULTS.subjects_per_class,
-        "subjects per class (two classes)",
-    ),
-    _Opt("sites", _parse_int, _GEN_DEFAULTS.sites, "collection site count"),
-    _Opt("within", _parse_float, _GEN_DEFAULTS.within_strength, "within-module signal strength"),
-    _Opt(
-        "between0",
-        _parse_float,
-        _GEN_DEFAULTS.between_strength_class0,
-        "between-module mixing for class 0",
-    ),
-    _Opt(
-        "between1",
-        _parse_float,
-        _GEN_DEFAULTS.between_strength_class1,
-        "between-module mixing for class 1",
-    ),
-    _Opt("site_noise", _parse_float, _GEN_DEFAULTS.site_noise, "site effect scale"),
-    _Opt(
-        "series_length",
-        _parse_int,
-        _GEN_DEFAULTS.series_length,
-        "synthetic time-series length",
-    ),
-    _Opt("seed", _parse_int, _GEN_DEFAULTS.seed, "generator seed"),
-]
+# The parser of a config field's option, by the field's type hint.
+_PARSER_OF = {int: _parse_int, int | None: _parse_int, float: _parse_float, tuple[int, ...]: _parse_int_list,
+              Readout: _parse_readout, CentersMode: _parse_centers, FeatureMode: _parse_feature}
+
+
+def _field_opts(cls, **helps):
+    """An option per field of ``cls`` that ``helps`` names (field -> help), in that order: its name
+    from ``_OPTION_OF`` (else the field's), its parser from the field's type hint, its default the field's."""
+    hints, defaults = get_type_hints(cls), {f.name: f.default for f in fields(cls)}
+    return [_Opt(_OPTION_OF.get(name, name), _PARSER_OF[hints[name]], defaults[name], text)
+            for name, text in helps.items()]
+
+
+# the required dataset and split-plan inputs (eval's are optional)
+_DATASET_OPT = _Opt("dataset", str, _REQUIRED, "input dataset path")
+_PLAN_OPT = _Opt("split", str, _REQUIRED, "input split-plan path")
+
+_GENERATE_OPTS = [_Opt("out", str, _REQUIRED, "output dataset path")] + _field_opts(
+    GeneratorSpec,
+    nodes="nodes per graph",
+    modules="planted module count",
+    subjects_per_class="subjects per class (two classes)",
+    sites="collection site count",
+    within_strength="within-module signal strength",
+    between_strength_class0="between-module mixing for class 0",
+    between_strength_class1="between-module mixing for class 1",
+    site_noise="site effect scale",
+    series_length="synthetic time-series length",
+    seed="generator seed",
+)
 
 _SPLIT_OPTS = [
-    _Opt("dataset", str, _REQUIRED, "input dataset path"),
+    _DATASET_OPT,
     _Opt("out", str, _REQUIRED, "output split-plan path"),
     _Opt(
         "fractions",
@@ -259,66 +264,41 @@ _SPLIT_OPTS = [
 ]
 
 
-_MODEL_OPTS = [
-    _Opt("layers", _parse_int, _MODEL_DEFAULTS.layers, "attention layers"),
-    _Opt("heads", _parse_int, _MODEL_DEFAULTS.heads, "attention heads per layer"),
-    _Opt(
-        "head_dim",
-        _parse_int,
-        None,
-        "per-head width (default: ceil(nodes/heads))",
-    ),
-    _Opt(
-        "mlp_hidden",
-        _parse_int_list,
-        tuple(_MODEL_DEFAULTS.mlp_hidden),
-        "classifier hidden widths, comma-separated",
-    ),
-    _Opt(
-        "features",
-        _parse_feature,
-        _MODEL_DEFAULTS.feature_mode,
-        "node features: profile | profile_identity | profile_eigen",
-    ),
-    _Opt(
-        "k_eigen",
-        _parse_int,
-        _MODEL_DEFAULTS.k_eigen,
-        "eigenvector count for profile_eigen features",
-    ),
-]
+_MODEL_OPTS = _field_opts(
+    ModelConfig,
+    layers="attention layers",
+    heads="attention heads per layer",
+    head_dim="per-head width (default: ceil(nodes/heads))",
+    mlp_hidden="classifier hidden widths, comma-separated",
+    feature_mode="node features: profile | profile_identity | profile_eigen",
+    k_eigen="eigenvector count for profile_eigen features",
+)
 
-_HYPER_OPTS = [
-    _Opt("lr", _parse_float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
-    _Opt(
-        "weight_decay",
-        _parse_float,
-        _TRAIN_DEFAULTS.weight_decay,
-        "l2 penalty added to gradients",
-    ),
-    _Opt("batch_size", _parse_int, _TRAIN_DEFAULTS.batch_size, "minibatch size"),
-    _Opt("epochs", _parse_int, _TRAIN_DEFAULTS.epochs, "training epochs"),
-]
+_HYPER_OPTS = _field_opts(
+    TrainConfig,
+    lr="Adam learning rate",
+    weight_decay="l2 penalty added to gradients",
+    batch_size="minibatch size",
+    epochs="training epochs",
+)
 
 
 _TRAIN_OPTS = (
     [
-        _Opt("dataset", str, _REQUIRED, "input dataset path"),
-        _Opt("split", str, _REQUIRED, "input split-plan path"),
+        _DATASET_OPT,
+        _PLAN_OPT,
         _Opt("out", str, _REQUIRED, "output run directory"),
-        _Opt("readout", _parse_readout, _MODEL_DEFAULTS.readout, "graph readout kind"),
-        _Opt(
-            "centers",
-            _parse_centers,
-            _MODEL_DEFAULTS.centers_mode,
-            "cluster centers: orthonormal | random | learnable",
-        ),
-        _Opt("clusters", _parse_int, _MODEL_DEFAULTS.clusters, "readout cluster count"),
     ]
+    + _field_opts(
+        ModelConfig,
+        readout="graph readout kind",
+        centers_mode="cluster centers: orthonormal | random | learnable",
+        clusters="readout cluster count",
+    )
     + _MODEL_OPTS
     + _HYPER_OPTS
-    + [_Opt("seed", _parse_int, _TRAIN_DEFAULTS.seed, "training seed"),
-       _JOBS_OPT]
+    + _field_opts(TrainConfig, seed="training seed")
+    + [_JOBS_OPT]
 )
 
 _EVAL_OPTS = [
@@ -346,16 +326,16 @@ _THEORY_OPTS = [
 
 _EXPORT_OPTS = [
     _Opt("checkpoint", str, _REQUIRED, "model checkpoint path"),
-    _Opt("dataset", str, _REQUIRED, "input dataset path"),
-    _Opt("split", str, _REQUIRED, "input split-plan path"),
+    _DATASET_OPT,
+    _PLAN_OPT,
     _Opt("out", str, _REQUIRED, "output assignments CSV path"),
     _JOBS_OPT,
 ]
 
 _ABLATE_OPTS = (
     [
-        _Opt("dataset", str, _REQUIRED, "input dataset path"),
-        _Opt("split", str, _REQUIRED, "input split-plan path"),
+        _DATASET_OPT,
+        _PLAN_OPT,
         _Opt("out", str, _REQUIRED, "output combined CSV path"),
         _Opt(
             "readouts",
@@ -446,7 +426,7 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (Readout, CentersMode, FeatureMode)):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, (tuple, list)):
         return ",".join(_format_value(v) for v in value)
@@ -557,16 +537,6 @@ def _load_test_split(opt, config):
     dataset = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
     _, (rows,) = _load_plan(opt, dataset, ("test",))
     return dataset.matrices[rows], dataset.labels[rows]
-
-
-# The option of each config field not named after it.
-_OPTION_OF = {
-    "within_strength": "within",
-    "between_strength_class0": "between0",
-    "between_strength_class1": "between1",
-    "centers_mode": "centers",
-    "feature_mode": "features",
-}
 
 
 def _config(cls, opt, **given):

@@ -24,8 +24,8 @@ import bnt.workers
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import GeneratorSpec, SplitPlan, generate_dataset, read_dataset, write_dataset
 from bnt.metrics import difference_score
-from bnt.model import forward
-from bnt.training import TrainReport, load_checkpoint
+from bnt.model import ModelConfig, forward
+from bnt.training import TrainConfig, TrainReport, load_checkpoint
 
 
 def _read_csv(path):
@@ -227,6 +227,45 @@ def test_env_seed_sets_only_the_seed_options(monkeypatch):
                 assert resolved[opt.name] == opt.parse("7"), (name, opt.name)
             else:
                 assert resolved[opt.name] == opt.default, (name, opt.name)
+
+
+@pytest.mark.parametrize("name", list(bnt.cli._COMMANDS))
+def test_option_defaults_read_back_from_their_text(name):
+    # the "(default: X)" of --help and a manifest's "option.KEY = X" line can
+    # be passed back as a flag or config value and give the same option
+    for opt in bnt.cli._COMMANDS[name].opts:
+        if opt.default is not None and opt.default is not bnt.cli._REQUIRED:
+            assert opt.parse(bnt.cli._format_value(opt.default)) == opt.default, opt.name
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, stopped", [("generate", "generate_dataset"), ("train", "train"),
+                                           ("ablate", "train")])
+def test_options_left_unset_build_the_library_default_configs(tiny_workspace, tmp_path, monkeypatch,
+                                                              name, stopped):
+    # every option _config reads for a field defaults to that field's default
+    real, built = bnt.cli._config, []
+
+    def config(cls, opt, **given):
+        made = real(cls, opt, **given)
+        assert made == cls(**given), cls.__name__
+        built.append(cls)
+        return made
+
+    def stop(*args):
+        raise _Stop
+
+    monkeypatch.setattr(bnt.cli, "_config", config)
+    monkeypatch.setattr(bnt.cli, stopped, stop)
+    inputs = [] if name == "generate" else ["--dataset", tiny_workspace["dataset"], "--split",
+                                            tiny_workspace["split"], "--jobs", "1"]
+    with pytest.raises(_Stop):
+        bnt.cli.main([name, *inputs, "--out", str(tmp_path / "out")])
+    assert set(built) == ({GeneratorSpec} if name == "generate" else {ModelConfig, TrainConfig})
+    assert _tree(tmp_path) == {}
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, run_cli):

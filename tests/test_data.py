@@ -153,6 +153,17 @@ def test_graph_validate_rejects_bad_matrices():
         Dataset(np.array([0, 1]), np.array([0]), np.array([0, 0]), np.stack([good, good])).validate()
 
 
+@pytest.mark.parametrize("gap, symmetric", [(0.5e-6, True), (2e-6, False)])
+def test_validate_allows_asymmetry_up_to_1e_6(gap, symmetric):
+    matrix = np.array([[1.0, 0.25 + gap], [0.25, 1.0]])
+    dataset = Dataset(np.array([0]), np.array([0]), np.array([0]), matrix[None])
+    if symmetric:
+        dataset.validate()
+    else:
+        with pytest.raises(DatasetFormatError, match="not symmetric within 1e-6"):
+            dataset.validate()
+
+
 # ---------------------------------------------------------------------------
 # binary format
 
@@ -384,6 +395,16 @@ def test_split_rejects_bad_fractions(small_graphs):
         for splitter in (stratified_split, random_split):
             with pytest.raises(ValueError):
                 splitter(small_graphs, fractions, Rng(0))
+
+
+@pytest.mark.parametrize("excess, ok", [(5e-10, True), (2e-9, False)])
+def test_fractions_may_miss_a_sum_of_1_by_1e_9(excess, ok):
+    fractions = (0.5, 0.25, 0.25 + excess)
+    if ok:
+        assert bnt.data._check_fractions(fractions) == fractions
+    else:
+        with pytest.raises(ValueError, match="fractions must sum to 1"):
+            bnt.data._check_fractions(fractions)
 
 
 def test_small_cells_warn():

@@ -84,6 +84,11 @@ def test_threshold_metrics_single_class_sides():
     assert specificity == 0.5
 
 
+def test_threshold_metrics_count_a_score_at_the_threshold_as_positive():
+    below = np.nextafter(0.5, 0.0)
+    assert threshold_metrics([0.5, below], [1, 0]) == (1.0, 1.0, 1.0)
+
+
 def test_difference_score():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])

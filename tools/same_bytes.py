@@ -19,8 +19,12 @@ split, 2-epoch train, eval), a ``split
 --weight-decay 0`` (random-unit centers, Adam without decay), ``--readout
 mean``, ``--readout sum``, ``--readout concat`` (so every readout code of the
 checkpoint header), ``--features profile_identity`` and
-``--features profile_eigen`` trains with their evals, a 3-layer train and
-eval with batches of 24 over a 42-graph train split (so a middle layer and
+``--features profile_eigen`` trains with their evals, a ``train
+--config`` run and its eval (a fixed ``train.cfg`` written into the chain
+directory sets every ModelConfig and TrainConfig option but ``readout``
+and ``k_eigen`` off its default, ``centers = random`` by its alias, so the
+int, float, list and enum parsers also read config values), a 3-layer
+train and eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
 ``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
@@ -51,12 +55,21 @@ LAUNCH = "import sys; from bnt.cli import main; sys.exit(main())"
 COMMANDS = ("generate", "split", "train", "eval", "verify-theory", "export-assignments", "ablate")
 
 
+# train.cfg of the ``train --config`` run (see above)
+CONFIG = ("layers = 1\nheads = 2\nhead_dim = 5\nmlp_hidden = 16,8\nclusters = 3\ncenters = random\n"
+          "features = profile_identity\nlr = 0.002\nweight_decay = 0.0005\nbatch_size = 5\nepochs = 3\n"
+          "seed = 7\n")
+
+
 def chain() -> list[list[str]]:
     """The commands, run in order in one output directory."""
+    def evaluate(run, data, split):
+        return [["eval", "--checkpoint", f"{run}/checkpoint.bnt", "--dataset", data, "--split", split,
+                 "--report", f"{run}/report.txt", "--out", f"eval_{run}.csv"]]
+
     def train(run, data, split, *extra):
         return [["train", "--dataset", data, "--split", split, "--seed", "0", "--out", run, *extra],
-                ["eval", "--checkpoint", f"{run}/checkpoint.bnt", "--dataset", data, "--split", split,
-                 "--report", f"{run}/report.txt", "--out", f"eval_{run}.csv"]]
+                *evaluate(run, data, split)]
 
     def export(run, data, split):
         return [["export-assignments", "--checkpoint", f"{run}/checkpoint.bnt", "--dataset", data,
@@ -80,6 +93,8 @@ def chain() -> list[list[str]]:
         *train("concat", *small, "--epochs", "2", "--readout", "concat"),
         *train("identity", *small, "--epochs", "2", "--features", "profile_identity"),
         *train("eigen", *small, "--epochs", "2", "--features", "profile_eigen", "--k-eigen", "4"),
+        ["train", "--config", "train.cfg", "--dataset", small[0], "--split", small[1], "--out", "config"],
+        *evaluate("config", *small),
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "35", "--sites", "2",
          "--series-length", "48", "--seed", "12", "--out", mid[0]],
         ["split", "--dataset", mid[0], "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", mid[1]],
@@ -107,6 +122,8 @@ def run_chain(src: str, out: str) -> bool:
                OMP_NUM_THREADS="1", COLUMNS="80")
     env.pop("BNT_SEED", None)
     os.makedirs(out)
+    with open(os.path.join(out, "train.cfg"), "w", encoding="utf-8") as f:
+        f.write(CONFIG)
     for argv in chain() + [[command, "--help"] for command in COMMANDS]:
         proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], cwd=out, env=env,
                               capture_output=True, text=True)
