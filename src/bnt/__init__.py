@@ -33,7 +33,6 @@ from .linalg import (
 from .model import (
     CentersMode,
     FeatureMode,
-    ForwardTrace,
     ModelConfig,
     ModelParams,
     Readout,

@@ -12,11 +12,12 @@ ablate              sweep readouts x centers x clusters x seeds into one CSV
 
 Every run writes exactly one manifest (key = value text) recording the
 command, library version, every resolved option, input/output paths,
-and wall-clock duration; re-running a command with the manifest's
-values reproduces its outputs bit for bit (single-threaded BLAS, which
-importing ``bnt`` sets where the thread variables are unset).  Existing
-outputs are never overwritten unless --force is given, and that check
-comes before any input is read.
+and wall-clock duration.  An option left without a value has no line, so
+every recorded value can be passed back: re-running a command with the
+manifest's values reproduces its outputs bit for bit (single-threaded
+BLAS, which importing ``bnt`` sets where the thread variables are unset).
+Existing outputs are never overwritten unless --force is given, and that
+check comes before any input is read.
 
 A command writes all of its outputs or none.  Each is staged as a hidden
 temp file and moved into place only when the command has succeeded, the
@@ -440,7 +441,8 @@ def _manifest_text(command, options, inputs, outputs, started) -> str:
         f"version = {__version__}",
     ]
     for key in sorted(options):
-        lines.append(f"option.{key} = {_format_value(options[key])}")
+        if options[key] is not None:  # an option left unset has no value to pass back
+            lines.append(f"option.{key} = {_format_value(options[key])}")
     for key in sorted(inputs):
         lines.append(f"input.{key} = {inputs[key]}")
     for key in sorted(outputs):
@@ -612,7 +614,7 @@ def _eval(opt, args, staged):
         if report.model_config != config:
             raise DataError(f"train report {opt['report']} does not describe checkpoint {opt['checkpoint']}")
         seed = str(report.train_config.seed)
-    result, _ = evaluate(params, config, matrices, labels, opt["jobs"])
+    result = evaluate(params, config, matrices, labels, opt["jobs"])
     run_id = opt["run_id"]
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]

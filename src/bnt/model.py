@@ -185,18 +185,6 @@ class ModelParams:
         return iter(self._views.items())
 
 
-@dataclass
-class ForwardTrace:
-    """Cached intermediates of one forward pass (single sample)."""
-
-    z_layers: list[np.ndarray]  # z_layers[0] is the feature matrix, last is V x V
-    attention: list[np.ndarray]  # per layer, (heads, V, V), rows sum to 1
-    assignment: np.ndarray | None  # (V, clusters) soft assignment, or None
-    pooled: np.ndarray | None  # (clusters, V) pooled embedding, or None
-    readout_vector: np.ndarray
-    logits: np.ndarray
-
-
 def trainable_names(config: ModelConfig) -> set[str]:
     """Names of tensors that receive gradient updates: all but the centers,
     which train only in the learnable-centers clustering readout."""
@@ -389,17 +377,13 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
 
 
 class _BatchTrace:
-    __slots__ = (
-        "z", "caches", "assignment", "pooled", "max_idx", "readout_vec", "mlp_acts", "logits",
-    )
+    __slots__ = ("z", "caches", "assignment", "max_idx", "mlp_acts", "logits")
 
     def __init__(self):
-        self.z = []
+        self.z = None  # the last layer's output
         self.caches = []
         self.assignment = None
-        self.pooled = None
         self.max_idx = None
-        self.readout_vec = None
         self.mlp_acts = None
         self.logits = None
 
@@ -418,20 +402,18 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: 
 
     tr = _BatchTrace()
     z = node_feature(x, config.feature_mode, config.k_eigen)
-    tr.z.append(z)
     for layer, buf in zip(params.layers, ws.layers):
         z, cache = _mhsa_forward(z, layer, buf)
-        tr.z.append(z)
         tr.caches.append(cache)
+    tr.z = z
 
     if config.readout is Readout.OCREAD:
-        tr.pooled, tr.assignment = ocread(z, params.centers)  # (B, K, V), (B, V, K)
-        g = tr.pooled.reshape(b, -1)
+        pooled, tr.assignment = ocread(z, params.centers)  # (B, K, V), (B, V, K)
+        g = pooled.reshape(b, -1)
     else:
         if config.readout is Readout.MAX:
             tr.max_idx = z.argmax(axis=1)  # routes the max backward; first index on ties
         g = baseline_readout(z, config.readout)
-    tr.readout_vec = g
 
     acts = [g]
     a = g
@@ -446,11 +428,11 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: 
 
 def _readout_backward(dg: np.ndarray, tr: _BatchTrace, params: ModelParams, config: ModelConfig):
     """Gradient of the readout vector wrt the final embedding (and centers)."""
-    z = tr.z[-1]
+    z = tr.z
     b, v, _ = z.shape
     dcenters = None
     if config.readout is Readout.OCREAD:
-        p, pooled = tr.assignment, tr.pooled
+        p = tr.assignment
         dpooled = dg.reshape(b, config.clusters, v)
         dz = p @ dpooled
         dp = z @ dpooled.swapaxes(1, 2)
@@ -477,19 +459,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, ForwardTrace]:
-    """Class logits and the cached trace for one graph."""
-    x = np.asarray(x, dtype=np.float64)
-    tr = _forward_batch(x[None], params, config, _Workspace(1, config, train=True))
-    trace = ForwardTrace(
-        z_layers=[z[0] for z in tr.z],
-        attention=[cache[4][0] for cache in tr.caches],
-        assignment=None if tr.assignment is None else tr.assignment[0],
-        pooled=None if tr.pooled is None else tr.pooled[0],
-        readout_vector=tr.readout_vec[0],
-        logits=tr.logits[0],
-    )
-    return trace.logits, trace
+def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Class logits (2,) and soft assignment (V, clusters) of one graph, scored
+    as a one-graph ``score_chunks`` chunk; the assignment is None for the
+    non-clustering readouts."""
+    ((_, logits, assignment),) = score_chunks([x], params, config, 1)
+    return logits[0], None if assignment is None else assignment[0]
 
 
 def ocread(z, centers) -> tuple[np.ndarray, np.ndarray]:

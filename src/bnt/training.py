@@ -187,7 +187,7 @@ class TrainReport:
 
 
 def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
-             jobs: int = 1) -> tuple[metrics_mod.EvalResult, np.ndarray]:
+             jobs: int = 1) -> metrics_mod.EvalResult:
     """Score ``matrices`` (``predict_proba`` in up to ``jobs`` processes)
     and compute the evaluation metrics against their class ``labels``.
 
@@ -200,10 +200,7 @@ def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
     n_neg = labels.size - n_pos
     auroc_val = metrics_mod.auroc(scores, labels) if n_pos and n_neg else None
     accuracy, sensitivity, specificity = metrics_mod.threshold_metrics(scores, labels)
-    return (
-        metrics_mod.EvalResult(auroc_val, accuracy, sensitivity, specificity, n_pos, n_neg),
-        scores,
-    )
+    return metrics_mod.EvalResult(auroc_val, accuracy, sensitivity, specificity, n_pos, n_neg)
 
 
 def _diverged(epoch: int, what: str) -> FloatingPointError:
@@ -270,7 +267,7 @@ def train(
 
     del ws  # so workers forked for the test pass do not inherit the step buffers
     best_params = ModelParams(best, model_config)
-    test_result, _ = evaluate(best_params, model_config, matrices[test_rows], labels[test_rows], jobs)
+    test_result = evaluate(best_params, model_config, matrices[test_rows], labels[test_rows], jobs)
     report = TrainReport(
         selected_epoch=best_epoch,
         train_loss=train_losses,

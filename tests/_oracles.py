@@ -42,7 +42,10 @@ def cross_entropy_reference(logits, label):
 def batch_loss_reference(batch, params: ModelParams, config: ModelConfig) -> float:
     """Mean cross-entropy through the public forward(), one graph at a time.
 
-    Shares no code with loss_and_grad's batched forward/backward path.
+    Shares the batched forward (``_forward_batch``, here one graph per
+    ``score_chunks`` chunk) with loss_and_grad, but not its backward or its
+    loss: the loss is cross_entropy_reference, and the gradients it checks
+    come from finite differences.
     """
     total = 0.0
     for x, label in batch:

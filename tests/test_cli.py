@@ -238,6 +238,30 @@ def test_option_defaults_read_back_from_their_text(name):
             assert opt.parse(bnt.cli._format_value(opt.default)) == opt.default, opt.name
 
 
+@pytest.mark.parametrize("name", ["eval", "ablate"])
+def test_a_manifest_passes_back_as_a_config_file(tiny_workspace, tmp_path, run_cli, name):
+    # an option left without a value (eval's --report and --run-id, ablate's
+    # --save-models and --head-dim) has no manifest line, so every recorded
+    # option of the command, fed back as a config file, reproduces the output
+    flags = {"eval": ["--checkpoint", tiny_workspace["checkpoint"]],
+             "ablate": ["--seeds", "0", "--epochs", "1"]}[name]
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code, _, err = run_cli([name, "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+                            *flags, "--out", str(first)])
+    assert code == 0, err
+    recorded = _read_manifest(f"{first}.manifest")
+    names = [opt.name for opt in bnt.cli._COMMANDS[name].opts if opt.name != "out"]
+    config = tmp_path / "replay.cfg"
+    config.write_text("".join(f"{key} = {recorded[f'option.{key}']}\n" for key in names
+                              if f"option.{key}" in recorded))
+    code, _, err = run_cli([name, "--config", str(config), "--out", str(again)])
+    assert code == 0, err
+    assert again.read_bytes() == first.read_bytes()
+    for out in (first, again):
+        lines = Path(f"{out}.manifest").read_text(encoding="utf-8").splitlines()
+        assert not [line for line in lines if line.endswith("= none")]
+
+
 class _Stop(Exception):
     pass
 
@@ -619,7 +643,7 @@ def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
         assert np.allclose(matrices[label].sum(axis=1), 1.0, atol=1e-12)
         # the class mean of the single-graph forward's assignments, summed in
         # test-split order: one-graph scoring chunks keep every bit of it
-        per_graph = [forward(by_id[i].matrix, params, config)[1].assignment
+        per_graph = [forward(by_id[i].matrix, params, config)[1]
                      for i in test_ids if by_id[i].label == label]
         assert np.array_equal(matrices[label], sum(per_graph) / len(per_graph))
     assert rows[-1][4] == repr(difference_score(matrices[0], matrices[1]))

@@ -10,7 +10,15 @@ import bnt.training
 
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.metrics import EvalResult
-from bnt.model import CentersMode, FeatureMode, ModelConfig, Readout, init_params, param_count
+from bnt.model import (
+    CentersMode,
+    FeatureMode,
+    ModelConfig,
+    Readout,
+    init_params,
+    param_count,
+    predict_proba,
+)
 from bnt.rng import Rng
 from bnt.training import (
     AdamState,
@@ -193,11 +201,11 @@ def test_evaluate_single_class_has_no_auroc():
     dataset = generate_dataset(spec)
     zeros = dataset.labels == 0
     params = init_params(config, Rng(0))
-    result, scores = evaluate(params, config, dataset.matrices[zeros], dataset.labels[zeros])
+    result = evaluate(params, config, dataset.matrices[zeros], dataset.labels[zeros])
     assert result.auroc is None
     assert result.sensitivity is None
     assert result.n_pos == 0 and result.n_neg == 3
-    assert scores.shape == (3,)
+    assert predict_proba(dataset.matrices[zeros], params, config).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

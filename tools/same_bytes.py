@@ -14,7 +14,9 @@ Manifests are compared too, with only their ``duration_seconds`` value
 masked: the chain runs in its own directory with relative paths, so every
 other line, key order included, must match.  The chain is the
 criterion-10 chain (generate with every generator flag off its default,
-split, 2-epoch train, eval), a ``split
+split, 2-epoch train, eval), an eval of that run without ``--report`` and
+``--run-id`` (the run id from the checkpoint stem, an empty seed column,
+and a manifest without the options left unset), a ``split
 --no-stratify``, ``--centers learnable``, ``--centers random
 --weight-decay 0`` (random-unit centers, Adam without decay), ``--readout
 mean``, ``--readout sum``, ``--readout concat`` (so every readout code of the
@@ -86,6 +88,8 @@ def chain() -> list[list[str]]:
         ["split", "--dataset", small[0], "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "3",
          "--out", "random_split.txt"],
         *train("run", *small, "--epochs", "2"),
+        ["eval", "--checkpoint", "run/checkpoint.bnt", "--dataset", small[0], "--split", small[1],
+         "--out", "eval_bare.csv"],
         *train("learnable", *small, "--epochs", "2", "--centers", "learnable"),
         *train("random", *small, "--epochs", "2", "--centers", "random", "--weight-decay", "0"),
         *train("mean", *small, "--epochs", "2", "--readout", "mean"),
