@@ -10,12 +10,13 @@ verify-theory       numerical checks of the variance / collinearity results
 export-assignments  class-averaged soft cluster assignments as CSV
 ablate              sweep readouts x centers x clusters x seeds into one CSV
 
-Every run writes exactly one manifest (key = value text) recording the
-command, library version, every resolved option, input/output paths,
-and wall-clock duration.  An option left without a value has no line, so
-every recorded value can be passed back: re-running a command with the
-manifest's values reproduces its outputs bit for bit (single-threaded
-BLAS, which importing ``bnt`` sets where the thread variables are unset).
+Every run writes exactly one manifest (key = value text): the command,
+library version, an option.* line per resolved option (the --no-stratify
+and --aggregate switches are true/false options), an input.* line per
+input file read, the outputs and the wall-clock duration.  An option left
+without a value has no line, so the option lines, as a --config file,
+replay the run: its outputs come out bit for bit (single-threaded BLAS,
+which importing ``bnt`` sets where the thread variables are unset).
 Existing outputs are never overwritten unless --force is given, and that
 check comes before any input is read.
 
@@ -197,6 +198,7 @@ _parse_centers = _choice(
 )
 _parse_feature = _choice({f.value: f for f in FeatureMode})
 _parse_theory_mode = _choice({m: m for m in ("mc", "2d", "vif", "all")})
+_parse_switch = _choice({"true": True, "false": False})
 _parse_int_list = _list_of(_parse_int, empty="expected a comma-separated list of integers")
 _parse_readout_list = _list_of(_parse_readout)
 _parse_centers_list = _list_of(_parse_centers)
@@ -234,6 +236,9 @@ def _field_opts(cls, **helps):
             for name, text in helps.items()]
 
 
+# the options that name an input file: a manifest's input.* lines are those set, then eval --aggregate's CSVs
+_INPUT_OPTS = ("checkpoint", "dataset", "report", "split")
+
 # the required dataset and split-plan inputs (eval's are optional)
 _DATASET_OPT = _Opt("dataset", str, _REQUIRED, "input dataset path")
 _PLAN_OPT = _Opt("split", str, _REQUIRED, "input split-plan path")
@@ -262,6 +267,7 @@ _SPLIT_OPTS = [
         "train,val,test fractions summing to 1",
     ),
     _Opt("seed", _parse_int, 0, "shuffle seed"),
+    _Opt("no_stratify", _parse_switch, False, "plain random split instead of per-(site,label) stratification"),
 ]
 
 
@@ -310,6 +316,7 @@ _EVAL_OPTS = [
     _Opt("report", str, None, "train report providing the seed column"),
     _Opt("run_id", str, None, "row label (default: checkpoint stem)"),
     _JOBS_OPT,
+    _Opt("aggregate", _parse_switch, False, "combine the given metrics CSVs and append mean/std rows"),
 ]
 
 _THEORY_OPTS = [
@@ -555,8 +562,7 @@ def _config(cls, opt, **given):
 
 # ---------------------------------------------------------------------------
 # commands: each body reads its inputs, computes, writes into the staged
-# paths it is handed, and returns (manifest inputs, extra manifest options,
-# stdout line)
+# paths it is handed, and returns its stdout line
 
 
 def _generate(opt, args, staged):
@@ -566,20 +572,19 @@ def _generate(opt, args, staged):
         )
     dataset = generate_dataset(_config(GeneratorSpec, opt))
     write_dataset(staged["dataset"], dataset)
-    return {}, {}, f"wrote {len(dataset)} graphs of {opt['nodes']} nodes to {opt['out']}"
+    return f"wrote {len(dataset)} graphs of {opt['nodes']} nodes to {opt['out']}"
 
 
 def _split(opt, args, staged):
     dataset = _load_dataset(opt["dataset"])
-    splitter = random_split if args.no_stratify else stratified_split
+    splitter = random_split if opt["no_stratify"] else stratified_split
     plan = splitter(dataset, opt["fractions"], Rng(opt["seed"]))
     plan.select(dataset)  # refuses a plan that training could not use
     _write_text(staged["split"], plan.to_text())
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    line = (f"split {len(dataset)} graphs into {len(plan.train)} train / "
+    return (f"split {len(dataset)} graphs into {len(plan.train)} train / "
             f"{len(plan.val)} val / {len(plan.test)} test -> {opt['out']}")
-    return {"dataset": opt["dataset"]}, {"stratified": not args.no_stratify}, line
 
 
 def _train(opt, args, staged):
@@ -590,14 +595,12 @@ def _train(opt, args, staged):
     save_checkpoint(staged["checkpoint"], params, model_config)
     _write_text(staged["report"], report.to_text())
     test = report.test
-    line = (f"selected epoch {report.selected_epoch}; test auroc {format_metric(test.auroc)} "
+    return (f"selected epoch {report.selected_epoch}; test auroc {format_metric(test.auroc)} "
             f"accuracy {format_metric(test.accuracy)} -> {opt['out']}")
-    inputs = {"dataset": opt["dataset"], "split": opt["split"]}
-    return inputs, {"nodes": nodes, "head_dim": model_config.head_dim}, line
 
 
 def _eval(opt, args, staged):
-    if args.aggregate:
+    if opt["aggregate"]:
         return _eval_aggregate(opt, args, staged)
     if args.inputs:
         raise UsageError("positional CSV arguments are only valid with --aggregate")
@@ -606,8 +609,6 @@ def _eval(opt, args, staged):
             raise UsageError(f"missing required option --{name}")
     params, config = _load_checkpoint(opt["checkpoint"])
     matrices, labels = _load_test_split(opt, config)
-    if not len(labels):
-        raise DataError("test split is empty; nothing to evaluate")
     seed = ""
     if opt["report"] is not None:
         report = _load_text(opt["report"], "train report", TrainReport.from_text)
@@ -621,10 +622,8 @@ def _eval(opt, args, staged):
 
     row = [run_id, seed] + [format_metric(getattr(result, m)) for m in _METRIC_FIELDS]
     _write_csv(staged["metrics"], EVAL_HEADER, [row])
-    line = (f"{run_id}: auroc {format_metric(result.auroc)} accuracy {format_metric(result.accuracy)} "
+    return (f"{run_id}: auroc {format_metric(result.auroc)} accuracy {format_metric(result.accuracy)} "
             f"({result.n_pos} pos / {result.n_neg} neg) -> {opt['out']}")
-    inputs = {name: opt[name] for name in ("checkpoint", "dataset", "split")}
-    return inputs, {"aggregate": False}, line
 
 
 def _metric_column(texts, name: str):
@@ -666,9 +665,7 @@ def _eval_aggregate(opt, args, staged):
     columns = [_metric_column([row[index] for row in rows], name)
                for index, name in enumerate(_METRIC_FIELDS, start=2)]
     _write_csv(staged["metrics"], EVAL_HEADER, rows + _summary_rows(columns, lambda stat: [stat, ""]))
-    inputs = {f"metrics{i}": path for i, path in enumerate(args.inputs)}
-    line = f"aggregated {len(rows)} runs from {len(args.inputs)} files -> {opt['out']}"
-    return inputs, {"aggregate": True}, line
+    return f"aggregated {len(rows)} runs from {len(args.inputs)} files -> {opt['out']}"
 
 
 _PHI_GRID = [
@@ -760,7 +757,7 @@ def _verify_theory(opt, args, staged):
         suffix = f", error = {error}" if error else ""
         lines.append(f"{mode} {descriptor}: estimate = {estimate}{suffix}")
     _write_text(staged["text"], "\n".join(lines) + "\n")
-    return {}, {}, f"wrote {len(rows)} check rows -> {opt['out']}.csv"
+    return f"wrote {len(rows)} check rows -> {opt['out']}.csv"
 
 
 def _export_assignments(opt, args, staged):
@@ -803,9 +800,8 @@ def _export_assignments(opt, args, staged):
     rows.append(["difference_score", "", "", "", repr(score)])
 
     _write_csv(staged["assignments"], ["kind", "class", "cluster", "node", "value"], rows)
-    line = (f"exported {config.clusters * config.nodes} assignment rows per class; "
+    return (f"exported {config.clusters * config.nodes} assignment rows per class; "
             f"difference score {score!r} -> {opt['out']}")
-    return {name: opt[name] for name in ("checkpoint", "dataset", "split")}, {}, line
 
 
 def _combos(opt):
@@ -865,8 +861,7 @@ def _ablate(opt, args, staged):
             rows += _summary_rows(columns, lambda stat: [readout.value, centers.value, str(clusters), stat, ""])
 
     _write_csv(staged["csv"], ABLATE_HEADER, rows)
-    line = f"{len(combos) * len(seeds)} runs across {len(combos)} combinations -> {opt['out']}"
-    return {"dataset": opt["dataset"], "split": opt["split"]}, {"nodes": nodes}, line
+    return f"{len(combos) * len(seeds)} runs across {len(combos)} combinations -> {opt['out']}"
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +910,8 @@ class _Command:
     # guard order; {key: path} the manifest lists as outputs; the directory
     # the command makes, with its missing parents, or None)
     outputs: Callable
-    body: Callable  # (opt, args, {key: staged path}) -> (inputs, extra options, stdout line)
-    flags: tuple = ()  # further argparse arguments, as (name, keywords) pairs
+    body: Callable  # (opt, args, {key: staged path}) -> stdout line; _run alone writes the manifest
+    flags: tuple = ()  # positional argparse arguments, as (name, keywords) pairs
 
 
 _COMMANDS = {
@@ -931,12 +926,6 @@ _COMMANDS = {
         opts=_SPLIT_OPTS,
         outputs=_beside("split"),
         body=_split,
-        flags=(
-            (
-                "--no-stratify",
-                dict(action="store_true", help="plain random split instead of per-(site,label) stratification"),
-            ),
-        ),
     ),
     "train": _Command(
         help="fit a model and write a run directory",
@@ -949,13 +938,7 @@ _COMMANDS = {
         opts=_EVAL_OPTS,
         outputs=_beside("metrics"),
         body=_eval,
-        flags=(
-            (
-                "--aggregate",
-                dict(action="store_true", help="combine the given metrics CSVs and append mean/std rows"),
-            ),
-            ("inputs", dict(nargs="*", metavar="CSV", help="input metrics CSVs (aggregate mode only)")),
-        ),
+        flags=(("inputs", dict(nargs="*", metavar="CSV", help="input metrics CSVs (aggregate mode only)")),),
     ),
     "verify-theory": _Command(
         help="run the numerical theory checks",
@@ -1000,7 +983,9 @@ def _run(name: str, args) -> int:
     started = time.monotonic()
     command = _COMMANDS[name]
     opt = _resolve(args, command.opts)
-    texts = [(o.flag, opt[o.name]) for o in command.opts] + [("input", p) for p in getattr(args, "inputs", ())]
+    inputs = {key: opt[key] for key in _INPUT_OPTS if opt.get(key) is not None}
+    inputs.update((f"metrics{i}", path) for i, path in enumerate(getattr(args, "inputs", ())))
+    texts = [(o.flag, opt[o.name]) for o in command.opts] + [("input", p) for p in inputs.values()]
     for where, value in texts:  # a line break, any that str.splitlines sees, would forge manifest lines
         if isinstance(value, str) and "".join(value.splitlines()) != value:
             raise UsageError(f"{where} value {value!r} contains a line break")
@@ -1023,8 +1008,8 @@ def _run(name: str, args) -> int:
     try:
         for key, path in files.items():
             staged[key] = make_temp(_parents(path)[0], os.path.basename(path))
-        inputs, options, line = command.body(opt, args, staged)
-        _write_text(staged["manifest"], _manifest_text(name, dict(opt, **options), inputs, listed, started))
+        line = command.body(opt, args, staged)
+        _write_text(staged["manifest"], _manifest_text(name, opt, inputs, listed, started))
         # A Ctrl-C from here waits until every output is in place.
         unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
@@ -1064,8 +1049,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
         for opt in command.opts:
             default = "required" if opt.default is _REQUIRED else _format_value(opt.default)
-            p.add_argument(opt.flag, dest=opt.name, default=None, metavar=opt.name.upper(),
-                           help=f"{opt.help} (default: {default})")
+            switch = isinstance(opt.default, bool)  # a bare flag, as if given "true"
+            shape = dict(action="store_const", const="true") if switch else dict(metavar=opt.name.upper())
+            p.add_argument(opt.flag, dest=opt.name, default=None, help=f"{opt.help} (default: {default})", **shape)
         for flag, keywords in command.flags:
             p.add_argument(flag, **keywords)
     return parser

@@ -358,9 +358,9 @@ class SplitPlan:
     def select(self, dataset: Dataset, names=("train", "val", "test")) -> list[np.ndarray]:
         """The ``dataset`` rows of each named list's subjects, in list order.
         SplitError if the plan leaks (``validate``), if a named list holds an
-        id that ``dataset`` lacks, or if train or val is empty or holds one
-        class: training needs both classes for its loss and for model
-        selection."""
+        id that ``dataset`` lacks, if train or val is empty or holds one
+        class (training needs both classes for its loss and for model
+        selection), or if test is empty (nothing to report)."""
         self.validate()
         row_of = {sid: row for row, sid in enumerate(dataset.subject_ids.tolist())}
         selected = []
@@ -371,6 +371,8 @@ class SplitPlan:
                 raise SplitError(f"{name} list references subject id {missing[0]} absent from the dataset")
             selected.append(np.array([row_of[i] for i in ids], dtype=np.intp))
             classes = set(dataset.labels[selected[-1]].tolist())
+            if name == "test" and not ids:
+                raise SplitError("the test list is empty")
             if name != "test" and classes != {0, 1}:
                 held = f"holds only class {classes.pop()}" if ids else "is empty"
                 raise SplitError(f"the {name} list {held}; train and val need both classes")

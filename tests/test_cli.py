@@ -5,6 +5,7 @@ import dataclasses
 import multiprocessing
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -90,8 +91,11 @@ def test_train_manifest_records_resolved_values(tiny_workspace):
 
     kv = _read_manifest(os.path.join(tiny_workspace["run_dir"], "manifest.txt"))
     assert kv["command"] == "train"
-    assert kv["option.nodes"] == "16"  # inferred from the dataset
-    assert kv["option.head_dim"] == "4"  # ceil(16 / 4 heads)
+    # the manifest holds the options; the report, the model config they resolve to
+    assert "option.nodes" not in kv and "option.head_dim" not in kv
+    report = _read_manifest(tiny_workspace["report"])
+    assert report["config.nodes"] == "16"  # inferred from the dataset
+    assert report["config.head_dim"] == "4"  # ceil(16 / 4 heads)
     assert kv["input.dataset"] == tiny_workspace["dataset"]
     assert kv["output.checkpoint"] == tiny_workspace["checkpoint"]
 
@@ -238,28 +242,69 @@ def test_option_defaults_read_back_from_their_text(name):
             assert opt.parse(bnt.cli._format_value(opt.default)) == opt.default, opt.name
 
 
-@pytest.mark.parametrize("name", ["eval", "ablate"])
-def test_a_manifest_passes_back_as_a_config_file(tiny_workspace, tmp_path, run_cli, name):
-    # an option left without a value (eval's --report and --run-id, ablate's
-    # --save-models and --head-dim) has no manifest line, so every recorded
-    # option of the command, fed back as a config file, reproduces the output
-    flags = {"eval": ["--checkpoint", tiny_workspace["checkpoint"]],
-             "ablate": ["--seeds", "0", "--epochs", "1"]}[name]
-    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-    code, _, err = run_cli([name, "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
-                            *flags, "--out", str(first)])
+def _replayed_run(case, ws, tmp_path):
+    """(argv but --out, positional arguments, the outputs as suffixes of --out) of a replay case."""
+    plan = ["--dataset", ws["dataset"], "--split", ws["split"]]
+    if case == "eval-aggregate":
+        csvs = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        _metrics_csv(csvs[0], [["r0", "0", "0.8", "0.75", "0.7", "0.8"]])
+        _metrics_csv(csvs[1], [["r1", "1", "0.6", "0.5", "undefined", "0.4"]])
+        return ["eval", "--aggregate"], csvs, [""]
+    return {
+        "generate": (_GENERATE_ARGV, [], [""]),
+        "split": (["split", "--dataset", ws["dataset"], "--seed", "3"], [], [""]),
+        "split-no-stratify": (["split", "--dataset", ws["dataset"], "--no-stratify", "--seed", "4"], [], [""]),
+        "train": (["train", *plan, "--epochs", "2", "--heads", "3"], [], ["/checkpoint.bnt", "/report.txt"]),
+        "eval": (["eval", "--checkpoint", ws["checkpoint"], *plan, "--report", ws["report"]], [], [""]),
+        "verify-theory": (["verify-theory", "--samples", "20000"], [], [".csv", ".txt"]),
+        "export-assignments": (["export-assignments", "--checkpoint", ws["checkpoint"], *plan], [], [""]),
+        "ablate": (["ablate", *plan, "--seeds", "0", "--epochs", "1"], [], [""]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["generate", "split", "split-no-stratify", "train", "eval", "eval-aggregate",
+                                  "verify-theory", "export-assignments", "ablate"])
+def test_every_manifest_replays_as_a_config_file(tiny_workspace, tmp_path, run_cli, case):
+    # every option.* line of a manifest, none left out, fed back as a config
+    # file (with a new --out and the same positional CSVs) reproduces the outputs
+    argv, positionals, outputs = _replayed_run(case, tiny_workspace, tmp_path)
+    first, again = str(tmp_path / "first"), str(tmp_path / "again")
+    code, _, err = run_cli([*argv, *positionals, "--out", first])
     assert code == 0, err
-    recorded = _read_manifest(f"{first}.manifest")
-    names = [opt.name for opt in bnt.cli._COMMANDS[name].opts if opt.name != "out"]
+    manifest = "/manifest.txt" if argv[0] == "train" else ".manifest"
+    recorded = _read_manifest(first + manifest)
     config = tmp_path / "replay.cfg"
-    config.write_text("".join(f"{key} = {recorded[f'option.{key}']}\n" for key in names
-                              if f"option.{key}" in recorded))
-    code, _, err = run_cli([name, "--config", str(config), "--out", str(again)])
+    config.write_text("".join(f"{key.removeprefix('option.')} = {value}\n" for key, value in recorded.items()
+                              if key.startswith("option.")))
+    code, _, err = run_cli([argv[0], *positionals, "--config", str(config), "--out", again])
     assert code == 0, err
-    assert again.read_bytes() == first.read_bytes()
-    for out in (first, again):
-        lines = Path(f"{out}.manifest").read_text(encoding="utf-8").splitlines()
-        assert not [line for line in lines if line.endswith("= none")]
+    for suffix in outputs:
+        assert Path(again + suffix).read_bytes() == Path(first + suffix).read_bytes(), suffix
+
+    def passed_back(kv):
+        return {k: v for k, v in kv.items() if k.startswith(("option.", "input.")) and k != "option.out"}
+
+    assert passed_back(_read_manifest(again + manifest)) == passed_back(recorded)
+    assert "none" not in recorded.values()  # an unset option has no line to pass back
+    if case == "eval":
+        assert recorded["input.report"] == tiny_workspace["report"]
+
+
+@pytest.mark.parametrize("switch", ["no_stratify", "aggregate"])
+def test_a_switch_set_in_a_config_file_acts_as_its_flag(tiny_workspace, tmp_path, run_cli, switch):
+    if switch == "no_stratify":
+        argv = ["split", "--dataset", tiny_workspace["dataset"], "--seed", "4"]
+    else:
+        _metrics_csv(tmp_path / "a.csv", [["r0", "0", "0.8", "0.75", "0.7", "0.8"]])
+        argv = ["eval", str(tmp_path / "a.csv")]
+    config = tmp_path / "switch.cfg"
+    config.write_text(f"{switch} = true\n")
+    flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+    assert run_cli([*argv, "--" + switch.replace("_", "-"), "--out", str(flagged)])[0] == 0
+    assert run_cli([*argv, "--config", str(config), "--out", str(configured)])[0] == 0
+    assert configured.read_bytes() == flagged.read_bytes()
+    for out in (flagged, configured):
+        assert _read_manifest(f"{out}.manifest")[f"option.{switch}"] == "true"
 
 
 class _Stop(Exception):
@@ -369,7 +414,7 @@ def test_split_no_stratify(tiny_workspace, tmp_path, run_cli):
         plan = SplitPlan.from_text(f.read())
     assert not plan.stratified
     kv = _read_manifest(out + ".manifest")
-    assert kv["option.stratified"] == "false"
+    assert kv["option.no_stratify"] == "true"
 
 
 def test_train_rerun_is_byte_identical(tiny_workspace, tmp_path, run_cli):
@@ -959,6 +1004,34 @@ def test_split_refuses_a_plan_without_both_classes_in_train_and_val(tmp_path, ru
     err = _assert_data_error(run_cli(["split", "--dataset", dataset, "--seed", "1", "--out", out]),
                              out, out + ".manifest")
     assert "the val list is empty" in err
+
+
+def test_split_refuses_a_plan_with_an_empty_test_list(tmp_path, run_cli):
+    dataset = str(tmp_path / "d.bntd")
+    assert run_cli(["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "10", "--seed", "11",
+                    "--out", dataset])[0] == 0
+    out = str(tmp_path / "split.txt")
+    err = _assert_data_error(
+        run_cli(["split", "--dataset", dataset, "--fractions", "0.6,0.2,0.2", "--seed", "2", "--out", out]),
+        out, out + ".manifest",
+    )
+    assert err == "data error: the test list is empty\n"
+
+
+@pytest.mark.parametrize("name", ["train", "ablate", "eval", "export-assignments"])
+def test_a_plan_with_an_empty_test_list_is_refused_before_any_work(tiny_workspace, tmp_path, run_cli,
+                                                                   monkeypatch, name):
+    with open(tiny_workspace["split"], encoding="utf-8") as f:
+        text = f.read()
+    split = tmp_path / "no_test.txt"
+    split.write_text(re.sub(r"(?m)^test = .*$", "test =", text), encoding="utf-8")
+    monkeypatch.setattr(bnt.cli, "train", lambda *args: pytest.fail("trained on a plan without a test list"))
+    checkpoint = [] if name in ("train", "ablate") else ["--checkpoint", tiny_workspace["checkpoint"]]
+    out = str(tmp_path / "out")
+    err = _assert_data_error(run_cli([name, "--dataset", tiny_workspace["dataset"], "--split", str(split),
+                                      *checkpoint, "--out", out]), out, out + ".manifest")
+    assert err.endswith(": the test list is empty\n")
+    assert os.listdir(tmp_path) == ["no_test.txt"]
 
 
 def test_train_refuses_a_plan_with_a_one_class_val_list(tiny_workspace, tmp_path, run_cli):

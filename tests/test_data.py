@@ -487,6 +487,7 @@ def test_key_values_reads_the_lines_of_one_kind():
         ([10, 11], [], [14], "the val list is empty; train and val need both classes"),
         ([10, 11], [12, 14], [13], "the val list holds only class 0; train and val need both classes"),
         ([10, 11], [12, 13], [13], "subject id 13 appears in both val and test"),
+        ([10, 11], [12, 13], [], "the test list is empty"),
     ],
 )
 def test_select_refuses_a_plan_that_does_not_fit(train, val, test, message):
