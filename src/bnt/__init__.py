@@ -9,7 +9,7 @@ Library layout:
 - ``bnt.training`` Adam loop, checkpoints, train reports
 - ``bnt.metrics``  AUROC, threshold metrics, assignment difference score
 - ``bnt.theory``   variance-functional and VIF verification suite
-- ``bnt.workers``  ordered fork pool for independent runs and Monte Carlo blocks
+- ``bnt.workers``  ordered fork pool for independent runs and Monte Carlo blocks, BLAS threads
 - ``bnt.cli``      command line entry points
 """
 
@@ -17,7 +17,8 @@ import os
 
 # Single-threaded BLAS keeps every reduction order, so re-runs are bit-exact.
 # The variables act only if set before NumPy first loads; a value the user
-# set is kept.
+# set is kept.  Training steps, scoring and workers also set one OpenBLAS
+# thread while they run (bnt.workers.blas_threads), whatever the import order.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -205,13 +205,14 @@ _parse_centers_list = _list_of(_parse_centers)
 
 _MAX_JOBS = 64
 
-# ablate runs, Monte Carlo blocks and scoring chunks in worker processes
+# ablate runs, Monte Carlo blocks and scoring chunks in worker processes, and
+# the threads of a large train step
 _JOBS_OPT = _Opt(
     "jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
-    f"worker processes, 1..{_MAX_JOBS}, at most one per run, block or scoring chunk; "
-    "defaults to the usable CPUs",
+    f"worker processes, 1..{_MAX_JOBS}, at most one per run, block or scoring chunk, "
+    "and threads of a large train step, at most one per CPU; defaults to the usable CPUs",
 )
 
 # The option of each config field not named after it.

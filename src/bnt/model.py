@@ -25,6 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import linalg
 from .linalg import softmax_lastaxis
 from .rng import Rng
-from .workers import ordered_map
+from .workers import blas_threads, ordered_map
 
 
 # A checkpoint stores each enum below by its declaration index, so their
@@ -285,6 +286,8 @@ class _LayerBuffers:
 class _Workspace:
     """Every large array of a forward (and, with ``train``, a backward) over up
     to n graphs, reused across calls; a batch of fewer graphs uses leading views.
+    A training workspace runs its steps in ``lanes`` threads (``_run``) where
+    n graphs are more than ``_LANES_MIN_FLOPS`` of forward work, else in one.
 
     Scoring: one ``_LayerBuffers`` with one attention block serves every layer;
     each layer projects its input to Q/K/V before overwriting ``out``.
@@ -292,47 +295,81 @@ class _Workspace:
     backward, and all layers share the gradient buffers: ``dhcat``, ``dqkv``,
     one block's ``dattn`` and its product temporary, ``dprod`` for the products
     summed into an input gradient, and two ``dz`` that layers use in turn, so a
-    layer's input gradient never overwrites the ``dout`` it reads."""
+    layer's input gradient never overwrites the ``dout`` it reads.  Each lane
+    has its own ``dattn``; ``grads`` is the gradient vector of every step."""
 
-    def __init__(self, n: int, config: ModelConfig, train: bool = False):
+    def __init__(self, n: int, config: ModelConfig, train: bool = False, lanes: int = 1):
         v, m, hd = config.nodes, config.heads, config.head_dim
         block = _blocks(n, m, v)[0].stop
         self.graphs, self.train = n, train
+        self.lanes = lanes if train and n * _forward_flops(config) > _LANES_MIN_FLOPS else 1
         if not train:
             self.layers = [_LayerBuffers(n, v, m, hd, block)] * config.layers
             return
         self.layers = [_LayerBuffers(n, v, m, hd, n) for _ in range(config.layers)]
+        self.grads = ModelParams(np.zeros(param_count(config)), config)
         self.dhcat = np.empty((n, v, m * hd))
         self.dqkv = np.empty((3, n, v, m, hd))
-        self.dattn = np.empty((2, block, m, v, v))
+        self.dattn = np.empty((self.lanes, 2, block, m, v, v))
         self.dprod = np.empty((n * v, v))
         self.dz = np.empty((2, n, v, v))
 
 
-def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers):
+# A training workspace for at most this many forward FLOPs runs its steps in
+# one thread.  On 2 cores of an Intel Xeon, two lanes made a 64-graph step
+# (default widths, alternating runs) slower at V=96 (1.4 GFLOP) and faster
+# from V=112 (2.2 GFLOP, 370 -> 295 ms); at V=200 it took 1.40 s -> 0.88 s.
+_LANES_MIN_FLOPS = 2e9
+
+
+def _run(tasks, lanes: int) -> None:
+    """Call each of ``tasks``, here or, with ``lanes`` > 1, in that many threads
+    that end before this returns and run under this thread's NumPy error state.
+    A task writes only arrays of its own through whole one-thread BLAS calls
+    (``loss_and_grad``), so no bit depends on ``lanes``."""
+    if lanes <= 1:
+        for task in tasks:
+            task()
+        return
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(lanes) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks]
+    for future in futures:
+        future.result()  # the first failure in task order, once every task has ended
+
+
+def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers, lanes: int = 1):
     """One attention layer over z (B, V, w) into ``buf``: full-batch projections;
     scores, softmax (in place) and attn @ v over blocks of graphs (``_blocks``).
     An attention buffer for all B graphs keeps every block for the backward; a
-    one-block buffer (scoring) is overwritten by each block, and the returned
-    cache then holds only the last one."""
+    one-block buffer (scoring, one lane) is overwritten by each block, and the
+    returned cache then holds only the last one."""
     b, v, w = z.shape
     m, hd, w_in = layer.w_query.shape
     if w_in != w:
         raise ValueError(f"layer expects input width {w_in}, got {w}")
     mh = m * hd
-    z2 = z.reshape(b * v, w)
-    q, k, vv = (np.matmul(z2, wt.reshape(mh, w).T, out=d).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
-                for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), buf.qkv[:, : b * v]))
+    z2, qkv = z.reshape(b * v, w), buf.qkv[:, : b * v]
+    _run([partial(np.matmul, z2, wt.reshape(mh, w).T, out=d)
+          for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
+    q, k, vv = (d.reshape(b, v, m, hd).transpose(0, 2, 1, 3) for d in qkv)
     h, out = buf.h[:b], buf.out[:b]
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
     keep = len(buf.attn) >= b
-    for blk in _blocks(b, m, v):
-        a = buf.attn[blk] if keep else buf.attn[: blk.stop - blk.start]
-        np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=a)
-        a /= math.sqrt(hd)
-        softmax_lastaxis(a, out=a)
-        np.matmul(a, vv[blk], out=heads[blk])
-        np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
+
+    def attend(blocks):
+        for blk in blocks:
+            a = buf.attn[blk] if keep else buf.attn[: blk.stop - blk.start]
+            np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=a)
+            a /= math.sqrt(hd)
+            softmax_lastaxis(a, out=a)
+            np.matmul(a, vv[blk], out=heads[blk])
+            np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
+
+    blocks = _blocks(b, m, v)
+    _run([partial(attend, blocks[i::lanes]) for i in range(lanes)], lanes)
     return out, (z, q, k, vv, buf.attn[:b], hcat)
 
 
@@ -345,34 +382,45 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
     b, v, w = z.shape
     m, hd, _ = layer.w_query.shape
     mh = m * hd
-    z2 = z.reshape(b * v, w)
+    z2, lanes = z.reshape(b * v, w), ws.lanes
 
-    np.matmul(hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output)
-    dh = np.matmul(dout, layer.w_output.T, out=ws.dhcat[:b]).reshape(b, v, m, hd).transpose(0, 2, 1, 3)
+    _run([partial(np.matmul, hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output),
+          partial(np.matmul, dout, layer.w_output.T, out=ws.dhcat[:b])], lanes)
+    dh = ws.dhcat[:b].reshape(b, v, m, hd).transpose(0, 2, 1, 3)
 
     # (B, V, M, hd) storage like q's, so each (B·V, M·hd) view below copies nothing
     dq, dk, dvv = (d.transpose(0, 2, 1, 3) for d in ws.dqkv[:, :b])
-    for blk in _blocks(b, m, v):
-        a = attn[blk]
-        dattn, prod = ws.dattn[:, : blk.stop - blk.start]
-        np.matmul(dh[blk], vv[blk].swapaxes(-1, -2), out=dattn)
-        np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
-        # softmax backward per attention row, in place
-        dattn -= np.multiply(dattn, a, out=prod).sum(axis=-1, keepdims=True)
-        dattn *= a
-        dattn /= math.sqrt(hd)
-        np.matmul(dattn, k[blk], out=dq[blk])
-        np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
 
-    if dz is not None:
+    def attend_backward(blocks, scratch):
+        for blk in blocks:
+            a = attn[blk]
+            dattn, prod = scratch[:, : blk.stop - blk.start]
+            np.matmul(dh[blk], vv[blk].swapaxes(-1, -2), out=dattn)
+            np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
+            # softmax backward per attention row, in place
+            dattn -= np.multiply(dattn, a, out=prod).sum(axis=-1, keepdims=True)
+            dattn *= a
+            dattn /= math.sqrt(hd)
+            np.matmul(dattn, k[blk], out=dq[blk])
+            np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
+
+    blocks = _blocks(b, m, v)
+    _run([partial(attend_backward, blocks[i::lanes], ws.dattn[i]) for i in range(lanes)], lanes)
+
+    flats = [ws.dqkv[i, :b].reshape(b * v, mh) for i in range(3)]
+    weights = (layer.w_query, layer.w_key, layer.w_value)
+
+    def input_grad():  # the three products summed in a fixed order
         dz2 = dz.reshape(b * v, w)
         dz2[...] = 0.0
-    for i, (wt, dw) in enumerate(zip((layer.w_query, layer.w_key, layer.w_value),
-                                     (grads.w_query, grads.w_key, grads.w_value))):
-        flat = ws.dqkv[i, :b].reshape(b * v, mh)
-        np.matmul(flat.T, z2, out=dw.reshape(mh, w))
-        if dz is not None:
+        for flat, wt in zip(flats, weights):
             dz2 += np.matmul(flat, wt.reshape(mh, w), out=ws.dprod[: b * v])
+
+    tasks = [partial(np.matmul, flat.T, z2, out=dw.reshape(mh, w))
+             for flat, dw in zip(flats, (grads.w_query, grads.w_key, grads.w_value))]
+    if dz is not None:
+        tasks.insert(0, input_grad)  # first, so one lane takes it while another takes the three above
+    _run(tasks, lanes)
     return dz
 
 
@@ -403,7 +451,7 @@ def _forward_batch(x: np.ndarray, params: ModelParams, config: ModelConfig, ws: 
     tr = _BatchTrace()
     z = node_feature(x, config.feature_mode, config.k_eigen)
     for layer, buf in zip(params.layers, ws.layers):
-        z, cache = _mhsa_forward(z, layer, buf)
+        z, cache = _mhsa_forward(z, layer, buf, ws.lanes)
         tr.caches.append(cache)
     tr.z = z
 
@@ -497,15 +545,18 @@ def baseline_readout(z, kind: Readout) -> np.ndarray:
     raise ValueError(f"not a baseline readout: {kind}")
 
 
+@blas_threads(1)
 def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Workspace | None = None):
     """Mean cross-entropy over the batch x (B, V, V) with class ``labels``
     (B,), and analytic parameter gradients.
 
-    Gradients come back as a ModelParams over a fresh vector.  Centers
-    receive gradient only for the learnable-centers clustering readout;
-    otherwise their slot is zero.  ``ws`` is a training ``_Workspace`` for
-    at least B graphs that successive calls share; without one, the call
-    builds its own.  Nothing returned refers to it.
+    Gradients come back as a ModelParams over the workspace's gradient
+    vector, valid until the next call with that workspace.  Centers receive
+    gradient only for the learnable-centers clustering readout; otherwise
+    their slot is zero.  ``ws`` is a training ``_Workspace`` for at least B
+    graphs that successive calls share, and sets the step's threads (its
+    ``lanes``); without one, the call builds its own.  BLAS runs on one
+    thread whatever the environment, so the bytes are those of any lanes.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -525,7 +576,7 @@ def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Work
     logp = _log_softmax(tr.logits)
     loss = float(-logp[np.arange(b), y].mean())
 
-    grads = ModelParams(np.zeros_like(params.vector), config)
+    grads = ws.grads  # every slot is written below, or stays zero
 
     dlogits = np.exp(logp)
     dlogits[np.arange(b), y] -= 1.0
@@ -598,7 +649,8 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 
     (``_scoring_jobs``), else in this process.  Each process scores through
     one workspace of its own, built at its first chunk, so no attention, q/k/v
     or layer output is kept; a pooling parent builds none.  A chunk's graphs
-    and matrix shapes do not depend on ``jobs``, so neither do its bytes."""
+    and matrix shapes do not depend on ``jobs``, and it runs on one BLAS
+    thread whatever the environment, so neither do its bytes."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if jobs < 1:
@@ -606,6 +658,7 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 
     x = np.asarray(graphs, dtype=np.float64)
     ws = None
 
+    @blas_threads(1)
     def score(start):
         nonlocal ws
         if ws is None:

@@ -22,6 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import metrics as metrics_mod
+from . import workers
 from .data import key_values, replacing
 from .model import (
     ModelConfig,
@@ -219,8 +220,10 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Train on the plan's train ids, select on val AUROC, report on test.
     A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
-    Validation and test scoring use up to ``jobs`` processes where that pays
-    (``model.predict_proba``); nothing returned depends on ``jobs``."""
+    Steps large enough to pay run in up to ``jobs`` threads, at most one per
+    usable CPU and one inside a pool worker (``model._Workspace``);
+    validation and test scoring use up to ``jobs`` processes where that pays
+    (``model.predict_proba``).  Nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
     train_rows, val_rows, test_rows = plan.select(dataset)
@@ -234,7 +237,8 @@ def train(
 
     n = len(train_rows)
     bs = train_config.batch_size
-    ws = _Workspace(min(bs, n), model_config, train=True)  # every step's large arrays
+    lanes = 1 if workers._job is not None else min(jobs, workers.usable_cpus())
+    ws = _Workspace(min(bs, n), model_config, train=True, lanes=lanes)  # every step's large arrays
 
     best_auroc = -np.inf
     best_epoch = 0

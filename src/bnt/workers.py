@@ -8,15 +8,18 @@ nor ``concurrent.futures``.
 
 Workers are forked, so ``fn`` and ``items`` reach them as memory, not as
 pickles: closures work, and so do functions a profiler has wrapped.  Only
-item indices, results and exceptions cross a pipe.  bnt starts no threads
-of its own, so no Python lock is held across the fork.  Each worker
-inherits the parent's BLAS thread setting and ignores SIGINT (blocked from
-the fork until then), so Ctrl-C reaches the parent alone, which stops the
-pool.
+item indices, results and exceptions cross a pipe.  The only threads bnt
+starts, the lanes of a training step, end before the step returns, so no
+Python lock is held across a fork.  Each worker sets NumPy's OpenBLAS to
+one thread, whatever the environment or import order (``blas_threads``),
+and ignores SIGINT (blocked from the fork until then), so Ctrl-C reaches
+the parent alone, which stops the pool.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import signal
 import sys
@@ -35,8 +38,41 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS; where that
+    library or its exported setter is absent, two functions that do nothing."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    pattern = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for lib in map(ctypes.CDLL, glob.glob(pattern)):  # the copy NumPy already loaded
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return (lambda: None), (lambda n: None)
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with NumPy's OpenBLAS on n threads, then restore the
+    previous count; where the setter is absent, change nothing."""
+    get, set_threads = _openblas()
+    previous = get()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def _start_worker(fn, items) -> None:
     global _job
+    _openblas()[1](1)  # one BLAS thread per worker, whatever the parent runs
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _job = (fn, items)

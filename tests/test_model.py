@@ -2,6 +2,8 @@
 
 import math
 import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -398,6 +400,72 @@ def test_loss_and_grad_refuses_a_scoring_or_small_workspace():
         _loss_and_grad(batch, params, config, ws=bnt.model._Workspace(3, config))
     with pytest.raises(ValueError, match="workspace holds 2 graphs"):
         _loss_and_grad(batch, params, config, ws=bnt.model._Workspace(2, config, train=True))
+
+
+def test_a_training_workspace_reuses_one_gradient_vector():
+    config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(5))
+    ws = bnt.model._Workspace(3, config, train=True)
+    batch = [(_correlation_input(6, seed=s), s % 2) for s in range(3)]
+    first = _loss_and_grad(batch, params, config, ws=ws)[1].vector
+    assert _loss_and_grad(batch[:2], params, config, ws=ws)[1].vector is first is ws.grads.vector
+
+
+# Every GEMM shape a step issues: V from one attention block of several graphs
+# (12, 16, 32) to one graph per block (64, 128, 200), a full and a partial batch
+# (1 graph at V=200), and all input widths.
+_THREAD_CASES = [(12, 8), (16, 8), (32, 8), (64, 6), (128, 3), (200, 3)]
+
+
+@pytest.mark.parametrize("v, batch", _THREAD_CASES, ids=[f"v{v}" for v, _ in _THREAD_CASES])
+@pytest.mark.parametrize("features", list(FeatureMode))
+@pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
+def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, features, v, batch):
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)  # lanes at every size
+    config = ModelConfig(nodes=v, readout=readout, centers_mode=CentersMode.LEARNABLE,
+                         feature_mode=features, k_eigen=4)
+    params = init_params(config, Rng(13))
+    x = np.stack([_correlation_input(v, seed=200 + s) for s in range(batch)])
+    y = np.arange(batch) % 2
+    partial = 1 if v == 200 else batch // 2 + 1
+    runs = []
+    for lanes, threads in ((1, 1), (2, 2), (1, 2)):
+        ws = bnt.model._Workspace(batch, config, train=True, lanes=lanes)
+        assert ws.lanes == lanes
+        with bnt.workers.blas_threads(threads):
+            steps = []
+            for b in (batch, partial):
+                loss, grads = loss_and_grad(x[:b], params, config, y[:b], ws=ws)
+                steps.append((loss, grads.vector.tobytes()))
+            steps.append(predict_proba(x, params, config, chunk=batch - 1).tobytes())
+        runs.append(steps)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_more_lanes_than_cores_with_fast_thread_switches_change_no_bit(monkeypatch):
+    # one graph per attention block, so 4 lanes share 9 blocks; a lane that
+    # wrote into another's arrays would change bits under frequent switches
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
+    config = ModelConfig(nodes=16, heads=2, clusters=3, mlp_hidden=(8,), centers_mode=CentersMode.LEARNABLE)
+    params = init_params(config, Rng(17))
+    x = np.stack([_correlation_input(16, seed=300 + s) for s in range(9)])
+    y = np.arange(9) % 2
+
+    def step(lanes):
+        loss, grads = loss_and_grad(x, params, config, y, ws=bnt.model._Workspace(9, config, True, lanes))
+        return loss, grads.vector.tobytes()
+
+    expected = step(1)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert step(4) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # the lanes have ended
 
 
 def test_a_warm_training_workspace_allocates_a_quarter_of_a_step():

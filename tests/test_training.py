@@ -1,12 +1,16 @@
 """Adam updates, the training loop, checkpoints, and report files."""
 
 import dataclasses
+import glob
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
+import bnt.model
 import bnt.training
+import bnt.workers
 
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
 from bnt.metrics import EvalResult
@@ -130,6 +134,58 @@ def test_train_deterministic():
         assert np.array_equal(ta, tb), name_a
 
 
+@pytest.fixture
+def lanes_used(monkeypatch):
+    """Lanes at every step size, one graph per attention block (so the lanes
+    share the blocks), pooled scoring at every split size, and the set of
+    lane counts the steps and scoring passes ran with."""
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
+    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
+    used = set()
+    real = bnt.model._run
+
+    def run(tasks, lanes):
+        used.add(lanes)
+        return real(tasks, lanes)
+
+    monkeypatch.setattr(bnt.model, "_run", run)
+    return used
+
+
+def _trained_bytes(jobs):
+    graphs, plan, config = _workbench()
+    tc = TrainConfig(lr=3e-3, weight_decay=1e-4, batch_size=5, epochs=3, seed=4)  # 8 graphs: 5 + 3
+    params, report = train(graphs, plan, config, tc, jobs=jobs)
+    return params.vector.tobytes(), report.to_text()
+
+
+def test_train_bytes_do_not_depend_on_jobs(lanes_used):
+    one = _trained_bytes(1)
+    assert lanes_used == {1}
+    lanes_used.clear()
+    assert _trained_bytes(2) == one
+    assert max(lanes_used) == min(2, bnt.workers.usable_cpus())
+    assert multiprocessing.active_children() == []
+
+
+def test_train_runs_one_lane_inside_a_worker(lanes_used, monkeypatch):
+    monkeypatch.setattr(bnt.workers, "_job", (None, ()))
+    _trained_bytes(2)
+    assert lanes_used == {1}
+
+
+def test_train_without_the_blas_setter_gives_the_same_bytes(lanes_used, monkeypatch):
+    expected = _trained_bytes(2)
+    bnt.workers._openblas.cache_clear()
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    try:
+        assert bnt.workers._openblas()[0]() is None
+        assert _trained_bytes(2) == expected
+    finally:
+        bnt.workers._openblas.cache_clear()
+
+
 def test_train_rejects_bad_splits():
     graphs, plan, config = _workbench()
     tc = TrainConfig(epochs=1)
@@ -176,6 +232,17 @@ def test_train_divergence_names_the_epoch_without_warnings(batch_size, what):
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match=f"^training diverged in epoch 1: non-finite {what}$"):
             train(graphs, plan, config, tc)
+
+
+def test_a_step_in_lanes_diverges_without_warnings(lanes_used):
+    # the lanes run under the caller's NumPy error state, so their overflows
+    # warn no more than the caller's do
+    graphs, plan, config = _workbench()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^training diverged in epoch 1: non-finite loss$"):
+            train(graphs, plan, config, TrainConfig(lr=1e300, batch_size=4, epochs=3), jobs=2)
+    assert max(lanes_used) == min(2, bnt.workers.usable_cpus())
 
 
 def test_train_divergence_names_the_first_non_finite_gradient(monkeypatch):

@@ -109,3 +109,61 @@ def test_a_map_inside_a_worker_runs_in_that_worker():
     for worker, inner in results:
         assert worker != os.getpid() and inner == [worker] * 3
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+needs_setter = pytest.mark.skipif(workers._openblas()[0]() is None,
+                                  reason="NumPy's OpenBLAS exports no thread-count setter")
+
+
+@needs_setter
+def test_blas_threads_sets_the_count_and_restores_it():
+    get = workers._openblas()[0]
+    before = get()
+    with workers.blas_threads(before + 1):
+        assert get() == before + 1
+        with workers.blas_threads(1):
+            assert get() == 1
+        assert get() == before + 1
+    assert get() == before
+
+
+def test_without_the_setter_blas_threads_changes_nothing(monkeypatch):
+    import glob
+
+    workers._openblas.cache_clear()
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])  # no bundled OpenBLAS found
+    try:
+        get, _ = workers._openblas()
+        with workers.blas_threads(2):
+            assert get() is None
+    finally:
+        workers._openblas.cache_clear()
+
+
+NUMPY_FIRST = """
+import numpy  # before bnt, so bnt's environment pin comes too late
+from bnt import workers
+from bnt.workers import ordered_map
+
+def threads(_):
+    return workers._openblas()[0]()
+
+print(threads(0), *ordered_map(threads, range(4), 2))
+"""
+
+
+@needs_setter
+def test_every_worker_runs_one_blas_thread_whatever_the_import_order():
+    import subprocess
+    import sys
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FIRST], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parent, *pooled = proc.stdout.split()
+    assert parent == "2"  # the environment reached OpenBLAS, so the pin is what sets the workers
+    assert pooled == ["1"] * 4

@@ -37,7 +37,9 @@ one V=200 round
 (3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.
 ``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
 run with their default ``--jobs``, so where more than one CPU is usable the
-V=200 train's test pass, eval and export score in worker processes.
+V=200 train runs its steps in two threads and its test pass, eval and export
+score in worker processes.  With fewer than two usable CPUs neither happens,
+so SAME says nothing about them; a ``note:`` line says so.
 Exits 1 on any DIFF or on a command that fails on either side, and removes
 its temporary directory in any case.
 """
@@ -195,6 +197,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_bytes.py REV", file=sys.stderr)
         return 2
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        print("note: fewer than 2 usable CPUs, so no train step runs in threads and no scoring pools;"
+              " SAME does not cover them")
     scratch = tempfile.mkdtemp(prefix="same_bytes_")
     tree = os.path.join(scratch, "rev")
     try:
