@@ -543,10 +543,11 @@ def _load_training_inputs(opt):
 
 
 def _load_test_split(opt, config):
-    """The test split's matrices and labels, for a checkpoint of ``config``."""
+    """The dataset and its test split's rows, for a checkpoint of ``config``;
+    scoring gathers the rows a chunk at a time (``score_chunks``' ``take``)."""
     dataset = _load_dataset(opt["dataset"], expect_nodes=config.nodes)
     _, (rows,) = _load_plan(opt, dataset, ("test",))
-    return dataset.matrices[rows], dataset.labels[rows]
+    return dataset, rows
 
 
 def _config(cls, opt, **given):
@@ -609,14 +610,14 @@ def _eval(opt, args, staged):
         if opt[name] is None:
             raise UsageError(f"missing required option --{name}")
     params, config = _load_checkpoint(opt["checkpoint"])
-    matrices, labels = _load_test_split(opt, config)
+    dataset, test = _load_test_split(opt, config)
     seed = ""
     if opt["report"] is not None:
         report = _load_text(opt["report"], "train report", TrainReport.from_text)
         if report.model_config != config:
             raise DataError(f"train report {opt['report']} does not describe checkpoint {opt['checkpoint']}")
         seed = str(report.train_config.seed)
-    result = evaluate(params, config, matrices, labels, opt["jobs"])
+    result = evaluate(params, config, dataset.matrices, dataset.labels, opt["jobs"], test)
     run_id = opt["run_id"]
     if run_id is None:
         run_id = os.path.splitext(os.path.basename(opt["checkpoint"]))[0]
@@ -768,8 +769,8 @@ def _export_assignments(opt, args, staged):
             f"checkpoint readout is '{config.readout.value}'; "
             "cluster assignments exist only for the ocread readout"
         )
-    matrices, labels = _load_test_split(opt, config)
-    counts = np.bincount(labels, minlength=2)
+    dataset, test = _load_test_split(opt, config)
+    counts = np.bincount(dataset.labels[test], minlength=2)
     for label in (0, 1):
         if not counts[label]:
             raise DataError(f"test split has no class-{label} graphs to average over")
@@ -777,10 +778,10 @@ def _export_assignments(opt, args, staged):
     # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
     # of every V, and a working set that stays in cache.
     sums = np.zeros((2, config.nodes, config.clusters))
-    chunks = score_chunks(matrices, params, config, 1, opt["jobs"])
+    chunks = score_chunks(dataset.matrices, params, config, 1, opt["jobs"], test)
     with contextlib.closing(chunks):
         for rows, _, assignment in chunks:
-            sums[labels[rows.start]] += assignment[0]  # in test-split order
+            sums[dataset.labels[test[rows.start]]] += assignment[0]  # in test-split order
     averaged = {label: sums[label] / counts[label] for label in (0, 1)}
 
     rows = []

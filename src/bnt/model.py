@@ -14,8 +14,9 @@ draw, frozen), random unit rows (frozen), or learnable.
 Parameters live in one contiguous float64 vector laid out by
 ``param_layout``; every named tensor of a ``ModelParams`` is a view into
 it.  Gradients are computed analytically by reverse mode over the cached
-forward intermediates, into a second vector of the same layout; finite
-differences verify them in the tests.
+forward intermediates (large attention maps are recomputed instead), into
+a second vector of the same layout; finite differences verify them in the
+tests.
 """
 
 from __future__ import annotations
@@ -264,6 +265,14 @@ def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
 # temporaries of a block stay in cache instead of spanning the whole batch.
 _ATTN_BLOCK_BYTES = 256 * 1024
 
+# A training workspace keeps a layer's whole-batch attention for the backward
+# where it takes at most this many bytes, else the backward recomputes it per
+# block.  On 2 cores of an Intel Xeon (B=64, default widths, one BLAS thread,
+# alternating runs) recomputing cost +22-25% of a step at V=32, +10-22% at
+# V=64, +13-29% at V=128 and +6-20% at V=200, and saved 2 MiB per layer at
+# V=32, 32 MiB at V=128 and 78 MiB at V=200: only layers beyond V=128 recompute.
+_ATTN_STORE_BYTES = 32 * 1024 * 1024
+
 
 def _blocks(b: int, m: int, v: int) -> list[slice]:
     step = max(1, _ATTN_BLOCK_BYTES // (8 * m * v * v))
@@ -273,13 +282,14 @@ def _blocks(b: int, m: int, v: int) -> list[slice]:
 class _LayerBuffers:
     """One attention layer's forward arrays for up to n graphs: the Q/K/V
     projections, the head outputs ``h`` (n, V, M, hd), whose (n, V, M·hd)
-    view is ``hcat``, the attention of ``attn_graphs`` graphs and the
+    view is ``hcat``, the attention of shape ``attn`` (all n graphs
+    (n, M, V, V), or one block per lane (lanes, block, M, V, V)) and the
     (n, V, V) output."""
 
-    def __init__(self, n: int, v: int, m: int, hd: int, attn_graphs: int):
+    def __init__(self, n: int, v: int, m: int, hd: int, attn: tuple[int, ...]):
         self.qkv = np.empty((3, n * v, m * hd))
         self.h = np.empty((n, v, m, hd))
-        self.attn = np.empty((attn_graphs, m, v, v))
+        self.attn = np.empty(attn)
         self.out = np.empty((n, v, v))
 
 
@@ -291,22 +301,26 @@ class _Workspace:
 
     Scoring: one ``_LayerBuffers`` with one attention block serves every layer;
     each layer projects its input to Q/K/V before overwriting ``out``.
-    Training: each layer keeps its own buffers and whole-batch attention for the
-    backward, and all layers share the gradient buffers: ``dhcat``, ``dqkv``,
-    one block's ``dattn`` and its product temporary, ``dprod`` for the products
-    summed into an input gradient, and two ``dz`` that layers use in turn, so a
-    layer's input gradient never overwrites the ``dout`` it reads.  Each lane
-    has its own ``dattn``; ``grads`` is the gradient vector of every step."""
+    Training: each layer keeps its own buffers for the backward, with its
+    whole-batch attention where that is at most ``_ATTN_STORE_BYTES``, else one
+    attention block per lane that the backward recomputes.  All layers share the
+    gradient buffers: ``dhcat``, ``dqkv``, one block's ``dattn`` and its product
+    temporary per lane, ``dprod`` for the products summed into an input
+    gradient, and two ``dz`` that layers use in turn, so a layer's input
+    gradient never overwrites the ``dout`` it reads; ``grads`` is the gradient
+    vector of every step."""
 
     def __init__(self, n: int, config: ModelConfig, train: bool = False, lanes: int = 1):
         v, m, hd = config.nodes, config.heads, config.head_dim
         block = _blocks(n, m, v)[0].stop
         self.graphs, self.train = n, train
         self.lanes = lanes if train and n * _forward_flops(config) > _LANES_MIN_FLOPS else 1
+        store = train and 8 * n * m * v * v <= _ATTN_STORE_BYTES
+        attn = (n, m, v, v) if store else (self.lanes, block, m, v, v)
         if not train:
-            self.layers = [_LayerBuffers(n, v, m, hd, block)] * config.layers
+            self.layers = [_LayerBuffers(n, v, m, hd, attn)] * config.layers
             return
-        self.layers = [_LayerBuffers(n, v, m, hd, n) for _ in range(config.layers)]
+        self.layers = [_LayerBuffers(n, v, m, hd, attn) for _ in range(config.layers)]
         self.grads = ModelParams(np.zeros(param_count(config)), config)
         self.dhcat = np.empty((n, v, m * hd))
         self.dqkv = np.empty((3, n, v, m, hd))
@@ -340,12 +354,20 @@ def _run(tasks, lanes: int) -> None:
         future.result()  # the first failure in task order, once every task has ended
 
 
+def _attention(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of the scaled scores of query and key blocks (..., V, hd) into
+    ``out``: the forward's ops, which the backward repeats for the same bits."""
+    np.matmul(q, k.swapaxes(-1, -2), out=out)
+    out /= math.sqrt(q.shape[-1])
+    return softmax_lastaxis(out, out=out)
+
+
 def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers, lanes: int = 1):
     """One attention layer over z (B, V, w) into ``buf``: full-batch projections;
     scores, softmax (in place) and attn @ v over blocks of graphs (``_blocks``).
     An attention buffer for all B graphs keeps every block for the backward; a
-    one-block buffer (scoring, one lane) is overwritten by each block, and the
-    returned cache then holds only the last one."""
+    buffer of one block per lane is overwritten by each block of that lane, and
+    the backward recomputes them."""
     b, v, w = z.shape
     m, hd, w_in = layer.w_query.shape
     if w_in != w:
@@ -357,20 +379,17 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
     q, k, vv = (d.reshape(b, v, m, hd).transpose(0, 2, 1, 3) for d in qkv)
     h, out = buf.h[:b], buf.out[:b]
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
-    keep = len(buf.attn) >= b
+    keep = buf.attn.ndim == 4
 
-    def attend(blocks):
+    def attend(blocks, lane):
         for blk in blocks:
-            a = buf.attn[blk] if keep else buf.attn[: blk.stop - blk.start]
-            np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=a)
-            a /= math.sqrt(hd)
-            softmax_lastaxis(a, out=a)
+            a = _attention(q[blk], k[blk], buf.attn[blk] if keep else buf.attn[lane, : blk.stop - blk.start])
             np.matmul(a, vv[blk], out=heads[blk])
             np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
 
     blocks = _blocks(b, m, v)
-    _run([partial(attend, blocks[i::lanes]) for i in range(lanes)], lanes)
-    return out, (z, q, k, vv, buf.attn[:b], hcat)
+    _run([partial(attend, blocks[i::lanes], i) for i in range(lanes)], lanes)
+    return out, (z, q, k, vv, buf.attn, hcat)
 
 
 def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLayerParams,
@@ -391,10 +410,10 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
     # (B, V, M, hd) storage like q's, so each (B·V, M·hd) view below copies nothing
     dq, dk, dvv = (d.transpose(0, 2, 1, 3) for d in ws.dqkv[:, :b])
 
-    def attend_backward(blocks, scratch):
+    def attend_backward(blocks, lane):
         for blk in blocks:
-            a = attn[blk]
-            dattn, prod = scratch[:, : blk.stop - blk.start]
+            dattn, prod = ws.dattn[lane, :, : blk.stop - blk.start]
+            a = attn[blk] if attn.ndim == 4 else _attention(q[blk], k[blk], attn[lane, : blk.stop - blk.start])
             np.matmul(dh[blk], vv[blk].swapaxes(-1, -2), out=dattn)
             np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
             # softmax backward per attention row, in place
@@ -405,7 +424,7 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
             np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
 
     blocks = _blocks(b, m, v)
-    _run([partial(attend_backward, blocks[i::lanes], ws.dattn[i]) for i in range(lanes)], lanes)
+    _run([partial(attend_backward, blocks[i::lanes], i) for i in range(lanes)], lanes)
 
     flats = [ws.dqkv[i, :b].reshape(b * v, mh) for i in range(3)]
     weights = (layer.w_query, layer.w_key, layer.w_value)
@@ -639,10 +658,12 @@ def _scoring_jobs(config: ModelConfig, graphs: int, chunk: int, jobs: int) -> in
     return jobs if saved > _POOL_MIN_FLOPS else 1
 
 
-def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1):
+def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1, take=None):
     """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs of
     ``graphs`` ((N, V, V), or N matrices stacked once), in order: ``rows``
     slices ``graphs``, ``assignment`` is the chunk's soft assignment or None.
+    With an index array ``take``, the graphs are ``graphs[take]``, each chunk
+    gathered when it is scored, and ``rows`` slices ``take``.
 
     Chunks run in up to ``jobs`` forked worker processes
     (``bnt.workers.ordered_map``) when that pays for the pool
@@ -656,30 +677,32 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     x = np.asarray(graphs, dtype=np.float64)
+    n = len(x) if take is None else len(take)
     ws = None
 
     @blas_threads(1)
     def score(start):
         nonlocal ws
         if ws is None:
-            ws = _Workspace(min(chunk, len(x)), config)
-        tr = _forward_batch(x[start : start + chunk], params, config, ws)
-        return slice(start, min(start + chunk, len(x))), tr.logits, tr.assignment
+            ws = _Workspace(min(chunk, n), config)
+        rows = slice(start, min(start + chunk, n))
+        tr = _forward_batch(x[rows] if take is None else x[take[rows]], params, config, ws)
+        return rows, tr.logits, tr.assignment
 
-    starts = range(0, len(x), chunk)
-    yield from ordered_map(score, starts, _scoring_jobs(config, len(x), chunk, jobs))
+    starts = range(0, n, chunk)
+    yield from ordered_map(score, starts, _scoring_jobs(config, n, chunk, jobs))
 
 
 def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16,
-                  jobs: int = 1) -> np.ndarray:
-    """P(class 1) for each graph, scored by ``score_chunks`` in up to ``jobs``
-    processes; the result does not depend on ``jobs``.  Memory per process is
-    one chunk's whatever the graph or layer count: its inputs and features,
-    plus a workspace of (4·M·head_dim + V)·V floats per graph and one
-    attention block (256 KiB, or one graph's M·V·V floats where that is
-    larger)."""
-    out = np.empty(len(graphs))
-    with contextlib.closing(score_chunks(graphs, params, config, chunk, jobs)) as chunks:
+                  jobs: int = 1, take=None) -> np.ndarray:
+    """P(class 1) for each graph (of ``graphs[take]`` with ``take``), scored by
+    ``score_chunks`` in up to ``jobs`` processes; the result does not depend on
+    ``jobs``.  Memory per process is one chunk's whatever the graph or layer
+    count: its inputs and features, plus a workspace of (4·M·head_dim + V)·V
+    floats per graph and one attention block (256 KiB, or one graph's M·V·V
+    floats where that is larger)."""
+    out = np.empty(len(graphs) if take is None else len(take))
+    with contextlib.closing(score_chunks(graphs, params, config, chunk, jobs, take)) as chunks:
         for rows, logits, _ in chunks:
             out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

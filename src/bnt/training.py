@@ -188,15 +188,16 @@ class TrainReport:
 
 
 def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
-             jobs: int = 1) -> metrics_mod.EvalResult:
+             jobs: int = 1, take=None) -> metrics_mod.EvalResult:
     """Score ``matrices`` (``predict_proba`` in up to ``jobs`` processes)
-    and compute the evaluation metrics against their class ``labels``.
+    and compute the evaluation metrics against their class ``labels``; with
+    an index array ``take``, those of ``matrices[take]`` and ``labels[take]``.
 
     AUROC is None when only one class is present (threshold metrics are
     still reported where defined).
     """
-    labels = np.asarray(labels, dtype=np.intp)
-    scores = predict_proba(matrices, params, config, jobs=jobs)
+    labels = np.asarray(labels if take is None else np.take(labels, take), dtype=np.intp)
+    scores = predict_proba(matrices, params, config, jobs=jobs, take=take)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     auroc_val = metrics_mod.auroc(scores, labels) if n_pos and n_neg else None
@@ -260,7 +261,7 @@ def train(
             epoch_loss += loss * len(rows)
         train_losses.append(epoch_loss / n)
 
-        val_scores = predict_proba(matrices[val_rows], params, model_config, jobs=jobs)
+        val_scores = predict_proba(matrices, params, model_config, jobs=jobs, take=val_rows)
         if not np.isfinite(val_scores).all():
             raise _diverged(epoch, "validation scores")
         val_aurocs.append(metrics_mod.auroc(val_scores, labels[val_rows]))
@@ -271,7 +272,7 @@ def train(
 
     del ws  # so workers forked for the test pass do not inherit the step buffers
     best_params = ModelParams(best, model_config)
-    test_result = evaluate(best_params, model_config, matrices[test_rows], labels[test_rows], jobs)
+    test_result = evaluate(best_params, model_config, matrices, labels, jobs, test_rows)
     report = TrainReport(
         selected_epoch=best_epoch,
         train_loss=train_losses,

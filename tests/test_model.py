@@ -147,7 +147,8 @@ def mhsa_layer(z_prev, layer: AttentionLayerParams) -> np.ndarray:
     """One multi-head self-attention layer applied to a single graph."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
     m, hd, _ = layer.w_query.shape
-    buffers = bnt.model._LayerBuffers(1, len(z_prev), m, hd, 1)
+    v = len(z_prev)
+    buffers = bnt.model._LayerBuffers(1, v, m, hd, (1, 1, m, v, v))
     out, _ = bnt.model._mhsa_forward(z_prev[None], layer, buffers)
     return out[0]
 
@@ -411,6 +412,9 @@ def test_a_training_workspace_reuses_one_gradient_vector():
     assert _loss_and_grad(batch[:2], params, config, ws=ws)[1].vector is first is ws.grads.vector
 
 
+_STORE = 2**62  # an attention-store budget that every workspace fits
+
+
 # Every GEMM shape a step issues: V from one attention block of several graphs
 # (12, 16, 32) to one graph per block (64, 128, 200), a full and a partial batch
 # (1 graph at V=200), and all input widths.
@@ -421,6 +425,7 @@ _THREAD_CASES = [(12, 8), (16, 8), (32, 8), (64, 6), (128, 3), (200, 3)]
 @pytest.mark.parametrize("features", list(FeatureMode))
 @pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
 def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, features, v, batch):
+    # also not on whether the backward reads stored attention or recomputes it
     monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)  # lanes at every size
     config = ModelConfig(nodes=v, readout=readout, centers_mode=CentersMode.LEARNABLE,
                          feature_mode=features, k_eigen=4)
@@ -429,9 +434,11 @@ def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, feat
     y = np.arange(batch) % 2
     partial = 1 if v == 200 else batch // 2 + 1
     runs = []
-    for lanes, threads in ((1, 1), (2, 2), (1, 2)):
+    for lanes, threads, store in ((1, 1, _STORE), (2, 2, _STORE), (1, 2, _STORE), (1, 1, 0), (2, 1, 0)):
+        monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", store)
         ws = bnt.model._Workspace(batch, config, train=True, lanes=lanes)
         assert ws.lanes == lanes
+        assert all((layer.attn.ndim == 4) == bool(store) for layer in ws.layers)
         with bnt.workers.blas_threads(threads):
             steps = []
             for b in (batch, partial):
@@ -439,8 +446,8 @@ def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, feat
                 steps.append((loss, grads.vector.tobytes()))
             steps.append(predict_proba(x, params, config, chunk=batch - 1).tobytes())
         runs.append(steps)
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
 def test_more_lanes_than_cores_with_fast_thread_switches_change_no_bit(monkeypatch):
@@ -461,28 +468,58 @@ def test_more_lanes_than_cores_with_fast_thread_switches_change_no_bit(monkeypat
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            assert step(4) == expected
+        for store in (_STORE, 0):  # each lane's attention block is its own when recomputing too
+            monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", store)
+            for _ in range(5):
+                assert step(4) == expected
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads  # the lanes have ended
 
 
-def test_a_warm_training_workspace_allocates_a_quarter_of_a_step():
+def test_a_warm_training_workspace_allocates_a_quarter_of_a_step(monkeypatch):
     config = ModelConfig(nodes=32, heads=4, clusters=4)
     params = init_params(config, Rng(12))
     batch = [(_correlation_input(32, seed=90 + s), s % 2) for s in range(64)]
-    ws = bnt.model._Workspace(64, config, train=True)
-    _loss_and_grad(batch, params, config, ws=ws)
-    peaks = []
-    for kwargs in ({}, {"ws": ws}):
-        tracemalloc.start()
-        try:
-            _loss_and_grad(batch, params, config, **kwargs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 0.25 * peaks[0], peaks
+    for store in (_STORE, 0):  # V=32 stores its attention by default; also recompute it
+        monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", store)
+        ws = bnt.model._Workspace(64, config, train=True)
+        _loss_and_grad(batch, params, config, ws=ws)
+        peaks = []
+        for kwargs in ({}, {"ws": ws}):
+            tracemalloc.start()
+            try:
+                _loss_and_grad(batch, params, config, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.25 * peaks[0], (store, peaks)
+
+
+def _workspace_arrays(ws):
+    """Every array of a training workspace (none is a view of another)."""
+    arrays = [a for holder in (ws, *ws.layers) for a in vars(holder).values() if isinstance(a, np.ndarray)]
+    assert all(a.base is None for a in arrays)
+    return arrays + [ws.grads.vector]
+
+
+def test_a_large_training_workspace_stores_no_attention(monkeypatch):
+    # V=200, B=64: 78 MiB of attention per layer, recomputed in the backward;
+    # V=32, B=64: 2 MiB per layer, kept, so those steps run as they always have
+    maps = 8 * 64 * 4 * 200 * 200
+    config = ModelConfig(nodes=200)
+    ws = bnt.model._Workspace(64, config, train=True, lanes=2)
+    arrays = _workspace_arrays(ws)
+    assert not any(a.shape[-4:] == (64, 4, 200, 200) for a in arrays)
+    assert [layer.attn.shape for layer in ws.layers] == [(2, 1, 4, 200, 200)] * 2  # one block per lane
+    monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", _STORE)
+    stored = _workspace_arrays(bnt.model._Workspace(64, config, train=True, lanes=2))
+    one_block = ws.dattn[0, 0].nbytes
+    assert sum(a.nbytes for a in stored) - sum(a.nbytes for a in arrays) == 2 * maps - 4 * one_block
+    assert round(sum(a.nbytes for a in arrays) / 2**20) == 346  # 497 MiB with both layers' maps
+    monkeypatch.undo()
+    small = bnt.model._Workspace(64, ModelConfig(nodes=32), train=True)
+    assert [layer.attn.shape for layer in small.layers] == [(64, 4, 32, 32)] * 2
 
 
 def test_loss_and_grad_rejects_bad_labels():
@@ -594,6 +631,25 @@ def test_predict_proba_chunking_invariant():
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             predict_proba(graphs, params, config, chunk=chunk)
+
+
+def test_scoring_taken_rows_matches_scoring_their_copy(monkeypatch, pool_sizes):
+    config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(8))
+    graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(37)])
+    take = np.array([30, 2, 2, 17, 0, 36, 5, 11, 9, 23, 4, 8, 1, 35, 20, 6, 13, 3])
+    for chunk, jobs in ((1, 1), (5, 1), (16, 1), (5, 2)):
+        if jobs > 1:
+            monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
+        taken = list(bnt.model.score_chunks(graphs, params, config, chunk, jobs, take=take))
+        copied = list(bnt.model.score_chunks(graphs[take], params, config, chunk))
+        assert [rows for rows, _, _ in taken] == [rows for rows, _, _ in copied]
+        for (_, logits, assignment), (_, logits_c, assignment_c) in zip(taken, copied):
+            assert logits.tobytes() == logits_c.tobytes()
+            assert assignment.tobytes() == assignment_c.tobytes()
+        assert np.array_equal(predict_proba(graphs, params, config, chunk, jobs, take=take),
+                              predict_proba(graphs[take], params, config, chunk))
+    assert pool_sizes == [2, 2]
 
 
 @pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
