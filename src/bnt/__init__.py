@@ -9,7 +9,7 @@ Library layout:
 - ``bnt.training`` Adam loop, checkpoints, train reports
 - ``bnt.metrics``  AUROC, threshold metrics, assignment difference score
 - ``bnt.theory``   variance-functional and VIF verification suite
-- ``bnt.workers``  ordered fork pool for independent runs and Monte Carlo blocks, BLAS threads
+- ``bnt.workers``  lanes for one model pass, ordered fork pool for independent runs, BLAS threads
 - ``bnt.cli``      command line entry points
 """
 

@@ -205,14 +205,14 @@ _parse_centers_list = _list_of(_parse_centers)
 
 _MAX_JOBS = 64
 
-# ablate runs, Monte Carlo blocks and scoring chunks in worker processes, and
-# the threads of a large train step
+# ablate runs and Monte Carlo blocks in worker processes, and the lanes of a
+# large train step or scoring pass
 _JOBS_OPT = _Opt(
     "jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
-    f"worker processes, 1..{_MAX_JOBS}, at most one per run, block or scoring chunk, "
-    "and threads of a large train step, at most one per CPU; defaults to the usable CPUs",
+    f"worker processes, 1..{_MAX_JOBS}, at most one per run or block, and threads "
+    "of a large train step or scoring pass, at most one per CPU; defaults to the usable CPUs",
 )
 
 # The option of each config field not named after it.
@@ -778,10 +778,8 @@ def _export_assignments(opt, args, staged):
     # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
     # of every V, and a working set that stays in cache.
     sums = np.zeros((2, config.nodes, config.clusters))
-    chunks = score_chunks(dataset.matrices, params, config, 1, opt["jobs"], test)
-    with contextlib.closing(chunks):
-        for rows, _, assignment in chunks:
-            sums[dataset.labels[test[rows.start]]] += assignment[0]  # in test-split order
+    for rows, _, assignment in score_chunks(dataset.matrices, params, config, 1, opt["jobs"], test):
+        sums[dataset.labels[test[rows.start]]] += assignment[0]  # in test-split order
     averaged = {label: sums[label] / counts[label] for label in (0, 1)}
 
     rows = []

@@ -21,8 +21,6 @@ tests.
 
 from __future__ import annotations
 
-import contextlib
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +32,7 @@ import numpy as np
 from . import linalg
 from .linalg import softmax_lastaxis
 from .rng import Rng
-from .workers import blas_threads, ordered_map
+from .workers import blas_threads, lane_cap, run_lanes
 
 
 # A checkpoint stores each enum below by its declaration index, so their
@@ -296,7 +294,7 @@ class _LayerBuffers:
 class _Workspace:
     """Every large array of a forward (and, with ``train``, a backward) over up
     to n graphs, reused across calls; a batch of fewer graphs uses leading views.
-    A training workspace runs its steps in ``lanes`` threads (``_run``) where
+    A training workspace runs its steps in ``lanes`` threads (``run_lanes``) where
     n graphs are more than ``_LANES_MIN_FLOPS`` of forward work, else in one.
 
     Scoring: one ``_LayerBuffers`` with one attention block serves every layer;
@@ -336,24 +334,6 @@ class _Workspace:
 _LANES_MIN_FLOPS = 2e9
 
 
-def _run(tasks, lanes: int) -> None:
-    """Call each of ``tasks``, here or, with ``lanes`` > 1, in that many threads
-    that end before this returns and run under this thread's NumPy error state.
-    A task writes only arrays of its own through whole one-thread BLAS calls
-    (``loss_and_grad``), so no bit depends on ``lanes``."""
-    if lanes <= 1:
-        for task in tasks:
-            task()
-        return
-    import contextvars
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(lanes) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks]
-    for future in futures:
-        future.result()  # the first failure in task order, once every task has ended
-
-
 def _attention(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Softmax of the scaled scores of query and key blocks (..., V, hd) into
     ``out``: the forward's ops, which the backward repeats for the same bits."""
@@ -374,8 +354,8 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
         raise ValueError(f"layer expects input width {w_in}, got {w}")
     mh = m * hd
     z2, qkv = z.reshape(b * v, w), buf.qkv[:, : b * v]
-    _run([partial(np.matmul, z2, wt.reshape(mh, w).T, out=d)
-          for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
+    run_lanes([partial(np.matmul, z2, wt.reshape(mh, w).T, out=d)
+               for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
     q, k, vv = (d.reshape(b, v, m, hd).transpose(0, 2, 1, 3) for d in qkv)
     h, out = buf.h[:b], buf.out[:b]
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
@@ -388,7 +368,7 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
             np.matmul(hcat[blk], layer.w_output, out=out[blk])  # one GEMM per graph either way
 
     blocks = _blocks(b, m, v)
-    _run([partial(attend, blocks[i::lanes], i) for i in range(lanes)], lanes)
+    run_lanes([partial(attend, blocks[i::lanes], i) for i in range(lanes)], lanes)
     return out, (z, q, k, vv, buf.attn, hcat)
 
 
@@ -403,8 +383,8 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
     mh = m * hd
     z2, lanes = z.reshape(b * v, w), ws.lanes
 
-    _run([partial(np.matmul, hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output),
-          partial(np.matmul, dout, layer.w_output.T, out=ws.dhcat[:b])], lanes)
+    run_lanes([partial(np.matmul, hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output),
+               partial(np.matmul, dout, layer.w_output.T, out=ws.dhcat[:b])], lanes)
     dh = ws.dhcat[:b].reshape(b, v, m, hd).transpose(0, 2, 1, 3)
 
     # (B, V, M, hd) storage like q's, so each (B·V, M·hd) view below copies nothing
@@ -424,7 +404,7 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
             np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
 
     blocks = _blocks(b, m, v)
-    _run([partial(attend_backward, blocks[i::lanes], i) for i in range(lanes)], lanes)
+    run_lanes([partial(attend_backward, blocks[i::lanes], i) for i in range(lanes)], lanes)
 
     flats = [ws.dqkv[i, :b].reshape(b * v, mh) for i in range(3)]
     weights = (layer.w_query, layer.w_key, layer.w_value)
@@ -439,7 +419,7 @@ def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLay
              for flat, dw in zip(flats, (grads.w_query, grads.w_key, grads.w_value))]
     if dz is not None:
         tasks.insert(0, input_grad)  # first, so one lane takes it while another takes the three above
-    _run(tasks, lanes)
+    run_lanes(tasks, lanes)
     return dz
 
 
@@ -624,16 +604,6 @@ def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Work
     return loss, grads
 
 
-# A scoring pool is started only when it takes more than this many forward
-# FLOPs off the parent (``_scoring_jobs``).  On 2 cores of an Intel Xeon (one
-# BLAS thread) a pool's start-up and teardown took 15-19 ms from a 130 MiB
-# parent, 46 ms for the first one, which also imports the process machinery;
-# the forward ran at 21 GFLOP/s at V=200 (0.19 GFLOP per graph, 9.1 ms) and
-# 4.6 GFLOP/s at V=32 (0.89 MFLOP per graph, 0.19 ms).  46 ms is 1 GFLOP at
-# the faster rate; the constant is twice that.
-_POOL_MIN_FLOPS = 2e9
-
-
 def _forward_flops(config: ModelConfig) -> int:
     """FLOPs of one graph's forward in its matrix products: per attention layer
     the Q/K/V projections, scores, attention times V and the output
@@ -647,62 +617,66 @@ def _forward_flops(config: ModelConfig) -> int:
     return flops + sum(2 * a * b for a, b in zip(mlp, mlp[1:]))
 
 
-def _scoring_jobs(config: ModelConfig, graphs: int, chunk: int, jobs: int) -> int:
-    """``jobs`` if min(jobs, chunks) workers, taking chunks in order as they
-    free up, take more than ``_POOL_MIN_FLOPS`` of forward work off the parent
-    (all chunks minus the most loaded worker's), else 1."""
-    loads = [0] * min(jobs, -(-graphs // chunk))
-    for start in range(0, graphs, chunk):
-        heapq.heapreplace(loads, loads[0] + min(chunk, graphs - start))
-    saved = (graphs - max(loads, default=0)) * _forward_flops(config)
-    return jobs if saved > _POOL_MIN_FLOPS else 1
+# A scoring pass runs in lanes only where one chunk is more than this many
+# forward FLOPs.  On 2 cores of an Intel Xeon (one BLAS thread, medians of 7-15
+# alternating runs) two lanes of one-graph chunks lost at V=32 (80 graphs 21.4
+# -> 28.3 ms, 4,500 1.10 -> 1.78 s) and V=48 (2.8 MFLOP, 45 -> 50 ms), and won
+# from V=64 (6.5 MFLOP, 65 -> 51 ms; V=128 295 -> 179; V=200 × 120 832 -> 485).
+# 16-graph chunks at V=32 (14.2 MFLOP) lost at 17 graphs (2.2 -> 2.9 ms), tied
+# at 80 and won at 1,000 (105 -> 75 ms) and 4,500 (584 -> 356 ms).
+_SCORING_LANES_MIN_FLOPS = 5e6
 
 
+@blas_threads(1)
 def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1, take=None):
-    """Yield ``(rows, logits, assignment)`` per chunk of ``chunk`` graphs of
+    """``(rows, logits, assignment)`` per chunk of ``chunk`` graphs of
     ``graphs`` ((N, V, V), or N matrices stacked once), in order: ``rows``
     slices ``graphs``, ``assignment`` is the chunk's soft assignment or None.
     With an index array ``take``, the graphs are ``graphs[take]``, each chunk
     gathered when it is scored, and ``rows`` slices ``take``.
 
-    Chunks run in up to ``jobs`` forked worker processes
-    (``bnt.workers.ordered_map``) when that pays for the pool
-    (``_scoring_jobs``), else in this process.  Each process scores through
-    one workspace of its own, built at its first chunk, so no attention, q/k/v
-    or layer output is kept; a pooling parent builds none.  A chunk's graphs
-    and matrix shapes do not depend on ``jobs``, and it runs on one BLAS
-    thread whatever the environment, so neither do its bytes."""
+    Chunks of more than ``_SCORING_LANES_MIN_FLOPS`` of forward work run in up
+    to ``jobs`` lanes (``workers.lane_cap``), lane i taking chunks i, i + lanes,
+    ..., each lane through one workspace of its own, so no attention, q/k/v or
+    layer output is kept.  The first failing chunk in chunk order raises, once
+    every lane has ended.  A chunk's graphs and matrix shapes do not depend on
+    ``jobs``, and BLAS runs on one thread, so neither do its bytes."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     x = np.asarray(graphs, dtype=np.float64)
     n = len(x) if take is None else len(take)
-    ws = None
-
-    @blas_threads(1)
-    def score(start):
-        nonlocal ws
-        if ws is None:
-            ws = _Workspace(min(chunk, n), config)
-        rows = slice(start, min(start + chunk, n))
-        tr = _forward_batch(x[rows] if take is None else x[take[rows]], params, config, ws)
-        return rows, tr.logits, tr.assignment
-
     starts = range(0, n, chunk)
-    yield from ordered_map(score, starts, _scoring_jobs(config, n, chunk, jobs))
+    lanes = min(lane_cap(jobs) if chunk * _forward_flops(config) > _SCORING_LANES_MIN_FLOPS else 1, len(starts))
+    results, failures = [None] * len(starts), {}
+
+    def lane(first):
+        ws = _Workspace(min(chunk, n), config)
+        for i in range(first, len(starts), lanes):
+            rows = slice(starts[i], min(starts[i] + chunk, n))
+            try:
+                tr = _forward_batch(x[rows] if take is None else x[take[rows]], params, config, ws)
+            except Exception as exc:  # this lane stops; its later chunks cannot fail first
+                failures[i] = exc
+                return
+            results[i] = rows, tr.logits, tr.assignment
+
+    run_lanes([partial(lane, i) for i in range(lanes)], lanes)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16,
                   jobs: int = 1, take=None) -> np.ndarray:
     """P(class 1) for each graph (of ``graphs[take]`` with ``take``), scored by
-    ``score_chunks`` in up to ``jobs`` processes; the result does not depend on
-    ``jobs``.  Memory per process is one chunk's whatever the graph or layer
+    ``score_chunks`` in up to ``jobs`` lanes; the result does not depend on
+    ``jobs``.  Memory per lane is one chunk's whatever the graph or layer
     count: its inputs and features, plus a workspace of (4·M·head_dim + V)·V
     floats per graph and one attention block (256 KiB, or one graph's M·V·V
-    floats where that is larger)."""
+    floats where that is larger); the pass adds its n·(2 + V·K) result floats."""
     out = np.empty(len(graphs) if take is None else len(take))
-    with contextlib.closing(score_chunks(graphs, params, config, chunk, jobs, take)) as chunks:
-        for rows, logits, _ in chunks:
-            out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
+    for rows, logits, _ in score_chunks(graphs, params, config, chunk, jobs, take):
+        out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

@@ -189,7 +189,7 @@ class TrainReport:
 
 def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
              jobs: int = 1, take=None) -> metrics_mod.EvalResult:
-    """Score ``matrices`` (``predict_proba`` in up to ``jobs`` processes)
+    """Score ``matrices`` (``predict_proba`` in up to ``jobs`` lanes)
     and compute the evaluation metrics against their class ``labels``; with
     an index array ``take``, those of ``matrices[take]`` and ``labels[take]``.
 
@@ -221,10 +221,9 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Train on the plan's train ids, select on val AUROC, report on test.
     A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
-    Steps large enough to pay run in up to ``jobs`` threads, at most one per
-    usable CPU and one inside a pool worker (``model._Workspace``);
-    validation and test scoring use up to ``jobs`` processes where that pays
-    (``model.predict_proba``).  Nothing returned depends on ``jobs``."""
+    Steps and validation and test passes large enough to pay run in up to
+    ``jobs`` lanes (``workers.lane_cap``; ``model._Workspace``,
+    ``model.score_chunks``).  Nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
     train_rows, val_rows, test_rows = plan.select(dataset)
@@ -238,8 +237,8 @@ def train(
 
     n = len(train_rows)
     bs = train_config.batch_size
-    lanes = 1 if workers._job is not None else min(jobs, workers.usable_cpus())
-    ws = _Workspace(min(bs, n), model_config, train=True, lanes=lanes)  # every step's large arrays
+    # every step's large arrays
+    ws = _Workspace(min(bs, n), model_config, train=True, lanes=workers.lane_cap(jobs))
 
     best_auroc = -np.inf
     best_epoch = 0
@@ -270,7 +269,7 @@ def train(
             best_epoch = epoch
             np.copyto(best, params.vector)
 
-    del ws  # so workers forked for the test pass do not inherit the step buffers
+    del ws  # so the test pass's lane workspaces reuse the step buffers' memory
     best_params = ModelParams(best, model_config)
     test_result = evaluate(best_params, model_config, matrices, labels, jobs, test_rows)
     report = TrainReport(

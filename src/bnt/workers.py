@@ -1,19 +1,22 @@
-"""Independent jobs on several cores, results in item order.
+"""Work on several cores: lanes for one model pass, processes for independent runs.
 
-``ordered_map(fn, items, jobs)`` yields ``fn(item)`` for each item, in
-item order, from at most ``min(jobs, len(items))`` worker processes.  With
-one worker or one item, or when called inside a worker, it calls ``fn`` in
-this process, so pools never nest, and imports neither ``multiprocessing``
-nor ``concurrent.futures``.
+``run_lanes(tasks, lanes)`` runs a training step's or a scoring pass's tasks
+in up to ``lanes`` threads, at most ``lane_cap(jobs)``, that end before it returns.
+
+``ordered_map(fn, items, jobs)`` (ablate runs, Monte Carlo blocks) yields
+``fn(item)`` for each item, in item order, from at most ``min(jobs,
+len(items))`` worker processes.  With one worker or one item, or when
+called inside a worker, it calls ``fn`` in this process, so pools never
+nest, and imports neither ``multiprocessing`` nor ``concurrent.futures``.
 
 Workers are forked, so ``fn`` and ``items`` reach them as memory, not as
 pickles: closures work, and so do functions a profiler has wrapped.  Only
 item indices, results and exceptions cross a pipe.  The only threads bnt
-starts, the lanes of a training step, end before the step returns, so no
-Python lock is held across a fork.  Each worker sets NumPy's OpenBLAS to
-one thread, whatever the environment or import order (``blas_threads``),
-and ignores SIGINT (blocked from the fork until then), so Ctrl-C reaches
-the parent alone, which stops the pool.
+starts, lanes, end before their pass returns, so no Python lock is held
+across a fork.  Each worker sets NumPy's OpenBLAS to one thread, whatever
+the environment or import order (``blas_threads``), and ignores SIGINT
+(blocked from the fork until then), so Ctrl-C reaches the parent alone,
+which stops the pool.
 """
 
 from __future__ import annotations
@@ -36,6 +39,29 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def lane_cap(jobs: int) -> int:
+    """min(jobs, usable CPUs) lanes, and one inside a pool worker."""
+    return 1 if _job is not None else min(jobs, usable_cpus())
+
+
+def run_lanes(tasks, lanes: int) -> None:
+    """Call each of ``tasks``, here or, with ``lanes`` > 1, in that many threads
+    that end before this returns and run under this thread's NumPy error state.
+    A task writes only arrays of its own through whole one-thread BLAS calls
+    (the caller pins BLAS once, ``blas_threads``), so no bit depends on ``lanes``."""
+    if lanes <= 1:
+        for task in tasks:
+            task()
+        return
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(lanes) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks]
+    for future in futures:
+        future.result()  # the first failure in task order, once every task has ended
 
 
 @functools.cache

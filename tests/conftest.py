@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import bnt.model
 import bnt.workers
 from bnt.cli import main as cli_main
 from bnt.data import GeneratorSpec, generate_dataset, stratified_split
@@ -43,6 +44,25 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(bnt.workers, "_fork_pool", counted)
     return started
+
+
+@pytest.fixture
+def lanes_used(monkeypatch):
+    """Lanes at every step and scoring-chunk size, one graph per attention
+    block (so a step's lanes share the blocks), and the set of lane counts
+    the steps and scoring passes ran with."""
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_SCORING_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
+    used = set()
+    real = bnt.model.run_lanes
+
+    def run(tasks, lanes):
+        used.add(lanes)
+        return real(tasks, lanes)
+
+    monkeypatch.setattr(bnt.model, "run_lanes", run)
+    return used
 
 
 @pytest.fixture

@@ -863,38 +863,37 @@ def wide_test_split(tiny_workspace, tmp_path_factory):
     return str(path)
 
 
-def _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv, outputs):
-    """The bytes of outputs after argv with --jobs 1 and 2, every scoring
-    pool allowed, and the worker counts of the pools each run started."""
-    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
+def _laned_outputs(lanes_used, pool_sizes, run_cli, argv, outputs):
+    """The bytes of outputs after argv with --jobs 1 and 2, lanes at every
+    step and scoring-chunk size, and the lane counts each run used."""
     runs = []
     for jobs in ("1", "2"):
-        pool_sizes.clear()
+        lanes_used.clear()
         code, _, err = run_cli([*argv, "--jobs", jobs, "--force"])
         assert code == 0, err
-        runs.append(([Path(p).read_bytes() for p in outputs], list(pool_sizes)))
-        assert multiprocessing.active_children() == []
+        runs.append(([Path(p).read_bytes() for p in outputs], max(lanes_used)))
+        assert pool_sizes == [] and multiprocessing.active_children() == []  # nothing forked
     return runs
 
 
-def test_train_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, monkeypatch,
+def test_train_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, lanes_used,
                                    pool_sizes):
     run = tmp_path / "run"
     argv = ["train", "--dataset", tiny_workspace["dataset"], "--split", wide_test_split, "--epochs", "2",
             "--out", str(run)]
-    (one, none), (two, pools) = _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv,
-                                                [run / "checkpoint.bnt", run / "report.txt"])
-    assert one == two and none == [] and pools == [2]  # the test pass; validation is one chunk
+    (one, lanes_one), (two, lanes_two) = _laned_outputs(lanes_used, pool_sizes, run_cli, argv,
+                                                        [run / "checkpoint.bnt", run / "report.txt"])
+    assert one == two and lanes_one == 1 and lanes_two == min(2, bnt.workers.usable_cpus())
 
 
 @pytest.mark.parametrize("command", ["eval", "export-assignments"])
-def test_scoring_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, monkeypatch,
+def test_scoring_jobs_change_no_byte(tiny_workspace, wide_test_split, tmp_path, run_cli, lanes_used,
                                      pool_sizes, command):
     out = tmp_path / "out.csv"
     argv = [command, "--checkpoint", tiny_workspace["checkpoint"], "--dataset", tiny_workspace["dataset"],
             "--split", wide_test_split, "--out", str(out)]
-    (one, none), (two, pools) = _pooled_outputs(monkeypatch, pool_sizes, run_cli, argv, [out])
-    assert one == two and none == [] and pools == [2]
+    (one, lanes_one), (two, lanes_two) = _laned_outputs(lanes_used, pool_sizes, run_cli, argv, [out])
+    assert one == two and lanes_one == 1 and lanes_two == min(2, bnt.workers.usable_cpus())
 
 
 def test_importing_the_cli_loads_no_process_machinery():

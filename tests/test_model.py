@@ -633,64 +633,138 @@ def test_predict_proba_chunking_invariant():
             predict_proba(graphs, params, config, chunk=chunk)
 
 
-def test_scoring_taken_rows_matches_scoring_their_copy(monkeypatch, pool_sizes):
+def test_scoring_taken_rows_matches_scoring_their_copy(lanes_used, pool_sizes):
     config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
     graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(37)])
     take = np.array([30, 2, 2, 17, 0, 36, 5, 11, 9, 23, 4, 8, 1, 35, 20, 6, 13, 3])
     for chunk, jobs in ((1, 1), (5, 1), (16, 1), (5, 2)):
-        if jobs > 1:
-            monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
-        taken = list(bnt.model.score_chunks(graphs, params, config, chunk, jobs, take=take))
-        copied = list(bnt.model.score_chunks(graphs[take], params, config, chunk))
+        taken = bnt.model.score_chunks(graphs, params, config, chunk, jobs, take=take)
+        copied = bnt.model.score_chunks(graphs[take], params, config, chunk)
         assert [rows for rows, _, _ in taken] == [rows for rows, _, _ in copied]
         for (_, logits, assignment), (_, logits_c, assignment_c) in zip(taken, copied):
             assert logits.tobytes() == logits_c.tobytes()
             assert assignment.tobytes() == assignment_c.tobytes()
         assert np.array_equal(predict_proba(graphs, params, config, chunk, jobs, take=take),
                               predict_proba(graphs[take], params, config, chunk))
-    assert pool_sizes == [2, 2]
+    assert max(lanes_used) == min(2, bnt.workers.usable_cpus()) and pool_sizes == []
 
 
 @pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
-def test_pooled_scoring_is_byte_identical_to_in_process(monkeypatch, pool_sizes, readout):
+def test_scoring_in_lanes_is_byte_identical_to_one_lane(lanes_used, pool_sizes, readout):
     config = _small_config(readout, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
     graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]
-    inline = list(bnt.model.score_chunks(graphs, params, config, 3))
-    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
-    pooled = list(bnt.model.score_chunks(graphs, params, config, 3, jobs=2))
-    assert pool_sizes == [2] and len(pooled) == len(inline) == 13
-    for (rows, logits, assignment), (rows2, logits2, assignment2) in zip(inline, pooled):
-        assert rows == rows2 and np.array_equal(logits, logits2)
-        assert (assignment is None and assignment2 is None) or np.array_equal(assignment, assignment2)
-    assert multiprocessing.active_children() == []
-
-    graphs[20] = np.full((6, 6), np.nan)  # a worker's chunk fails; the parent raises it
-    with pytest.raises(ValueError, match="non-finite"):
-        predict_proba(graphs, params, config, chunk=3, jobs=2)
+    threads = threading.active_count()
+    one = bnt.model.score_chunks(graphs, params, config, 3)
+    assert lanes_used == {1}
+    two = bnt.model.score_chunks(graphs, params, config, 3, jobs=2)
+    assert max(lanes_used) == min(2, bnt.workers.usable_cpus()) and len(two) == len(one) == 13
+    for (rows, logits, assignment), (rows2, logits2, assignment2) in zip(one, two):
+        assert rows == rows2 and logits.tobytes() == logits2.tobytes()
+        assert (assignment is None and assignment2 is None) or assignment.tobytes() == assignment2.tobytes()
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         predict_proba(graphs, params, config, jobs=0)
-    assert multiprocessing.active_children() == []
+    assert pool_sizes == [] and threading.active_count() == threads  # every lane has ended
 
 
-def test_the_pool_rule_counts_the_work_a_second_worker_takes_off():
+def test_the_first_failing_chunk_in_chunk_order_raises_across_lanes(lanes_used, monkeypatch):
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)  # two lanes on any machine
+    real = bnt.model._forward_batch
+
+    def counted(x, *args):  # marks an error with the count of non-finite graphs in its chunk
+        try:
+            return real(x, *args)
+        except ValueError as exc:
+            exc.bad_graphs = int((~np.isfinite(x)).any(axis=(1, 2)).sum())
+            raise
+
+    monkeypatch.setattr(bnt.model, "_forward_batch", counted)
+    config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(8))
+    graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(37)])
+    graphs[9] = np.nan  # chunk 3 of 3 graphs, lane 1's second chunk
+    graphs[18:20] = np.nan  # chunk 6, lane 0's fourth chunk
+    threads = threading.active_count()
+    for jobs in (1, 2):
+        for score in (bnt.model.score_chunks, predict_proba):
+            with pytest.raises(ValueError, match="non-finite") as raised:
+                score(graphs, params, config, 3, jobs)
+            assert raised.value.bad_graphs == 1
+    assert lanes_used == {1, 2} and threading.active_count() == threads
+
+
+needs_setter = pytest.mark.skipif(bnt.workers._openblas()[0]() is None,
+                                  reason="NumPy's OpenBLAS exports no thread-count setter")
+
+
+@needs_setter
+def test_a_scoring_pass_pins_blas_once_around_its_lanes(monkeypatch):
+    # were each lane to pin and restore the count, a lane that pinned after
+    # another could restore 1 last and leave the process on one thread
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
+    config = ModelConfig(nodes=200, layers=1, mlp_hidden=(8,))
+    params = init_params(config, Rng(19))
+    x = np.stack([_correlation_input(200, seed=400 + s) for s in range(4)])
+    expected = predict_proba(x, params, config, chunk=1).tobytes()
+    with bnt.workers.blas_threads(2):
+        for _ in range(3):
+            assert predict_proba(x, params, config, chunk=1, jobs=4).tobytes() == expected
+            assert bnt.workers._openblas()[0]() == 2
+
+
+def test_scoring_in_more_lanes_than_cores_with_fast_thread_switches_changes_no_bit(lanes_used, monkeypatch):
+    # one graph per attention block and 4 lanes over 5 chunks; a lane that
+    # wrote into another's workspace would change bits under frequent switches
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
+    config = ModelConfig(nodes=16, heads=2, clusters=3, mlp_hidden=(8,))
+    params = init_params(config, Rng(17))
+    x = np.stack([_correlation_input(16, seed=300 + s) for s in range(9)])
+
+    def scored(jobs):
+        return [(rows, logits.tobytes(), assignment.tobytes())
+                for rows, logits, assignment in bnt.model.score_chunks(x, params, config, 2, jobs)]
+
+    expected = scored(1)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert scored(4) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert lanes_used == {1, 4} and threading.active_count() == threads
+
+
+def test_the_scoring_lane_gate_counts_the_forward_work_of_one_chunk(monkeypatch):
     cc200, v32 = ModelConfig(nodes=200), ModelConfig(nodes=32)
     # V=200, 4 heads of 50, 2 layers: 2 * 2·200·200·(3·200 + 3·200) attention,
     # 4·200·200·4 readout, 2·(800·256 + 256·32 + 32·2) MLP
     assert bnt.model._forward_flops(cc200) == 192_000_000 + 640_000 + 426_112
     assert bnt.model._forward_flops(v32) == 786_432 + 16_384 + 82_048
-    jobs = bnt.model._scoring_jobs
-    assert jobs(cc200, 120, 16, 2) == 2  # a second worker takes 56 of 120 graphs
-    assert jobs(cc200, 120, 1, 2) == 2  # export-assignments: 60 of 120
-    assert jobs(cc200, 120, 16, 3) == 3
-    assert jobs(cc200, 20, 16, 2) == 1  # 4 of 20 graphs do not pay for a pool
-    assert jobs(v32, 80, 1, 2) == 1
-    assert jobs(cc200, 16, 16, 2) == jobs(cc200, 0, 16, 2) == jobs(cc200, 120, 16, 1) == 1
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
+    used = []
+    monkeypatch.setattr(bnt.model, "run_lanes", lambda tasks, lanes: used.append(lanes))  # scores nothing
+
+    def lanes(config, graphs, chunk, jobs):
+        used.clear()
+        v = config.nodes
+        bnt.model.score_chunks(np.broadcast_to(np.zeros((v, v)), (graphs, v, v)), None, config, chunk, jobs)
+        return used[0]
+
+    assert lanes(cc200, 120, 16, 2) == lanes(cc200, 120, 1, 2) == 2  # eval; export-assignments
+    assert lanes(cc200, 120, 16, 3) == 3 and lanes(cc200, 120, 16, 8) == 4  # one lane per usable CPU
+    assert lanes(v32, 4500, 1, 2) == 1  # 0.89 MFLOP per one-graph chunk
+    assert lanes(v32, 1000, 16, 2) == 2  # 14.2 MFLOP per 16-graph chunk
+    assert lanes(cc200, 20, 16, 4) == 2 and lanes(cc200, 16, 16, 2) == 1  # no more lanes than chunks
+    assert lanes(cc200, 120, 16, 1) == 1
+    monkeypatch.setattr(bnt.workers, "_job", (None, ()))
+    assert lanes(cc200, 120, 16, 2) == 1  # a pool worker runs one lane
 
 
-@pytest.mark.parametrize("v, n", [(32, 80), (200, 20)])
-def test_scoring_under_the_pool_threshold_starts_no_pool(monkeypatch, v, n):
+@pytest.mark.parametrize("v, n, chunk", [(32, 80, 16), (200, 20, 16), (200, 24, 1)])
+def test_scoring_never_forks(monkeypatch, v, n, chunk):
+    # V=200 scoring of 24 one-graph chunks took a pool before it ran in lanes
     def no_pool(*args):
         raise AssertionError("a worker pool was started")
 
@@ -698,7 +772,8 @@ def test_scoring_under_the_pool_threshold_starts_no_pool(monkeypatch, v, n):
     config = ModelConfig(nodes=v)
     params = init_params(config, Rng(3))
     graph = _correlation_input(v, seed=80, t=2 * v)
-    assert predict_proba([graph] * n, params, config, jobs=2).shape == (n,)
+    assert predict_proba([graph] * n, params, config, chunk, jobs=2).shape == (n,)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("v", [6, 40])  # at V=40 a 16-graph chunk spans attention blocks of 10 and 6

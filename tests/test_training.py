@@ -38,9 +38,9 @@ from bnt.training import (
 )
 
 
-def _workbench():
+def _workbench(subjects_per_class=8):
     spec = GeneratorSpec(
-        nodes=12, modules=3, subjects_per_class=8, sites=2, series_length=48, seed=21
+        nodes=12, modules=3, subjects_per_class=subjects_per_class, sites=2, series_length=48, seed=21
     )
     graphs = generate_dataset(spec)
     plan = stratified_split(graphs, (0.5, 0.25, 0.25), Rng(9))
@@ -134,27 +134,8 @@ def test_train_deterministic():
         assert np.array_equal(ta, tb), name_a
 
 
-@pytest.fixture
-def lanes_used(monkeypatch):
-    """Lanes at every step size, one graph per attention block (so the lanes
-    share the blocks), pooled scoring at every split size, and the set of
-    lane counts the steps and scoring passes ran with."""
-    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
-    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
-    monkeypatch.setattr(bnt.model, "_POOL_MIN_FLOPS", 0)
-    used = set()
-    real = bnt.model._run
-
-    def run(tasks, lanes):
-        used.add(lanes)
-        return real(tasks, lanes)
-
-    monkeypatch.setattr(bnt.model, "_run", run)
-    return used
-
-
-def _trained_bytes(jobs):
-    graphs, plan, config = _workbench()
+def _trained_bytes(jobs, subjects_per_class=8):
+    graphs, plan, config = _workbench(subjects_per_class)
     tc = TrainConfig(lr=3e-3, weight_decay=1e-4, batch_size=5, epochs=3, seed=4)  # 8 graphs: 5 + 3
     params, report = train(graphs, plan, config, tc, jobs=jobs)
     return params.vector.tobytes(), report.to_text()
@@ -170,9 +151,14 @@ def test_train_bytes_do_not_depend_on_jobs(lanes_used):
 
 
 def test_train_runs_one_lane_inside_a_worker(lanes_used, monkeypatch):
+    # 20-graph validation and test lists: two chunks (16 + 4) per scoring pass
     monkeypatch.setattr(bnt.workers, "_job", (None, ()))
-    _trained_bytes(2)
+    _trained_bytes(2, subjects_per_class=40)
     assert lanes_used == {1}
+    monkeypatch.setattr(bnt.workers, "_job", None)
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", float("inf"))  # so only the scoring passes lane
+    _trained_bytes(2, subjects_per_class=40)
+    assert max(lanes_used) == min(2, bnt.workers.usable_cpus())
 
 
 def test_train_without_the_blas_setter_gives_the_same_bytes(lanes_used, monkeypatch):

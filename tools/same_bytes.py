@@ -37,8 +37,8 @@ one V=200 round
 (3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.
 ``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
 run with their default ``--jobs``, so where more than one CPU is usable the
-V=200 train runs its steps in two threads and its test pass, eval and export
-score in worker processes.  With fewer than two usable CPUs neither happens,
+V=200 train runs its steps in two lanes (threads) and its test pass, eval and
+export score in two lanes.  With fewer than two usable CPUs neither happens,
 so SAME says nothing about them; a ``note:`` line says so.
 Exits 1 on any DIFF or on a command that fails on either side, and removes
 its temporary directory in any case.
@@ -199,8 +199,8 @@ def main(argv: list[str]) -> int:
         return 2
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus < 2:
-        print("note: fewer than 2 usable CPUs, so no train step runs in threads and no scoring pools;"
-              " SAME does not cover them")
+        print("note: fewer than 2 usable CPUs, so no V=200 train step, test pass, eval or export runs"
+              " in lanes; SAME does not cover them")
     scratch = tempfile.mkdtemp(prefix="same_bytes_")
     tree = os.path.join(scratch, "rev")
     try:
