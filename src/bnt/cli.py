@@ -212,7 +212,7 @@ _JOBS_OPT = _Opt(
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
     f"worker processes, 1..{_MAX_JOBS}, at most one per run or block, and threads "
-    "of a large train step or scoring pass, at most one per CPU; defaults to the usable CPUs",
+    "of a large train step or a scoring pass, at most one per CPU; defaults to the usable CPUs",
 )
 
 # The option of each config field not named after it.
@@ -775,11 +775,10 @@ def _export_assignments(opt, args, staged):
         if not counts[label]:
             raise DataError(f"test split has no class-{label} graphs to average over")
 
-    # One graph per chunk keeps the single-graph GEMM shapes, hence the bytes
-    # of every V, and a working set that stays in cache.
     sums = np.zeros((2, config.nodes, config.clusters))
-    for rows, _, assignment in score_chunks(dataset.matrices, params, config, 1, opt["jobs"], test):
-        sums[dataset.labels[test[rows.start]]] += assignment[0]  # in test-split order
+    for rows, _, assignment in score_chunks(dataset.matrices, params, config, opt["jobs"], test):
+        for label, graph in zip(dataset.labels[test[rows]], assignment):
+            sums[label] += graph  # in test-split order
     averaged = {label: sums[label] / counts[label] for label in (0, 1)}
 
     rows = []

@@ -508,9 +508,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(x, params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """Class logits (2,) and soft assignment (V, clusters) of one graph, scored
-    as a one-graph ``score_chunks`` chunk; the assignment is None for the
+    by ``score_chunks`` as a chunk of its own; the assignment is None for the
     non-clustering readouts."""
-    ((_, logits, assignment),) = score_chunks([x], params, config, 1)
+    ((_, logits, assignment),) = score_chunks([x], params, config)
     return logits[0], None if assignment is None else assignment[0]
 
 
@@ -617,44 +617,31 @@ def _forward_flops(config: ModelConfig) -> int:
     return flops + sum(2 * a * b for a, b in zip(mlp, mlp[1:]))
 
 
-# A scoring pass runs in lanes only where one chunk is more than this many
-# forward FLOPs.  On 2 cores of an Intel Xeon (one BLAS thread, medians of 7-15
-# alternating runs) two lanes of one-graph chunks lost at V=32 (80 graphs 21.4
-# -> 28.3 ms, 4,500 1.10 -> 1.78 s) and V=48 (2.8 MFLOP, 45 -> 50 ms), and won
-# from V=64 (6.5 MFLOP, 65 -> 51 ms; V=128 295 -> 179; V=200 × 120 832 -> 485).
-# 16-graph chunks at V=32 (14.2 MFLOP) lost at 17 graphs (2.2 -> 2.9 ms), tied
-# at 80 and won at 1,000 (105 -> 75 ms) and 4,500 (584 -> 356 ms).
-_SCORING_LANES_MIN_FLOPS = 5e6
-
-
 @blas_threads(1)
-def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16, jobs: int = 1, take=None):
-    """``(rows, logits, assignment)`` per chunk of ``chunk`` graphs of
-    ``graphs`` ((N, V, V), or N matrices stacked once), in order: ``rows``
-    slices ``graphs``, ``assignment`` is the chunk's soft assignment or None.
-    With an index array ``take``, the graphs are ``graphs[take]``, each chunk
-    gathered when it is scored, and ``rows`` slices ``take``.
+def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1, take=None):
+    """``(rows, logits, assignment)`` per chunk of ``graphs`` ((N, V, V), or N
+    matrices stacked once), in order: a chunk is one attention block of graphs
+    (``_blocks``), ``rows`` slices ``graphs`` and ``assignment`` is the chunk's
+    soft assignment or None.  With an index array ``take``, the graphs are
+    ``graphs[take]``, each chunk gathered when it is scored, and ``rows``
+    slices ``take``.
 
-    Chunks of more than ``_SCORING_LANES_MIN_FLOPS`` of forward work run in up
-    to ``jobs`` lanes (``workers.lane_cap``), lane i taking chunks i, i + lanes,
-    ..., each lane through one workspace of its own, so no attention, q/k/v or
-    layer output is kept.  The first failing chunk in chunk order raises, once
-    every lane has ended.  A chunk's graphs and matrix shapes do not depend on
-    ``jobs``, and BLAS runs on one thread, so neither do its bytes."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    The chunks run in up to ``jobs`` lanes (``workers.lane_cap``), no more
+    lanes than chunks, lane i taking chunks i, i + lanes, ..., each lane
+    through one workspace of its own, so no attention, q/k/v or layer output
+    is kept.  The first failing chunk in chunk order raises, once every lane
+    has ended.  A chunk's graphs and matrix shapes do not depend on ``jobs``,
+    and BLAS runs on one thread, so neither do its bytes."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     x = np.asarray(graphs, dtype=np.float64)
-    n = len(x) if take is None else len(take)
-    starts = range(0, n, chunk)
-    lanes = min(lane_cap(jobs) if chunk * _forward_flops(config) > _SCORING_LANES_MIN_FLOPS else 1, len(starts))
-    results, failures = [None] * len(starts), {}
+    chunks = _blocks(len(x) if take is None else len(take), config.heads, config.nodes)
+    lanes = min(lane_cap(jobs), len(chunks))
+    results, failures = [None] * len(chunks), {}
 
-    def lane(first):
-        ws = _Workspace(min(chunk, n), config)
-        for i in range(first, len(starts), lanes):
-            rows = slice(starts[i], min(starts[i] + chunk, n))
+    def lane(first, ws):
+        for i in range(first, len(chunks), lanes):
+            rows = chunks[i]
             try:
                 tr = _forward_batch(x[rows] if take is None else x[take[rows]], params, config, ws)
             except Exception as exc:  # this lane stops; its later chunks cannot fail first
@@ -662,21 +649,24 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, chunk: int = 
                 return
             results[i] = rows, tr.logits, tr.assignment
 
-    run_lanes([partial(lane, i) for i in range(lanes)], lanes)
+    # the workspaces are built here, before the lanes start: with lanes that
+    # built their own, a V=200 train run (validation passes in two lanes)
+    # peaked at 539.4 MiB, against 532.9 MiB
+    run_lanes([partial(lane, i, _Workspace(chunks[0].stop, config)) for i in range(lanes)], lanes)
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def predict_proba(graphs, params: ModelParams, config: ModelConfig, chunk: int = 16,
-                  jobs: int = 1, take=None) -> np.ndarray:
+def predict_proba(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1,
+                  take=None) -> np.ndarray:
     """P(class 1) for each graph (of ``graphs[take]`` with ``take``), scored by
     ``score_chunks`` in up to ``jobs`` lanes; the result does not depend on
     ``jobs``.  Memory per lane is one chunk's whatever the graph or layer
     count: its inputs and features, plus a workspace of (4·M·head_dim + V)·V
-    floats per graph and one attention block (256 KiB, or one graph's M·V·V
+    floats per graph and the chunk's attention (256 KiB, or one graph's M·V·V
     floats where that is larger); the pass adds its n·(2 + V·K) result floats."""
     out = np.empty(len(graphs) if take is None else len(take))
-    for rows, logits, _ in score_chunks(graphs, params, config, chunk, jobs, take):
+    for rows, logits, _ in score_chunks(graphs, params, config, jobs, take):
         out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])
     return out

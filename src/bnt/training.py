@@ -189,9 +189,10 @@ class TrainReport:
 
 def evaluate(params: ModelParams, config: ModelConfig, matrices, labels,
              jobs: int = 1, take=None) -> metrics_mod.EvalResult:
-    """Score ``matrices`` (``predict_proba`` in up to ``jobs`` lanes)
-    and compute the evaluation metrics against their class ``labels``; with
-    an index array ``take``, those of ``matrices[take]`` and ``labels[take]``.
+    """Score ``matrices`` (``predict_proba``: one attention block of graphs
+    per chunk, in up to ``jobs`` lanes) and compute the evaluation metrics
+    against their class ``labels``; with an index array ``take``, those of
+    ``matrices[take]`` and ``labels[take]``.
 
     AUROC is None when only one class is present (threshold metrics are
     still reported where defined).
@@ -221,8 +222,8 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Train on the plan's train ids, select on val AUROC, report on test.
     A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
-    Steps and validation and test passes large enough to pay run in up to
-    ``jobs`` lanes (``workers.lane_cap``; ``model._Workspace``,
+    Steps large enough to pay, and the validation and test passes, run in up
+    to ``jobs`` lanes (``workers.lane_cap``; ``model._Workspace``,
     ``model.score_chunks``).  Nothing returned depends on ``jobs``."""
     model_config.validate()
     train_config.validate()

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bnt.model import ModelConfig, ModelParams, forward, score_chunks
+from bnt.model import ModelConfig, ModelParams, _forward_batch, _Workspace, forward
 from bnt.rng import Rng
 
 
@@ -55,10 +55,10 @@ def batch_loss_reference(batch, params: ModelParams, config: ModelConfig) -> flo
 
 
 def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
-    """Mean cross-entropy of a batch scored as one chunk by score_chunks,
-    the batched forward behind predict_proba."""
-    graphs = [x for x, _ in batch]
-    ((_, logits, _),) = score_chunks(graphs, params, config, chunk=len(graphs))
+    """Mean cross-entropy of a batch scored whole through a scoring workspace,
+    by the batched forward behind predict_proba."""
+    graphs = np.array([x for x, _ in batch])
+    logits = _forward_batch(graphs, params, config, _Workspace(len(batch), config)).logits
     return sum(cross_entropy_reference(l, y) for l, (_, y) in zip(logits, batch)) / len(batch)
 
 

@@ -48,11 +48,10 @@ def pool_sizes(monkeypatch):
 
 @pytest.fixture
 def lanes_used(monkeypatch):
-    """Lanes at every step and scoring-chunk size, one graph per attention
-    block (so a step's lanes share the blocks), and the set of lane counts
-    the steps and scoring passes ran with."""
+    """Lanes at every step size, one graph per attention block and scoring
+    chunk (so a step's lanes share the blocks and a pass's lanes the chunks),
+    and the set of lane counts the steps and scoring passes ran with."""
     monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
-    monkeypatch.setattr(bnt.model, "_SCORING_LANES_MIN_FLOPS", 0)
     monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
     used = set()
     real = bnt.model.run_lanes

@@ -25,8 +25,9 @@ import bnt.workers
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import GeneratorSpec, SplitPlan, generate_dataset, read_dataset, write_dataset
 from bnt.metrics import difference_score
-from bnt.model import ModelConfig, forward
-from bnt.training import TrainConfig, TrainReport, load_checkpoint
+from bnt.model import ModelConfig, forward, init_params, score_chunks
+from bnt.rng import Rng
+from bnt.training import TrainConfig, TrainReport, load_checkpoint, save_checkpoint
 
 
 def _read_csv(path):
@@ -658,17 +659,19 @@ def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli):
 # export-assignments
 
 
-def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
+def _check_export(paths, tmp_path, run_cli):
+    """Run export-assignments on ``paths`` and check its CSV against the
+    scorer's assignments, summed per class in test-split order."""
     out = str(tmp_path / "assign.csv")
     code, _, _ = run_cli(
-        ["export-assignments", "--checkpoint", tiny_workspace["checkpoint"],
-         "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+        ["export-assignments", "--checkpoint", paths["checkpoint"],
+         "--dataset", paths["dataset"], "--split", paths["split"],
          "--out", out]
     )
     assert code == 0
     header, rows = _read_csv(out)
     assert header == ["kind", "class", "cluster", "node", "value"]
-    _, config = load_checkpoint(tiny_workspace["checkpoint"])
+    params, config = load_checkpoint(paths["checkpoint"])
     assignment_rows = [r for r in rows if r[0] == "assignment"]
     assert len(assignment_rows) == 2 * config.clusters * config.nodes
     assert rows[-1][0] == "difference_score"
@@ -679,19 +682,50 @@ def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
     }
     for _, label, cluster, node, value in assignment_rows:
         matrices[int(label)][int(node), int(cluster)] = float(value)
-    params, _ = load_checkpoint(tiny_workspace["checkpoint"])
-    by_id = _subjects(tiny_workspace["dataset"])
-    with open(tiny_workspace["split"], encoding="utf-8") as f:
-        test_ids = SplitPlan.from_text(f.read()).test
+    dataset = read_dataset(paths["dataset"])
+    with open(paths["split"], encoding="utf-8") as f:
+        (test,) = SplitPlan.from_text(f.read()).select(dataset, ("test",))
+    chunks = score_chunks(dataset.matrices, params, config, take=test)
+    scored = [a for _, _, assignment in chunks for a in assignment]
+    labels = dataset.labels[test].tolist()
     for label in (0, 1):
         # soft assignments: each node's distribution sums to one
         assert np.allclose(matrices[label].sum(axis=1), 1.0, atol=1e-12)
-        # the class mean of the single-graph forward's assignments, summed in
-        # test-split order: one-graph scoring chunks keep every bit of it
-        per_graph = [forward(by_id[i].matrix, params, config)[1]
-                     for i in test_ids if by_id[i].label == label]
-        assert np.array_equal(matrices[label], sum(per_graph) / len(per_graph))
+        # the class mean of the scorer's assignments, summed in test-split order
+        of_class = [a for a, y in zip(scored, labels) if y == label]
+        assert np.array_equal(matrices[label], sum(of_class) / len(of_class))
+        # and, but for the round-off of chunk-sized GEMMs, of the one-graph forward's
+        per_graph = [forward(dataset.matrices[row], params, config)[1]
+                     for row, y in zip(test, labels) if y == label]
+        assert np.allclose(matrices[label], sum(per_graph) / len(per_graph), rtol=0, atol=1e-15)
     assert rows[-1][4] == repr(difference_score(matrices[0], matrices[1]))
+    return [labels[rows] for rows, _, _ in chunks]
+
+
+def test_export_assignments_roundtrip(tiny_workspace, tmp_path, run_cli):
+    _check_export(tiny_workspace, tmp_path, run_cli)
+
+
+@pytest.fixture(scope="module")
+def v32_export(tmp_path_factory):
+    """A V=32 dataset, an untrained clustering-readout checkpoint and a plan
+    whose 16-graph test split alternates the classes."""
+    root = tmp_path_factory.mktemp("v32")
+    paths = {name: str(root / name) for name in ("v32.bntd", "split.txt", "checkpoint.bnt")}
+    dataset = generate_dataset(GeneratorSpec(nodes=32, subjects_per_class=12, series_length=64, seed=6))
+    write_dataset(paths["v32.bntd"], dataset)
+    ids = {label: dataset.subject_ids[dataset.labels == label].tolist() for label in (0, 1)}
+    test = [i for pair in zip(ids[0][4:], ids[1][4:]) for i in pair]
+    plan = SplitPlan(ids[0][:2] + ids[1][:2], ids[0][2:4] + ids[1][2:4], test, (0.2, 0.1, 0.7))
+    Path(paths["split.txt"]).write_text(plan.to_text(), encoding="utf-8")
+    config = ModelConfig(nodes=32)
+    save_checkpoint(paths["checkpoint.bnt"], init_params(config, Rng(0)), config)
+    return {"dataset": paths["v32.bntd"], "split": paths["split.txt"], "checkpoint": paths["checkpoint.bnt"]}
+
+
+def test_export_assignments_sums_every_graph_of_a_chunk_into_its_class(v32_export, tmp_path, run_cli):
+    chunk_labels = _check_export(v32_export, tmp_path, run_cli)
+    assert chunk_labels == [[0, 1] * 4] * 2  # two 8-graph chunks that each hold both classes
 
 
 def test_export_assignments_refuses_a_one_class_test_split_before_scoring(
@@ -853,7 +887,7 @@ def test_scoring_commands_refuse_jobs_out_of_range_before_any_input(tmp_path, ru
 
 @pytest.fixture(scope="module")
 def wide_test_split(tiny_workspace, tmp_path_factory):
-    """A plan over the tiny dataset whose 18-graph test split spans two 16-graph chunks."""
+    """A plan over the tiny dataset with an 18-graph test split (18 chunks under ``lanes_used``)."""
     dataset = read_dataset(tiny_workspace["dataset"])
     ids = {label: dataset.subject_ids[dataset.labels == label].tolist() for label in (0, 1)}
     plan = SplitPlan(ids[0][:2] + ids[1][:2], ids[0][2:3] + ids[1][2:3], ids[0][3:] + ids[1][3:],

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,6 +340,12 @@ def _one_graph_blocks(monkeypatch):
     monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 1)
 
 
+def _chunks_of(monkeypatch, graphs, config):
+    # the attention block budget whose blocks, and so scoring chunks, hold
+    # ``graphs`` graphs of ``config``
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", graphs * 8 * config.heads * config.nodes**2)
+
+
 def test_attention_blocks_change_no_bit(monkeypatch):
     config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
     params = init_params(config, Rng(4))
@@ -444,7 +451,9 @@ def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, feat
             for b in (batch, partial):
                 loss, grads = loss_and_grad(x[:b], params, config, y[:b], ws=ws)
                 steps.append((loss, grads.vector.tobytes()))
-            steps.append(predict_proba(x, params, config, chunk=batch - 1).tobytes())
+            with monkeypatch.context() as patch:  # the last chunk partial
+                _chunks_of(patch, batch - 1, config)
+                steps.append(predict_proba(x, params, config, jobs=lanes).tobytes())
         runs.append(steps)
     for run in runs[1:]:
         assert run == runs[0]
@@ -620,45 +629,45 @@ def test_predict_proba_is_sigmoid_of_logit_margin():
         assert abs(p - expected) < 1e-12
 
 
-def test_predict_proba_chunking_invariant():
+def test_predict_proba_chunking_invariant(monkeypatch):
     config = _small_config(Readout.MAX, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
-    graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]  # 3 default chunks
-    whole = predict_proba(graphs, params, config, chunk=256)
-    assert np.array_equal(predict_proba(graphs, params, config, chunk=3), whole)
+    graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]  # one chunk at the default budget
+    whole = predict_proba(graphs, params, config)
+    _chunks_of(monkeypatch, 3, config)
     assert np.array_equal(predict_proba(graphs, params, config), whole)
-    assert np.array_equal(predict_proba(np.array(graphs), params, config, chunk=3), whole)
-    for chunk in (0, -1):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            predict_proba(graphs, params, config, chunk=chunk)
+    assert np.array_equal(predict_proba(np.array(graphs), params, config), whole)
 
 
-def test_scoring_taken_rows_matches_scoring_their_copy(lanes_used, pool_sizes):
+def test_scoring_taken_rows_matches_scoring_their_copy(lanes_used, pool_sizes, monkeypatch):
     config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
     graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(37)])
     take = np.array([30, 2, 2, 17, 0, 36, 5, 11, 9, 23, 4, 8, 1, 35, 20, 6, 13, 3])
     for chunk, jobs in ((1, 1), (5, 1), (16, 1), (5, 2)):
-        taken = bnt.model.score_chunks(graphs, params, config, chunk, jobs, take=take)
-        copied = bnt.model.score_chunks(graphs[take], params, config, chunk)
+        _chunks_of(monkeypatch, chunk, config)
+        taken = bnt.model.score_chunks(graphs, params, config, jobs, take=take)
+        copied = bnt.model.score_chunks(graphs[take], params, config)
         assert [rows for rows, _, _ in taken] == [rows for rows, _, _ in copied]
+        assert {rows.stop - rows.start for rows, _, _ in taken[:-1]} == {chunk}
         for (_, logits, assignment), (_, logits_c, assignment_c) in zip(taken, copied):
             assert logits.tobytes() == logits_c.tobytes()
             assert assignment.tobytes() == assignment_c.tobytes()
-        assert np.array_equal(predict_proba(graphs, params, config, chunk, jobs, take=take),
-                              predict_proba(graphs[take], params, config, chunk))
+        assert np.array_equal(predict_proba(graphs, params, config, jobs, take=take),
+                              predict_proba(graphs[take], params, config))
     assert max(lanes_used) == min(2, bnt.workers.usable_cpus()) and pool_sizes == []
 
 
 @pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
-def test_scoring_in_lanes_is_byte_identical_to_one_lane(lanes_used, pool_sizes, readout):
+def test_scoring_in_lanes_is_byte_identical_to_one_lane(lanes_used, pool_sizes, monkeypatch, readout):
     config = _small_config(readout, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
     graphs = [_correlation_input(6, seed=50 + s) for s in range(37)]
+    _chunks_of(monkeypatch, 3, config)
     threads = threading.active_count()
-    one = bnt.model.score_chunks(graphs, params, config, 3)
+    one = bnt.model.score_chunks(graphs, params, config)
     assert lanes_used == {1}
-    two = bnt.model.score_chunks(graphs, params, config, 3, jobs=2)
+    two = bnt.model.score_chunks(graphs, params, config, jobs=2)
     assert max(lanes_used) == min(2, bnt.workers.usable_cpus()) and len(two) == len(one) == 13
     for (rows, logits, assignment), (rows2, logits2, assignment2) in zip(one, two):
         assert rows == rows2 and logits.tobytes() == logits2.tobytes()
@@ -682,6 +691,7 @@ def test_the_first_failing_chunk_in_chunk_order_raises_across_lanes(lanes_used, 
     monkeypatch.setattr(bnt.model, "_forward_batch", counted)
     config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
     params = init_params(config, Rng(8))
+    _chunks_of(monkeypatch, 3, config)
     graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(37)])
     graphs[9] = np.nan  # chunk 3 of 3 graphs, lane 1's second chunk
     graphs[18:20] = np.nan  # chunk 6, lane 0's fourth chunk
@@ -689,7 +699,7 @@ def test_the_first_failing_chunk_in_chunk_order_raises_across_lanes(lanes_used, 
     for jobs in (1, 2):
         for score in (bnt.model.score_chunks, predict_proba):
             with pytest.raises(ValueError, match="non-finite") as raised:
-                score(graphs, params, config, 3, jobs)
+                score(graphs, params, config, jobs)
             assert raised.value.bad_graphs == 1
     assert lanes_used == {1, 2} and threading.active_count() == threads
 
@@ -706,24 +716,25 @@ def test_a_scoring_pass_pins_blas_once_around_its_lanes(monkeypatch):
     config = ModelConfig(nodes=200, layers=1, mlp_hidden=(8,))
     params = init_params(config, Rng(19))
     x = np.stack([_correlation_input(200, seed=400 + s) for s in range(4)])
-    expected = predict_proba(x, params, config, chunk=1).tobytes()
+    expected = predict_proba(x, params, config).tobytes()  # one-graph chunks
     with bnt.workers.blas_threads(2):
         for _ in range(3):
-            assert predict_proba(x, params, config, chunk=1, jobs=4).tobytes() == expected
+            assert predict_proba(x, params, config, jobs=4).tobytes() == expected
             assert bnt.workers._openblas()[0]() == 2
 
 
 def test_scoring_in_more_lanes_than_cores_with_fast_thread_switches_changes_no_bit(lanes_used, monkeypatch):
-    # one graph per attention block and 4 lanes over 5 chunks; a lane that
-    # wrote into another's workspace would change bits under frequent switches
+    # chunks of 2 graphs and 4 lanes over 5 chunks; a lane that wrote
+    # into another's workspace would change bits under frequent switches
     monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
     config = ModelConfig(nodes=16, heads=2, clusters=3, mlp_hidden=(8,))
     params = init_params(config, Rng(17))
+    _chunks_of(monkeypatch, 2, config)
     x = np.stack([_correlation_input(16, seed=300 + s) for s in range(9)])
 
     def scored(jobs):
         return [(rows, logits.tobytes(), assignment.tobytes())
-                for rows, logits, assignment in bnt.model.score_chunks(x, params, config, 2, jobs)]
+                for rows, logits, assignment in bnt.model.score_chunks(x, params, config, jobs)]
 
     expected = scored(1)
     threads, interval = threading.active_count(), sys.getswitchinterval()
@@ -736,35 +747,65 @@ def test_scoring_in_more_lanes_than_cores_with_fast_thread_switches_changes_no_b
     assert lanes_used == {1, 4} and threading.active_count() == threads
 
 
-def test_the_scoring_lane_gate_counts_the_forward_work_of_one_chunk(monkeypatch):
+def test_a_scoring_pass_runs_its_attention_block_chunks_in_up_to_one_lane_each(monkeypatch):
     cc200, v32 = ModelConfig(nodes=200), ModelConfig(nodes=32)
-    # V=200, 4 heads of 50, 2 layers: 2 * 2·200·200·(3·200 + 3·200) attention,
-    # 4·200·200·4 readout, 2·(800·256 + 256·32 + 32·2) MLP
+    # the training lane gate's count, V=200, 4 heads of 50, 2 layers: 2 *
+    # 2·200·200·(3·200 + 3·200) attention, 4·200·200·4 readout, 2·(800·256 +
+    # 256·32 + 32·2) MLP
     assert bnt.model._forward_flops(cc200) == 192_000_000 + 640_000 + 426_112
     assert bnt.model._forward_flops(v32) == 786_432 + 16_384 + 82_048
     monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
-    used = []
-    monkeypatch.setattr(bnt.model, "run_lanes", lambda tasks, lanes: used.append(lanes))  # scores nothing
+    used, real = [], bnt.model.run_lanes
 
-    def lanes(config, graphs, chunk, jobs):
+    def run(tasks, lanes):
+        used.append(lanes)
+        real(tasks, lanes)
+
+    monkeypatch.setattr(bnt.model, "run_lanes", run)
+    monkeypatch.setattr(bnt.model, "_forward_batch", lambda x, *args: SimpleNamespace(logits=None, assignment=None))
+
+    def scored(config, graphs, jobs):  # (chunk sizes, lanes)
         used.clear()
         v = config.nodes
-        bnt.model.score_chunks(np.broadcast_to(np.zeros((v, v)), (graphs, v, v)), None, config, chunk, jobs)
-        return used[0]
+        chunks = bnt.model.score_chunks(np.broadcast_to(np.zeros((v, v)), (graphs, v, v)), None, config, jobs)
+        return [rows.stop - rows.start for rows, _, _ in chunks], used[0]
 
-    assert lanes(cc200, 120, 16, 2) == lanes(cc200, 120, 1, 2) == 2  # eval; export-assignments
-    assert lanes(cc200, 120, 16, 3) == 3 and lanes(cc200, 120, 16, 8) == 4  # one lane per usable CPU
-    assert lanes(v32, 4500, 1, 2) == 1  # 0.89 MFLOP per one-graph chunk
-    assert lanes(v32, 1000, 16, 2) == 2  # 14.2 MFLOP per 16-graph chunk
-    assert lanes(cc200, 20, 16, 4) == 2 and lanes(cc200, 16, 16, 2) == 1  # no more lanes than chunks
-    assert lanes(cc200, 120, 16, 1) == 1
+    # one attention block per chunk: 8 graphs at V=32, 3 at V=48, 2 at V=64, 1 from V=65
+    assert scored(v32, 20, 2) == ([8, 8, 4], 2)
+    assert scored(ModelConfig(nodes=48), 7, 4) == ([3, 3, 1], 3)
+    assert scored(ModelConfig(nodes=64), 5, 1) == ([2, 2, 1], 1)
+    assert scored(ModelConfig(nodes=65), 2, 4) == ([1, 1], 2)
+    assert scored(cc200, 120, 2) == ([1] * 120, 2)  # eval and export-assignments
+    assert scored(cc200, 120, 3)[1] == 3 and scored(cc200, 120, 8)[1] == 4  # one lane per usable CPU
+    assert scored(v32, 8, 2) == ([8], 1) and scored(cc200, 0, 2) == ([], 0)  # no more lanes than chunks
+    assert scored(cc200, 120, 1)[1] == 1
     monkeypatch.setattr(bnt.workers, "_job", (None, ()))
-    assert lanes(cc200, 120, 16, 2) == 1  # a pool worker runs one lane
+    assert scored(cc200, 120, 2)[1] == 1  # a pool worker runs one lane
 
 
-@pytest.mark.parametrize("v, n, chunk", [(32, 80, 16), (200, 20, 16), (200, 24, 1)])
-def test_scoring_never_forks(monkeypatch, v, n, chunk):
-    # V=200 scoring of 24 one-graph chunks took a pool before it ran in lanes
+def test_a_laned_scoring_pass_builds_every_lane_workspace_in_the_calling_thread(lanes_used, monkeypatch):
+    # workspaces that lanes built would each take heap memory of their own thread
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 4)
+    built, real = [], bnt.model._Workspace
+
+    def recorded(*args, **kwargs):
+        built.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bnt.model, "_Workspace", recorded)
+    config = _small_config(Readout.OCREAD, CentersMode.ORTHONORMAL)
+    params = init_params(config, Rng(8))
+    graphs = np.array([_correlation_input(6, seed=50 + s) for s in range(5)])
+    for jobs in (1, 2, 3):
+        built.clear()
+        lanes_used.clear()
+        predict_proba(graphs, params, config, jobs)
+        assert max(lanes_used) == jobs and built == [threading.get_ident()] * jobs
+
+
+@pytest.mark.parametrize("v, n", [(32, 80), (48, 24), (200, 20)])
+def test_scoring_never_forks(monkeypatch, v, n):
+    # V=200 scoring of one-graph chunks took a pool before it ran in lanes
     def no_pool(*args):
         raise AssertionError("a worker pool was started")
 
@@ -772,22 +813,23 @@ def test_scoring_never_forks(monkeypatch, v, n, chunk):
     config = ModelConfig(nodes=v)
     params = init_params(config, Rng(3))
     graph = _correlation_input(v, seed=80, t=2 * v)
-    assert predict_proba([graph] * n, params, config, chunk, jobs=2).shape == (n,)
+    assert predict_proba([graph] * n, params, config, jobs=2).shape == (n,)
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("v", [6, 40])  # at V=40 a 16-graph chunk spans attention blocks of 10 and 6
+@pytest.mark.parametrize("v", [6, 40])
 @pytest.mark.parametrize("centers", list(CentersMode))
 @pytest.mark.parametrize("features", list(FeatureMode))
 @pytest.mark.parametrize("readout", list(Readout))
-def test_predict_proba_matches_the_training_forward(readout, features, centers, v):
+def test_predict_proba_matches_the_training_forward(monkeypatch, readout, features, centers, v):
     config = ModelConfig(nodes=v, layers=2, heads=2, clusters=2, mlp_hidden=(5, 3), readout=readout,
                          centers_mode=centers, feature_mode=features, k_eigen=2)
     params = init_params(config, Rng(9))
     graphs = [_correlation_input(v, seed=60 + s) for s in range(37)]
     for n in (0, 1, 17, 37):
-        for chunk in (1, 3, 16, 256):
-            probs = predict_proba(graphs[:n], params, config, chunk=chunk)
+        for chunk in (1, 3, 16, max(n, 1)):
+            _chunks_of(monkeypatch, chunk, config)
+            probs = predict_proba(graphs[:n], params, config)
             assert probs.shape == (n,)
             for start in range(0, n, chunk):
                 rows = slice(start, min(start + chunk, n))

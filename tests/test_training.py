@@ -151,7 +151,7 @@ def test_train_bytes_do_not_depend_on_jobs(lanes_used):
 
 
 def test_train_runs_one_lane_inside_a_worker(lanes_used, monkeypatch):
-    # 20-graph validation and test lists: two chunks (16 + 4) per scoring pass
+    # 20-graph validation and test lists: 20 one-graph chunks per scoring pass
     monkeypatch.setattr(bnt.workers, "_job", (None, ()))
     _trained_bytes(2, subjects_per_class=40)
     assert lanes_used == {1}

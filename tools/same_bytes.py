@@ -32,14 +32,18 @@ a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
 ``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
 estimate, pooled where more than one CPU is usable), a V=7, 3-site
-``generate`` and its ``split --no-stratify`` (an odd-V record layout), and
-one V=200 round
-(3-epoch train, eval, export) at the cohort-cc200 benchmark's sizes.
+``generate`` and its ``split --no-stratify`` (an odd-V record layout), one
+V=32 round (40 subjects per class, split, 2-epoch train, eval, export) and
+one V=200 round (3-epoch train, eval, export) at the cohort-cc200 benchmark's
+sizes.  A scoring chunk is one attention block: at V = 7, 12 and 200 a chunk
+of several graphs gives the bits of one-graph chunks, so only the V=32 round,
+whose 48-graph test split scores in 8-graph chunks, shows a change in the
+rounding of chunk-sized GEMMs.
 ``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
 run with their default ``--jobs``, so where more than one CPU is usable the
-V=200 train runs its steps in two lanes (threads) and its test pass, eval and
-export score in two lanes.  With fewer than two usable CPUs neither happens,
-so SAME says nothing about them; a ``note:`` line says so.
+V=200 train runs its steps in two lanes (threads) and every scoring pass of
+more than one chunk scores in two lanes.  With fewer than two usable CPUs
+neither happens, so SAME says nothing about them; a ``note:`` line says so.
 Exits 1 on any DIFF or on a command that fails on either side, and removes
 its temporary directory in any case.
 """
@@ -82,6 +86,7 @@ def chain() -> list[list[str]]:
 
     small = ("data.bntd", "split.txt")
     mid = ("mid.bntd", "mid_split.txt")
+    v32 = ("v32.bntd", "v32_split.txt")
     cc200 = ("cc200.bntd", "cc200_split.txt")
     return [
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "10", "--sites", "2",
@@ -117,6 +122,10 @@ def chain() -> list[list[str]]:
          "--series-length", "32", "--seed", "13", "--out", "odd.bntd"],
         ["split", "--dataset", "odd.bntd", "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "5",
          "--out", "odd_split.txt"],
+        ["generate", "--nodes", "32", "--subjects-per-class", "40", "--seed", "14", "--out", v32[0]],
+        ["split", "--dataset", v32[0], "--fractions", "0.3,0.1,0.6", "--seed", "6", "--out", v32[1]],
+        *train("v32", *v32, "--epochs", "2"),
+        *export("v32", *v32),
         ["generate", "--nodes", "200", "--modules", "8", "--subjects-per-class", "100", "--sites", "4",
          "--seed", "3", "--out", cc200[0]],
         ["split", "--dataset", cc200[0], "--fractions", "0.3,0.1,0.6", "--seed", "4", "--out", cc200[1]],
@@ -199,8 +208,8 @@ def main(argv: list[str]) -> int:
         return 2
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus < 2:
-        print("note: fewer than 2 usable CPUs, so no V=200 train step, test pass, eval or export runs"
-              " in lanes; SAME does not cover them")
+        print("note: fewer than 2 usable CPUs, so no V=200 train step or scoring pass runs in lanes;"
+              " SAME does not cover them")
     scratch = tempfile.mkdtemp(prefix="same_bytes_")
     tree = os.path.join(scratch, "rev")
     try:
