@@ -16,7 +16,8 @@ Parameters live in one contiguous float64 vector laid out by
 it.  Gradients are computed analytically by reverse mode over the cached
 forward intermediates (large attention maps are recomputed instead), into
 a second vector of the same layout; finite differences verify them in the
-tests.
+tests.  The attention backward writes each layer's gradients over that
+layer's own forward arrays, each once its last read is done.
 """
 
 from __future__ import annotations
@@ -278,17 +279,18 @@ def _blocks(b: int, m: int, v: int) -> list[slice]:
 
 
 class _LayerBuffers:
-    """One attention layer's forward arrays for up to n graphs: the Q/K/V
-    projections, the head outputs ``h`` (n, V, M, hd), whose (n, V, M·hd)
-    view is ``hcat``, the attention of shape ``attn`` (all n graphs
-    (n, M, V, V), or one block per lane (lanes, block, M, V, V)) and the
-    (n, V, V) output."""
+    """One attention layer's arrays for up to n graphs: the Q/K/V projections
+    ``qkv``, the attention of shape ``attn`` (all n graphs (n, M, V, V), or one
+    block per lane (lanes, block, M, V, V)), and two flat buffers of
+    n·V·max(V, M·hd) floats: ``h``, the head outputs (n, V, M, hd), whose
+    (n, V, M·hd) view is ``hcat``, and ``out``, the (n, V, V) output.  After a
+    training step they hold the layer's gradients instead (``_mhsa_backward``)."""
 
     def __init__(self, n: int, v: int, m: int, hd: int, attn: tuple[int, ...]):
         self.qkv = np.empty((3, n * v, m * hd))
-        self.h = np.empty((n, v, m, hd))
+        self.h = np.empty(n * v * max(v, m * hd))
         self.attn = np.empty(attn)
-        self.out = np.empty((n, v, v))
+        self.out = np.empty(n * v * max(v, m * hd))
 
 
 class _Workspace:
@@ -301,12 +303,12 @@ class _Workspace:
     each layer projects its input to Q/K/V before overwriting ``out``.
     Training: each layer keeps its own buffers for the backward, with its
     whole-batch attention where that is at most ``_ATTN_STORE_BYTES``, else one
-    attention block per lane that the backward recomputes.  All layers share the
-    gradient buffers: ``dhcat``, ``dqkv``, one block's ``dattn`` and its product
-    temporary per lane, ``dprod`` for the products summed into an input
-    gradient, and two ``dz`` that layers use in turn, so a layer's input
-    gradient never overwrites the ``dout`` it reads; ``grads`` is the gradient
-    vector of every step."""
+    attention block per lane that the backward recomputes.  The backward writes
+    each layer's gradients over that layer's dead forward arrays, so after a
+    step the layers hold gradients, not activations (read those before the
+    backward).  Besides the layers there is one block's ``dattn`` and its
+    product temporary per lane, one block's ``dq`` per lane (stored like q),
+    and ``grads``, the gradient vector of every step."""
 
     def __init__(self, n: int, config: ModelConfig, train: bool = False, lanes: int = 1):
         v, m, hd = config.nodes, config.heads, config.head_dim
@@ -320,11 +322,8 @@ class _Workspace:
             return
         self.layers = [_LayerBuffers(n, v, m, hd, attn) for _ in range(config.layers)]
         self.grads = ModelParams(np.zeros(param_count(config)), config)
-        self.dhcat = np.empty((n, v, m * hd))
-        self.dqkv = np.empty((3, n, v, m, hd))
         self.dattn = np.empty((self.lanes, 2, block, m, v, v))
-        self.dprod = np.empty((n * v, v))
-        self.dz = np.empty((2, n, v, v))
+        self.dq = np.empty((self.lanes, block, v, m, hd))
 
 
 # A training workspace for at most this many forward FLOPs runs its steps in
@@ -357,7 +356,7 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
     run_lanes([partial(np.matmul, z2, wt.reshape(mh, w).T, out=d)
                for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
     q, k, vv = (d.reshape(b, v, m, hd).transpose(0, 2, 1, 3) for d in qkv)
-    h, out = buf.h[:b], buf.out[:b]
+    h, out = buf.h[: b * v * mh].reshape(b, v, m, hd), buf.out[: b * v * v].reshape(b, v, v)
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
     keep = buf.attn.ndim == 4
 
@@ -369,58 +368,61 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
 
     blocks = _blocks(b, m, v)
     run_lanes([partial(attend, blocks[i::lanes], i) for i in range(lanes)], lanes)
-    return out, (z, q, k, vv, buf.attn, hcat)
+    return out, (z, q, k, vv, hcat, buf)
 
 
 def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLayerParams,
-                   ws: _Workspace, dz: np.ndarray | None):
-    """Backward of one attention layer through the training workspace ``ws``:
-    weight gradients go into ``grads`` and the input gradient into ``dz``,
-    which is None for the first layer, whose input gradient nothing reads."""
-    z, q, k, vv, attn, hcat = cache
+                   ws: _Workspace, input_grad: bool):
+    """Backward of one attention layer through the training workspace ``ws``.
+    Weight gradients go into ``grads``; the input gradient, returned where
+    ``input_grad`` (nothing reads the first layer's), and every other gradient
+    go over a forward array of the layer once its last read is done: dhcat,
+    then the input gradient, over ``out`` (read as the next layer's input, or
+    by the readout), the input gradient's products over ``h`` (read as hcat by
+    the ``w_output`` gradient), and per block dV, dK and dQ over V, K and Q."""
+    z, q, k, vv, hcat, buf = cache
     b, v, w = z.shape
     m, hd, _ = layer.w_query.shape
     mh = m * hd
-    z2, lanes = z.reshape(b * v, w), ws.lanes
+    z2, lanes, attn, dhcat = z.reshape(b * v, w), ws.lanes, buf.attn, buf.out[: b * v * mh].reshape(b, v, mh)
 
     run_lanes([partial(np.matmul, hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output),
-               partial(np.matmul, dout, layer.w_output.T, out=ws.dhcat[:b])], lanes)
-    dh = ws.dhcat[:b].reshape(b, v, m, hd).transpose(0, 2, 1, 3)
-
-    # (B, V, M, hd) storage like q's, so each (B·V, M·hd) view below copies nothing
-    dq, dk, dvv = (d.transpose(0, 2, 1, 3) for d in ws.dqkv[:, :b])
+               partial(np.matmul, dout, layer.w_output.T, out=dhcat)], lanes)
+    dh = dhcat.reshape(b, v, m, hd).transpose(0, 2, 1, 3)
 
     def attend_backward(blocks, lane):
         for blk in blocks:
             dattn, prod = ws.dattn[lane, :, : blk.stop - blk.start]
+            dq = ws.dq[lane, : blk.stop - blk.start].transpose(0, 2, 1, 3)  # stored like q
             a = attn[blk] if attn.ndim == 4 else _attention(q[blk], k[blk], attn[lane, : blk.stop - blk.start])
             np.matmul(dh[blk], vv[blk].swapaxes(-1, -2), out=dattn)
-            np.matmul(a.swapaxes(-1, -2), dh[blk], out=dvv[blk])
+            np.matmul(a.swapaxes(-1, -2), dh[blk], out=vv[blk])  # dattn has read V
             # softmax backward per attention row, in place
             dattn -= np.multiply(dattn, a, out=prod).sum(axis=-1, keepdims=True)
             dattn *= a
             dattn /= math.sqrt(hd)
-            np.matmul(dattn, k[blk], out=dq[blk])
-            np.matmul(dattn.swapaxes(-1, -2), q[blk], out=dk[blk])
+            np.matmul(dattn, k[blk], out=dq)
+            np.matmul(dattn.swapaxes(-1, -2), q[blk], out=k[blk])  # dQ has read K
+            q[blk] = dq  # dK has read Q
 
     blocks = _blocks(b, m, v)
     run_lanes([partial(attend_backward, blocks[i::lanes], i) for i in range(lanes)], lanes)
 
-    flats = [ws.dqkv[i, :b].reshape(b * v, mh) for i in range(3)]
+    flats = list(buf.qkv[:, : b * v])  # dQ, dK, dV now, each (B·V, M·hd)
     weights = (layer.w_query, layer.w_key, layer.w_value)
+    dz, dprod = (f[: b * v * v].reshape(b * v, v) for f in (buf.out, buf.h))  # read above layer 0: w == V
 
-    def input_grad():  # the three products summed in a fixed order
-        dz2 = dz.reshape(b * v, w)
-        dz2[...] = 0.0
+    def input_grad_sum():  # the three products summed in a fixed order
+        dz[...] = 0.0
         for flat, wt in zip(flats, weights):
-            dz2 += np.matmul(flat, wt.reshape(mh, w), out=ws.dprod[: b * v])
+            np.add(dz, np.matmul(flat, wt.reshape(mh, w), out=dprod), out=dz)
 
     tasks = [partial(np.matmul, flat.T, z2, out=dw.reshape(mh, w))
              for flat, dw in zip(flats, (grads.w_query, grads.w_key, grads.w_value))]
-    if dz is not None:
-        tasks.insert(0, input_grad)  # first, so one lane takes it while another takes the three above
+    if input_grad:
+        tasks.insert(0, input_grad_sum)  # first, so one lane takes it while another takes the three above
     run_lanes(tasks, lanes)
-    return dz
+    return dz.reshape(b, v, v) if input_grad else None
 
 
 class _BatchTrace:
@@ -556,6 +558,8 @@ def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Work
     graphs that successive calls share, and sets the step's threads (its
     ``lanes``); without one, the call builds its own.  BLAS runs on one
     thread whatever the environment, so the bytes are those of any lanes.
+    After the call the workspace's layers hold gradients, not the forward's
+    arrays: telemetry of attention or of layer outputs reads them before it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -598,8 +602,7 @@ def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Work
         grads.centers[...] = dcenters
 
     for i in range(len(params.layers) - 1, -1, -1):
-        dz_in = ws.dz[i % 2, :b] if i else None
-        dz = _mhsa_backward(dz, params.layers[i], tr.caches[i], grads.layers[i], ws, dz_in)
+        dz = _mhsa_backward(dz, params.layers[i], tr.caches[i], grads.layers[i], ws, i > 0)
 
     return loss, grads
 
@@ -663,9 +666,10 @@ def predict_proba(graphs, params: ModelParams, config: ModelConfig, jobs: int = 
     """P(class 1) for each graph (of ``graphs[take]`` with ``take``), scored by
     ``score_chunks`` in up to ``jobs`` lanes; the result does not depend on
     ``jobs``.  Memory per lane is one chunk's whatever the graph or layer
-    count: its inputs and features, plus a workspace of (4·M·head_dim + V)·V
-    floats per graph and the chunk's attention (256 KiB, or one graph's M·V·V
-    floats where that is larger); the pass adds its n·(2 + V·K) result floats."""
+    count: its inputs and features, plus a workspace of (3·M·head_dim +
+    2·max(V, M·head_dim))·V floats per graph and the chunk's attention (256
+    KiB, or one graph's M·V·V floats where that is larger); the pass adds its
+    n·(2 + V·K) result floats."""
     out = np.empty(len(graphs) if take is None else len(take))
     for rows, logits, _ in score_chunks(graphs, params, config, jobs, take):
         out[rows] = linalg.sigmoid(logits[:, 1] - logits[:, 0])

@@ -346,6 +346,31 @@ def _chunks_of(monkeypatch, graphs, config):
     monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", graphs * 8 * config.heads * config.nodes**2)
 
 
+def _head_dim(kind, v, m):
+    """head_dim at the default width, or with M·head_dim below or above V: the
+    in-place backward keeps V or M·head_dim columns in one buffer."""
+    return {"default": None, "narrow": max(1, v // (2 * m)), "wide": -(-v // m) + 2}[kind]
+
+
+def _assert_attention_gradients_by_directions(batch, params, config, grads, h=1e-5):
+    # each attention tensor's gradient along a random direction against the
+    # central difference of ``batch_loss``, a scoring forward that shares no
+    # array with the backward: a gradient written over an array before its
+    # last read shows as a wrong derivative, not only as other bits
+    grad_map, rng = dict(grads.named_tensors()), np.random.default_rng(0)
+    for name, tensor in params.named_tensors():
+        if name.startswith("layers."):
+            d, saved = rng.standard_normal(tensor.shape), tensor.copy()
+            d /= np.linalg.norm(d)
+            tensor[...] = saved + h * d
+            up = batch_loss(batch, params, config)
+            tensor[...] = saved - h * d
+            down = batch_loss(batch, params, config)
+            tensor[...] = saved
+            numeric, analytic = (up - down) / (2 * h), float((grad_map[name] * d).sum())
+            assert abs(numeric - analytic) <= 1e-4 * abs(analytic) + 1e-9, (name, numeric, analytic)
+
+
 def test_attention_blocks_change_no_bit(monkeypatch):
     config = _small_config(Readout.OCREAD, CentersMode.LEARNABLE)
     params = init_params(config, Rng(4))
@@ -371,6 +396,28 @@ def test_gradients_match_finite_differences_in_one_graph_blocks(monkeypatch):
         assert err < 1e-4, f"{name}: {err}"
 
 
+@pytest.mark.parametrize("head_dim", [2, 4], ids=["narrow", "wide"])
+def test_gradients_match_finite_differences_through_three_layers_in_lanes(monkeypatch, head_dim):
+    # M·head_dim 4 < V = 6 and 8 > V, so each layer's gradients take its dead
+    # forward buffers in both layouts; two lanes of one-graph blocks whose
+    # attention the backward recomputes
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", 0)
+    _one_graph_blocks(monkeypatch)
+    config = ModelConfig(nodes=6, layers=3, heads=2, head_dim=head_dim, clusters=2, mlp_hidden=(5, 3),
+                         centers_mode=CentersMode.LEARNABLE)
+    params = init_params(config, Rng(4))
+    batch = [(_correlation_input(6, seed=10 + s), s % 2) for s in range(3)]
+    ws = bnt.model._Workspace(3, config, train=True, lanes=2)
+    assert ws.lanes == 2 and all(layer.attn.shape == (2, 1, 2, 6, 6) for layer in ws.layers)
+    _, grads = _loss_and_grad(batch, params, config, ws=ws)
+    numeric = finite_difference_grads(batch, params, config)
+    grad_map = dict(grads.named_tensors())
+    for name in sorted(trainable_names(config)):
+        err = max_relative_error(grad_map[name], numeric[name])
+        assert err < 1e-4, f"{name}: {err}"
+
+
 _WORKSPACE_SHAPES = [(v, layers) for v in (6, 32, 48) for layers in (1, 2, 3)]
 
 
@@ -378,14 +425,16 @@ _WORKSPACE_SHAPES = [(v, layers) for v in (6, 32, 48) for layers in (1, 2, 3)]
     "case", range(len(Readout) * len(FeatureMode)),
     ids=[f"{r.value}-{f.value}" for r in Readout for f in FeatureMode],
 )
-def test_a_reused_training_workspace_changes_no_bit(case):
+@pytest.mark.parametrize("head_dim", ["default", "narrow", "wide"])
+def test_a_reused_training_workspace_changes_no_bit(case, head_dim):
     # 64, 24, 64 graphs: a stale buffer from a larger batch, or an input
     # gradient that is not cleared between layers or calls, would show
     readout = list(Readout)[case // len(FeatureMode)]
     features = list(FeatureMode)[case % len(FeatureMode)]
     v, layers = _WORKSPACE_SHAPES[case % len(_WORKSPACE_SHAPES)]
-    config = ModelConfig(nodes=v, layers=layers, heads=4, clusters=3, mlp_hidden=(8,), readout=readout,
-                         centers_mode=CentersMode.LEARNABLE, feature_mode=features, k_eigen=3)
+    config = ModelConfig(nodes=v, layers=layers, heads=4, head_dim=_head_dim(head_dim, v, 4), clusters=3,
+                         mlp_hidden=(8,), readout=readout, centers_mode=CentersMode.LEARNABLE,
+                         feature_mode=features, k_eigen=3)
     params = init_params(config, Rng(11))
     graphs = [_correlation_input(v, seed=80 + s) for s in range(64)]
     ws = bnt.model._Workspace(64, config, train=True)
@@ -396,6 +445,8 @@ def test_a_reused_training_workspace_changes_no_bit(case):
         assert loss == fresh_loss, step
         for (name, g), (_, f) in zip(grads.named_tensors(), fresh.named_tensors()):
             assert np.array_equal(g, f), (step, name)
+        if step == 1:
+            _assert_attention_gradients_by_directions(batch, params, config, grads)
         for (_, t), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
             t -= 0.1 * g  # the next step runs on other weights
 
@@ -431,11 +482,13 @@ _THREAD_CASES = [(12, 8), (16, 8), (32, 8), (64, 6), (128, 3), (200, 3)]
 @pytest.mark.parametrize("v, batch", _THREAD_CASES, ids=[f"v{v}" for v, _ in _THREAD_CASES])
 @pytest.mark.parametrize("features", list(FeatureMode))
 @pytest.mark.parametrize("readout", [Readout.OCREAD, Readout.MEAN])
-def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, features, v, batch):
-    # also not on whether the backward reads stored attention or recomputes it
+@pytest.mark.parametrize("head_dim", ["default", "narrow", "wide"])
+def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, head_dim, readout, features, v, batch):
+    # also not on whether the backward reads stored attention or recomputes it;
+    # the first step's gradients are checked against the forward too
     monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)  # lanes at every size
-    config = ModelConfig(nodes=v, readout=readout, centers_mode=CentersMode.LEARNABLE,
-                         feature_mode=features, k_eigen=4)
+    config = ModelConfig(nodes=v, head_dim=_head_dim(head_dim, v, 4), readout=readout,
+                         centers_mode=CentersMode.LEARNABLE, feature_mode=features, k_eigen=4)
     params = init_params(config, Rng(13))
     x = np.stack([_correlation_input(v, seed=200 + s) for s in range(batch)])
     y = np.arange(batch) % 2
@@ -451,6 +504,8 @@ def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, readout, feat
             for b in (batch, partial):
                 loss, grads = loss_and_grad(x[:b], params, config, y[:b], ws=ws)
                 steps.append((loss, grads.vector.tobytes()))
+                if not runs and b == batch:
+                    _assert_attention_gradients_by_directions(list(zip(x, y)), params, config, grads)
             with monkeypatch.context() as patch:  # the last chunk partial
                 _chunks_of(patch, batch - 1, config)
                 steps.append(predict_proba(x, params, config, jobs=lanes).tobytes())
@@ -506,10 +561,10 @@ def test_a_warm_training_workspace_allocates_a_quarter_of_a_step(monkeypatch):
 
 
 def _workspace_arrays(ws):
-    """Every array of a training workspace (none is a view of another)."""
+    """Every buffer of a training workspace, each counted once however many views of it it holds."""
     arrays = [a for holder in (ws, *ws.layers) for a in vars(holder).values() if isinstance(a, np.ndarray)]
-    assert all(a.base is None for a in arrays)
-    return arrays + [ws.grads.vector]
+    bases = [a if a.base is None else a.base for a in [*arrays, ws.grads.vector]]
+    return list({id(a): a for a in bases}.values())
 
 
 def test_a_large_training_workspace_stores_no_attention(monkeypatch):
@@ -525,7 +580,13 @@ def test_a_large_training_workspace_stores_no_attention(monkeypatch):
     stored = _workspace_arrays(bnt.model._Workspace(64, config, train=True, lanes=2))
     one_block = ws.dattn[0, 0].nbytes
     assert sum(a.nbytes for a in stored) - sum(a.nbytes for a in arrays) == 2 * maps - 4 * one_block
-    assert round(sum(a.nbytes for a in arrays) / 2**20) == 346  # 497 MiB with both layers' maps
+    assert round(sum(a.nbytes for a in arrays) / 2**20) == 210  # 361 MiB with both layers' maps
+    # no whole-batch array but the layers' forward buffers and the gradient
+    # vector: the gradients take those, beside one block's dattn and dq per lane
+    layers = {id(a) for layer in ws.layers for a in vars(layer).values()} | {id(ws.grads.vector)}
+    scratch = [a for a in arrays if id(a) not in layers]
+    assert sum(a.nbytes for a in scratch) == 2 * (2 * one_block + 8 * 200 * 200)
+    assert [sorted(vars(layer)) for layer in ws.layers] == [["attn", "h", "out", "qkv"]] * 2
     monkeypatch.undo()
     small = bnt.model._Workspace(64, ModelConfig(nodes=32), train=True)
     assert [layer.attn.shape for layer in small.layers] == [(64, 4, 32, 32)] * 2

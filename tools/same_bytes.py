@@ -25,7 +25,10 @@ checkpoint header), ``--features profile_identity`` and
 --config`` run and its eval (a fixed ``train.cfg`` written into the chain
 directory sets every ModelConfig and TrainConfig option but ``readout``
 and ``k_eigen`` off its default, ``centers = random`` by its alias, so the
-int, float, list and enum parsers also read config values), an ``eval
+int, float, list and enum parsers also read config values), a ``--head-dim
+4`` train and its eval (M·head_dim = 16 > V = 12, where every other run has
+M·head_dim ≤ V: the backward writes each layer's gradients over its forward
+buffers, which then hold max(V, M·head_dim) columns), an ``eval
 --aggregate`` of two of those eval CSVs (its mean and std rows), a 3-layer
 train and eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
@@ -107,6 +110,7 @@ def chain() -> list[list[str]]:
         *train("eigen", *small, "--epochs", "2", "--features", "profile_eigen", "--k-eigen", "4"),
         ["train", "--config", "train.cfg", "--dataset", small[0], "--split", small[1], "--out", "config"],
         *evaluate("config", *small),
+        *train("wide", *small, "--epochs", "2", "--head-dim", "4"),
         ["eval", "--aggregate", "eval_run.csv", "eval_learnable.csv", "--out", "aggregate.csv"],
         ["generate", "--nodes", "12", "--modules", "3", "--subjects-per-class", "35", "--sites", "2",
          "--series-length", "48", "--seed", "12", "--out", mid[0]],
