@@ -696,24 +696,21 @@ def _theory_rows_2d(opt):
 
 
 def _theory_rows_mc(opt):
+    if opt["clusters"] < 1:
+        raise UsageError("--clusters must be at least 1")
     if opt["nodes"] < opt["clusters"] + 1:
         raise UsageError(
             "--nodes must exceed --clusters (the correlated construction needs the extra dimension)"
         )
     ortho = orthonormal_centers(opt["clusters"], opt["nodes"], opt["seed"])
     tilted = correlated_unit_centers(opt["clusters"], opt["nodes"], opt["cosine"])
-    rows = []
-    estimates = []
-    for label, centers in (("orthonormal", ortho), (f"cosine_{opt['cosine']:g}", tilted)):
-        est = variance_functional_mc(
-            centers,
-            opt["r"],
-            opt["samples"],
-            opt["seed"],
-            jobs=opt["jobs"],
-        )
-        estimates.append(est)
-        rows.append(["mc", label, repr(float(est.value)), repr(float(est.standard_error))])
+    estimates = variance_functional_mc(
+        np.stack([ortho, tilted]), opt["r"], opt["samples"], opt["seed"], jobs=opt["jobs"]
+    )
+    rows = [
+        ["mc", label, repr(float(est.value)), repr(float(est.standard_error))]
+        for label, est in zip(("orthonormal", f"cosine_{opt['cosine']:g}"), estimates)
+    ]
     a, b = estimates
     combined = math.sqrt(a.standard_error**2 + b.standard_error**2)
     separation = (a.value - b.value) / combined if combined > 0 else math.inf

@@ -31,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .linalg import softmax_lastaxis
+from .linalg import softmax_lastaxis, sum_lastaxis
 from .rng import Rng
 from .workers import blas_threads, lane_cap, run_lanes
 
@@ -485,7 +485,7 @@ def _readout_backward(dg: np.ndarray, tr: _BatchTrace, params: ModelParams, conf
         dpooled = dg.reshape(b, config.clusters, v)
         dz = p @ dpooled
         dp = z @ dpooled.swapaxes(1, 2)
-        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p  # (B, V, K)
+        ds = (dp - sum_lastaxis(dp * p)) * p  # (B, V, K)
         dz = dz + ds @ params.centers
         if config.centers_mode is CentersMode.LEARNABLE:
             dcenters = ds.reshape(b * v, -1).T @ z.reshape(b * v, v)

@@ -69,27 +69,32 @@ def variance_functional_mc(
     seed: int,
     block_size: int = _DEFAULT_BLOCK,
     jobs: int = 1,
-) -> VarianceFunctionalEstimate:
+) -> VarianceFunctionalEstimate | list[VarianceFunctionalEstimate]:
     """Monte Carlo estimate of the ball-averaged assignment variance.
 
+    ``centers`` is one (clusters, dim) set, which gives one
+    VarianceFunctionalEstimate, or a (sets, clusters, dim) stack, which
+    gives a list of them: every set is scored on the same draws (common
+    random numbers), each estimate bit for bit the one its set gets alone.
     Samples are generated in independent blocks, each from its own
     derived stream keyed by (seed, block index), and block sums are
     reduced in index order, so the result does not depend on `jobs`, the
     number of worker processes (at most one per block or CPU).
     A block of n samples is ``normal(n * dim)`` then n radius uniforms,
-    scored in cache-sized chunks; each chunk draws its own words of the
-    counter-based stream, so the chunking changes no bit.
+    drawn and scored in cache-sized chunks; each chunk draws its own words
+    of the counter-based stream, so the chunking changes no bit.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2:
-        raise ValueError("centers must be 2-D (clusters x dim)")
+    if centers.ndim not in (2, 3):
+        raise ValueError("centers must be 2-D (clusters x dim) or a 3-D stack of such sets")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    k, dim = centers.shape
+    stack = centers.reshape(-1, *centers.shape[-2:])
+    k, dim = centers.shape[-2:]
     base = Rng(seed)
     sizes = [
         min(block_size, n_samples - start) for start in range(0, n_samples, block_size)
@@ -100,32 +105,34 @@ def variance_functional_mc(
         index, size = block
         rng = base.derive(index)
         radius_word = 2 * ((size * dim + 1) // 2)  # the counter after normal(size * dim)
-        vals = np.empty(size)
+        vals = np.empty((len(stack), size))
         for s0 in range(0, size, step):
             s1 = min(s0 + step, size)
             rng.counter = 0  # where the block's normal(size * dim) draw starts
             g = rng.normal_span(size * dim, s0 * dim, s1 * dim).reshape(s1 - s0, dim)
             rng.counter = radius_word + s0
-            norms = np.maximum(np.sqrt((g * g).sum(axis=1)), 1e-300)
-            g *= (radius * rng.uniform(s1 - s0) ** (1.0 / dim) / norms)[:, None]  # in the ball
-            p = linalg.softmax_lastaxis(g @ centers.T)
-            p -= 1.0 / k
-            p *= p
-            p.sum(axis=1, out=vals[s0:s1])
-        return vals.sum(), (vals * vals).sum()
+            norms = np.maximum(np.sqrt(linalg.sum_lastaxis(g * g)), 1e-300)
+            g *= radius * rng.uniform(s1 - s0)[:, None] ** (1.0 / dim) / norms  # in the ball
+            for row, c in zip(vals, stack):
+                p = linalg.softmax_lastaxis(g @ c.T)
+                p -= 1.0 / k
+                p *= p
+                row[s0:s1] = linalg.sum_lastaxis(p)[:, 0]
+        return [(row.sum(), (row * row).sum()) for row in vals]
 
-    results = ordered_map(run_block, enumerate(sizes), min(jobs, usable_cpus()))
-    total = 0.0
-    total_sq = 0.0
-    for s, sq in results:  # fixed reduction order
-        total += s
-        total_sq += sq
-    mean = float(total) / n_samples
-    var = max(float(total_sq) / n_samples - mean * mean, 0.0)
-    se = math.sqrt(var / n_samples)
-    return VarianceFunctionalEstimate(
-        value=mean, standard_error=se, n_samples=n_samples, radius=radius, seed=seed
-    )
+    estimates = []
+    for per_block in zip(*ordered_map(run_block, enumerate(sizes), min(jobs, usable_cpus()))):
+        total = total_sq = 0.0
+        for s, sq in per_block:  # fixed reduction order
+            total += s
+            total_sq += sq
+        mean = float(total) / n_samples
+        var = max(float(total_sq) / n_samples - mean * mean, 0.0)
+        se = math.sqrt(var / n_samples)
+        estimates.append(VarianceFunctionalEstimate(
+            value=mean, standard_error=se, n_samples=n_samples, radius=radius, seed=seed
+        ))
+    return estimates if centers.ndim == 3 else estimates[0]
 
 
 def variance_functional_2d(phi: float, radius: float, quad_nodes: int = 64) -> float:

@@ -21,6 +21,7 @@ import pytest
 
 import bnt.cli
 import bnt.model
+import bnt.theory
 import bnt.workers
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import GeneratorSpec, SplitPlan, generate_dataset, read_dataset, write_dataset
@@ -631,6 +632,8 @@ def test_verify_theory_rejects_tiny_quadrature(tmp_path, run_cli):
         (["--mode", "mc", "--jobs", "0"], "--jobs must be in 1..64"),
         (["--mode", "mc", "--jobs", "-1"], "--jobs must be in 1..64"),
         (["--mode", "mc", "--jobs", "65"], "--jobs must be in 1..64"),
+        (["--mode", "mc", "--clusters", "0"], "--clusters must be at least 1"),
+        (["--mode", "mc", "--clusters", "-3"], "--clusters must be at least 1"),
     ],
 )
 def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, message, monkeypatch):
@@ -643,7 +646,8 @@ def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, messag
         assert not os.path.exists(prefix + suffix)
 
 
-def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli):
+def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli, pool_sizes, monkeypatch):
+    monkeypatch.setattr(bnt.theory, "usable_cpus", lambda: 2)  # pooled on one CPU too
     outputs = []
     for jobs in ("1", "2"):
         prefix = str(tmp_path / f"jobs{jobs}")
@@ -652,6 +656,7 @@ def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli):
         assert code == 0, err
         outputs.append((Path(prefix + ".csv").read_bytes(), Path(prefix + ".txt").read_bytes()))
     assert outputs[0] == outputs[1]
+    assert pool_sizes == [2]  # one pool scores both center sets
     assert multiprocessing.active_children() == []
 
 

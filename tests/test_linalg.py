@@ -12,6 +12,7 @@ from bnt.linalg import (
     orthonormal_rows,
     sigmoid,
     softmax_lastaxis,
+    sum_lastaxis,
     symmetric_eigendecomposition,
     xavier_uniform,
 )
@@ -178,3 +179,44 @@ def test_softmax_in_place_matches_allocating_call(m):
     out = softmax_lastaxis(m, out=m)
     assert out is m
     assert np.array_equal(m, expected)
+
+
+def _softmax_reference(a):
+    """The softmax as NumPy's reductions give it."""
+    out = a - a.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _rows(n):
+    """(rows, n) inputs: scaled normals, rows drawn from +-0, +-inf, NaN and
+    a few finite values, and rows of one special value each."""
+    rng = Rng(n)
+    scaled = rng.normal(64 * n).reshape(64, n) * np.exp(8.0 * rng.normal(64 * n).reshape(64, n))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 1e308, 5e-324])
+    mixed = special[(rng.uniform(64 * n) * len(special)).astype(int)].reshape(64, n)
+    uniform = np.repeat(special, n).reshape(-1, n)
+    return np.vstack([scaled, mixed, uniform, -uniform])
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)  # NaN wherever NumPy gives NaN
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32])
+def test_short_row_folds_give_the_bits_of_numpys_reductions(n):
+    # NumPy adds a contiguous 8-entry row as a tree but a strided one left
+    # to right, so both layouts are checked; 3-D stacks take the same rule
+    c = _rows(n)
+    for a in (c, np.ascontiguousarray(c.T).T, c.reshape(-1, 2, n), c[::-1]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_same_bits(sum_lastaxis(a), a.sum(axis=-1, keepdims=True))
+            want = _softmax_reference(a)
+            _assert_same_bits(softmax_lastaxis(a), want)
+            b = a.copy(order="K")  # keeps the layout
+            assert softmax_lastaxis(b, out=b) is b
+        _assert_same_bits(b, want)

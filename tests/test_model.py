@@ -541,6 +541,49 @@ def test_more_lanes_than_cores_with_fast_thread_switches_change_no_bit(monkeypat
     assert threading.active_count() == threads  # the lanes have ended
 
 
+def test_each_lane_writes_its_dq_product_into_its_own_memory(monkeypatch):
+    # a shared dQ block is a race that changes bits only when GEMMs are long
+    # enough (V >= 64); the targets themselves show it at any size
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    monkeypatch.setattr(bnt.model, "_ATTN_BLOCK_BYTES", 0)
+    config = ModelConfig(nodes=16, heads=2, clusters=3, mlp_hidden=(8,))
+    params = init_params(config, Rng(17))
+    x = np.stack([_correlation_input(16, seed=300 + s) for s in range(9)])
+    local, targets, real_run_lanes = threading.local(), {}, bnt.model.run_lanes
+
+    def as_lane(lane, task):
+        local.lane = lane
+        try:
+            task()
+        finally:
+            local.lane = None
+
+    def run_lanes(tasks, lanes):
+        real_run_lanes([lambda i=i, t=t: as_lane(i, t) for i, t in enumerate(tasks)], lanes)
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(*args, out=None):
+            if out is not None and np.shares_memory(out, ws.dq):
+                targets.setdefault(local.lane, []).append(out)
+            return np.matmul(*args, out=out)
+
+    monkeypatch.setattr(bnt.model, "run_lanes", run_lanes)
+    monkeypatch.setattr(bnt.model, "np", RecordingNumpy())
+    for store in (_STORE, 0):
+        monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", store)
+        targets.clear()
+        ws = bnt.model._Workspace(9, config, True, 4)
+        loss_and_grad(x, params, config, np.arange(9) % 2, ws=ws)
+        assert sorted(targets) == [0, 1, 2, 3]  # 9 one-graph blocks over 4 lanes
+        for lane, other in ((a, b) for a in targets for b in targets if a < b):
+            for mine in targets[lane]:
+                assert not any(np.shares_memory(mine, theirs) for theirs in targets[other]), (lane, other)
+
+
 def test_a_warm_training_workspace_allocates_a_quarter_of_a_step(monkeypatch):
     config = ModelConfig(nodes=32, heads=4, clusters=4)
     params = init_params(config, Rng(12))

@@ -75,7 +75,7 @@ def test_mc_deterministic_and_jobs_invariant():
     assert type(a.value) is float and type(a.standard_error) is float
 
 
-@pytest.mark.parametrize("k, dim", [(2, 2), (3, 5), (4, 7), (4, 8)])
+@pytest.mark.parametrize("k, dim", [(2, 2), (3, 5), (4, 7), (4, 8), (4, 9), (9, 12)])
 def test_mc_chunks_match_the_whole_block_reference(k, dim):
     # 4095/4097 straddle the 4,096-sample chunk at dim 8; 65537 and 200003
     # end in partial blocks, the first of a single sample
@@ -85,6 +85,26 @@ def test_mc_chunks_match_the_whole_block_reference(k, dim):
         for jobs in (1, 3):
             est = variance_functional_mc(centers, 2.5, n, seed=n, jobs=jobs)
             assert (est.value, est.standard_error) == want, (n, jobs)
+
+
+def test_mc_stacked_sets_share_the_draws_and_give_the_bits_of_one_set_calls(monkeypatch):
+    # a correlated set and orthonormal ones, with rows of 4 and of 9 > 8 clusters
+    sets = [correlated_unit_centers(4, 10, 0.5), orthonormal_centers(4, 10, 3), orthonormal_centers(4, 10, 4)]
+    wide = [correlated_unit_centers(9, 12, 0.3), orthonormal_centers(9, 12, 5)]
+    monkeypatch.setattr(theory, "usable_cpus", lambda: 3)
+    for n, stack in ((4097, sets[:2]), (150_001, sets), (150_001, wide)):
+        want = [variance_functional_mc(c, 2.0, n, seed=9) for c in stack]
+        for jobs in (1, 3):
+            got = variance_functional_mc(np.stack(stack), 2.0, n, seed=9, jobs=jobs)
+            assert got == want, (n, jobs)
+    draws = []
+    normal_span = Rng.normal_span
+    monkeypatch.setattr(Rng, "normal_span", lambda self, *a: draws.append(a) or normal_span(self, *a))
+    variance_functional_mc(sets[0], 2.0, 150_001, seed=9)
+    one_set = list(draws)
+    draws.clear()
+    variance_functional_mc(np.stack(sets), 2.0, 150_001, seed=9)
+    assert draws == one_set  # each chunk is drawn once for all three sets
 
 
 def test_mc_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch):
@@ -130,6 +150,8 @@ def test_mc_input_validation():
     centers = orthonormal_centers(2, 4, seed=0)
     with pytest.raises(ValueError):
         variance_functional_mc(np.zeros(4), 3.0, 100, seed=0)
+    with pytest.raises(ValueError):
+        variance_functional_mc(np.zeros((1, 1, 2, 4)), 3.0, 100, seed=0)
     with pytest.raises(ValueError):
         variance_functional_mc(centers, -1.0, 100, seed=0)
     with pytest.raises(ValueError):

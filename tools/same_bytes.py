@@ -33,8 +33,11 @@ buffers, which then hold max(V, M·head_dim) columns), an ``eval
 train and eval with batches of 24 over a 42-graph train split (so a middle layer and
 a partial batch), a 3-readout x 2-center x 2-seed ``ablate
 --save-models``, ``export-assignments`` of the clustering-readout runs,
-``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks per
-estimate, pooled where more than one CPU is usable), a V=7, 3-site
+``verify-theory --mode all --samples 200000`` (four Monte Carlo blocks,
+pooled where more than one CPU is usable), two ``verify-theory --mode mc``
+runs whose rows are all shorter than 8 (``--nodes 5 --clusters 3``) and all
+longer (``--nodes 12 --clusters 9``), so both sides of the short-row fold
+(``linalg.sum_lastaxis``), a V=7, 3-site
 ``generate`` and its ``split --no-stratify`` (an odd-V record layout), one
 V=32 round (40 subjects per class, split, 2-epoch train, eval, export) and
 one V=200 round (3-epoch train, eval, export) at the cohort-cc200 benchmark's
@@ -122,6 +125,10 @@ def chain() -> list[list[str]]:
         *export("run", *small),
         *export("learnable", *small),
         ["verify-theory", "--mode", "all", "--samples", "200000", "--out", "theory"],
+        ["verify-theory", "--mode", "mc", "--samples", "200000", "--nodes", "5", "--clusters", "3",
+         "--out", "theory_short"],
+        ["verify-theory", "--mode", "mc", "--samples", "200000", "--nodes", "12", "--clusters", "9",
+         "--out", "theory_long"],
         ["generate", "--nodes", "7", "--modules", "3", "--subjects-per-class", "10", "--sites", "3",
          "--series-length", "32", "--seed", "13", "--out", "odd.bntd"],
         ["split", "--dataset", "odd.bntd", "--no-stratify", "--fractions", "0.6,0.2,0.2", "--seed", "5",
