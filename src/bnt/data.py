@@ -87,7 +87,9 @@ class SplitError(DatasetFormatError):
 @dataclass
 class Dataset:
     """N subjects in file order: row i of ``subject_ids``, ``labels`` and
-    ``sites`` (N,) and of ``matrices`` (N, V, V), float64, is subject i's."""
+    ``sites`` (N,) and of ``matrices`` (N, V, V) is subject i's.  The
+    matrices are float64 from ``generate_dataset`` and the file's float32
+    values from ``read_dataset``."""
 
     subject_ids: np.ndarray
     labels: np.ndarray
@@ -240,34 +242,38 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
-    """Read a binary dataset file; matrices widen to float64.
+    """Read a binary dataset file; its matrices stay the file's float32 values.
 
-    The records are checked with ``Dataset.validate``.
+    The header is checked (magic, size, version, node count), then the file's
+    size, before the records are read, once, into one record array: the
+    matrices are a view of it, so the dataset holds the file's bytes and no
+    other copy.  A reader that needs float64 widens the rows it gathers
+    (``training.train``, ``model.score_chunks``); widening is exact.  The
+    records are checked with ``Dataset.validate``.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"not a dataset file: magic {raw[:4]!r}")
-    if len(raw) < _HEADER.size:
-        raise TruncationError(f"header truncated at {len(raw)} bytes")
-    _, version, v, n = _HEADER.unpack_from(raw, 0)
-    if version != FORMAT_VERSION:
-        raise BadVersionError(f"unsupported dataset version {version}")
-    if expect_nodes is not None and v != expect_nodes:
-        raise VMismatchError(f"dataset has {v} nodes, expected {expect_nodes}")
+        head = f.read(_HEADER.size)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"not a dataset file: magic {head[:4]!r}")
+        if len(head) < _HEADER.size:
+            raise TruncationError(f"header truncated at {len(head)} bytes")
+        _, version, v, n = _HEADER.unpack(head)
+        if version != FORMAT_VERSION:
+            raise BadVersionError(f"unsupported dataset version {version}")
+        if expect_nodes is not None and v != expect_nodes:
+            raise VMismatchError(f"dataset has {v} nodes, expected {expect_nodes}")
 
-    record = _record_dtype(v)
-    expected = _HEADER.size + n * record.itemsize
-    if len(raw) != expected:
-        raise TruncationError(f"file is {len(raw)} bytes, expected {expected} for {n} records")
+        record = _record_dtype(v)
+        expected = _HEADER.size + n * record.itemsize
+        size = os.fstat(f.fileno()).st_size
+        if size == expected:
+            records = np.empty(n, record)
+            size = _HEADER.size + f.readinto(records.view(np.uint8))  # short if the file shrank since
+        if size != expected:
+            raise TruncationError(f"file is {size} bytes, expected {expected} for {n} records")
 
-    records = np.frombuffer(raw, record, count=n, offset=_HEADER.size)
     dataset = Dataset(*(records[name].astype(np.int64) for name in ("id", "label", "site")), records["matrix"])
-    # Checking the stored float32 values moves half the bytes of checking
-    # the widened copy; widening is exact, so only the 1e-6 symmetry test
-    # can round differently, and only at its threshold.
     dataset.validate()
-    dataset.matrices = dataset.matrices.astype(np.float64)
     return dataset
 
 

@@ -620,14 +620,26 @@ def _forward_flops(config: ModelConfig) -> int:
     return flops + sum(2 * a * b for a, b in zip(mlp, mlp[1:]))
 
 
+def gather_float64(matrices, rows) -> np.ndarray:
+    """``matrices[rows]`` as a new float64 array, each matrix widened as it is
+    copied in, so no gathered copy in the stored dtype is made.  At V=200 a
+    64-graph float32 copy, though freed before the step, kept 8 MiB more
+    resident in a ``train`` run."""
+    out = np.empty((len(rows),) + matrices.shape[1:])
+    for i, row in enumerate(rows):
+        out[i] = matrices[row]
+    return out
+
+
 @blas_threads(1)
 def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1, take=None):
-    """``(rows, logits, assignment)`` per chunk of ``graphs`` ((N, V, V), or N
-    matrices stacked once), in order: a chunk is one attention block of graphs
-    (``_blocks``), ``rows`` slices ``graphs`` and ``assignment`` is the chunk's
-    soft assignment or None.  With an index array ``take``, the graphs are
-    ``graphs[take]``, each chunk gathered when it is scored, and ``rows``
-    slices ``take``.
+    """``(rows, logits, assignment)`` per chunk of ``graphs`` ((N, V, V) of any
+    real dtype, or N matrices stacked once), in order: a chunk is one
+    attention block of graphs (``_blocks``), ``rows`` slices ``graphs`` and
+    ``assignment`` is the chunk's soft assignment or None.  With an index
+    array ``take``, the graphs are ``graphs[take]`` and ``rows`` slices
+    ``take``.  Each chunk is gathered and widened to float64 when it is
+    scored (``gather_float64``), so a float32 dataset is never widened whole.
 
     The chunks run in up to ``jobs`` lanes (``workers.lane_cap``), no more
     lanes than chunks, lane i taking chunks i, i + lanes, ..., each lane
@@ -637,8 +649,10 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1
     and BLAS runs on one thread, so neither do its bytes."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    x = np.asarray(graphs, dtype=np.float64)
-    chunks = _blocks(len(x) if take is None else len(take), config.heads, config.nodes)
+    x = np.asarray(graphs)
+    if take is None:
+        take = range(len(x))
+    chunks = _blocks(len(take), config.heads, config.nodes)
     lanes = min(lane_cap(jobs), len(chunks))
     results, failures = [None] * len(chunks), {}
 
@@ -646,7 +660,7 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1
         for i in range(first, len(chunks), lanes):
             rows = chunks[i]
             try:
-                tr = _forward_batch(x[rows] if take is None else x[take[rows]], params, config, ws)
+                tr = _forward_batch(gather_float64(x, take[rows]), params, config, ws)
             except Exception as exc:  # this lane stops; its later chunks cannot fail first
                 failures[i] = exc
                 return
@@ -665,8 +679,9 @@ def predict_proba(graphs, params: ModelParams, config: ModelConfig, jobs: int = 
                   take=None) -> np.ndarray:
     """P(class 1) for each graph (of ``graphs[take]`` with ``take``), scored by
     ``score_chunks`` in up to ``jobs`` lanes; the result does not depend on
-    ``jobs``.  Memory per lane is one chunk's whatever the graph or layer
-    count: its inputs and features, plus a workspace of (3·M·head_dim +
+    ``jobs``, and is that of ``graphs`` widened up front.  Memory per lane is
+    one chunk's whatever the graph or layer count: its inputs widened to
+    float64 and its features, plus a workspace of (3·M·head_dim +
     2·max(V, M·head_dim))·V floats per graph and the chunk's attention (256
     KiB, or one graph's M·V·V floats where that is larger); the pass adds its
     n·(2 + V·K) result floats."""

@@ -28,6 +28,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     _Workspace,
+    gather_float64,
     init_params,
     loss_and_grad,
     param_count,
@@ -224,7 +225,11 @@ def train(
     A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
     Steps large enough to pay, and the validation and test passes, run in up
     to ``jobs`` lanes (``workers.lane_cap``; ``model._Workspace``,
-    ``model.score_chunks``).  Nothing returned depends on ``jobs``."""
+    ``model.score_chunks``).  ``dataset.matrices`` stay as they are (float32
+    from a file): each batch, and each scoring chunk, is widened to float64
+    as it is gathered (``model.gather_float64``).  Widening is exact, so the
+    result is that of the matrices widened up front.  Nothing returned
+    depends on ``jobs``."""
     model_config.validate()
     train_config.validate()
     train_rows, val_rows, test_rows = plan.select(dataset)
@@ -251,7 +256,8 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, bs):
             rows = train_rows[perm[start : start + bs]]
-            loss, grads = loss_and_grad(matrices[rows], params, model_config, labels[rows], ws=ws)
+            # each batch is widened as it is gathered, and freed when its step ends
+            loss, grads = loss_and_grad(gather_float64(matrices, rows), params, model_config, labels[rows], ws=ws)
             if not math.isfinite(loss):
                 raise _diverged(epoch, "loss")
             if not np.isfinite(grads.vector).all():

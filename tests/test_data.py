@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -175,8 +176,9 @@ def test_roundtrip_preserves_records(tmp_path, small_graphs):
     assert len(back) == len(small_graphs)
     for name in ("subject_ids", "labels", "sites"):
         assert getattr(back, name).tolist() == getattr(small_graphs, name).tolist()
-    # storage is float32; the roundtrip must be exactly the f32 cast
-    assert back.matrices.dtype == np.float64
+    # storage is float32 and the reader keeps it; widened, the roundtrip must
+    # be exactly the f32 cast
+    assert back.matrices.dtype == np.float32
     assert np.array_equal(back.matrices, small_graphs.matrices.astype(np.float32).astype(np.float64))
 
 
@@ -273,6 +275,50 @@ def test_read_error_kinds(tmp_path, small_graphs):
     twice.write_bytes(raw[:second] + raw[16:20] + raw[second + 4 :])
     with pytest.raises(DatasetFormatError, match=f"subject {sid} appears twice"):
         read_dataset(twice)
+
+
+class _ShrunkFile:
+    """A binary file whose record read stops 7 bytes short, as if the file
+    shrank after its size was checked."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def readinto(self, buffer):
+        return self.file.readinto(memoryview(buffer)[:-7])
+
+
+def test_a_file_that_shrinks_after_its_size_check_is_truncated(tmp_path, small_graphs, monkeypatch):
+    path = tmp_path / "set.bntd"
+    write_dataset(path, small_graphs)
+    size = path.stat().st_size
+    monkeypatch.setattr(bnt.data, "open", _ShrunkFile, raising=False)
+    with pytest.raises(TruncationError, match=f"^file is {size - 7} bytes, expected {size} for "):
+        read_dataset(path)
+
+
+def test_reading_holds_the_file_once(tmp_path):
+    # 64 V=64 records: 1.00 MiB of file, 2.00 MiB once widened to float64
+    path = tmp_path / "set.bntd"
+    write_dataset(path, generate_dataset(GeneratorSpec(nodes=64, subjects_per_class=32, series_length=64)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        dataset = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + 2**18, (peak, size)
+    assert dataset.matrices.dtype == np.float32
 
 
 def _eye_with(entries):

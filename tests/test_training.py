@@ -3,6 +3,7 @@
 import dataclasses
 import glob
 import multiprocessing
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import bnt.model
 import bnt.training
 import bnt.workers
 
-from bnt.data import GeneratorSpec, generate_dataset, stratified_split
+from bnt.data import GeneratorSpec, generate_dataset, read_dataset, stratified_split, write_dataset
 from bnt.metrics import EvalResult
 from bnt.model import (
     CentersMode,
@@ -170,6 +171,64 @@ def test_train_without_the_blas_setter_gives_the_same_bytes(lanes_used, monkeypa
         assert _trained_bytes(2) == expected
     finally:
         bnt.workers._openblas.cache_clear()
+
+
+def _read_back(tmp_path, spec):
+    """``spec``'s dataset as read from its file (float32 matrices), and the
+    same dataset widened to float64 up front."""
+    path = tmp_path / "set.bntd"
+    write_dataset(path, generate_dataset(spec))
+    read = read_dataset(path)
+    return read, dataclasses.replace(read, matrices=read.matrices.astype(np.float64))
+
+
+@pytest.mark.parametrize("v", [12, 200])
+@pytest.mark.parametrize("features", list(FeatureMode))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_float32_dataset_gives_the_bytes_of_its_widened_copy(tmp_path, monkeypatch, jobs, features, v):
+    if jobs == 2:
+        monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)  # steps in lanes at every size
+    spec = GeneratorSpec(nodes=v, modules=3, subjects_per_class=6, sites=2, series_length=48, seed=21)
+    read, widened = _read_back(tmp_path, spec)
+    assert read.matrices.dtype == np.float32
+    plan = stratified_split(read, (0.5, 0.25, 0.25), Rng(9))
+    (test_rows,) = plan.select(read, ("test",))
+    config = ModelConfig(nodes=v, layers=1, heads=2, clusters=2, mlp_hidden=(6,), feature_mode=features, k_eigen=3)
+    tc = TrainConfig(lr=3e-3, batch_size=4, epochs=2, seed=4)  # 6 graphs: 4 + 2
+    batches, step = [], bnt.training.loss_and_grad
+
+    def recorded_step(x, *args, **kwargs):
+        batches.append(x.dtype)
+        return step(x, *args, **kwargs)
+
+    monkeypatch.setattr(bnt.training, "loss_and_grad", recorded_step)
+    runs = []
+    for dataset in (read, widened):
+        params, report = train(dataset, plan, config, tc, jobs=jobs)
+        loss, grads = step(dataset.matrices[:5], params, config, dataset.labels[:5])
+        run = [params.vector.tobytes(), report.to_text(), loss, grads.vector.tobytes()]
+        for take in (None, test_rows):
+            for rows, logits, assignment in bnt.model.score_chunks(dataset.matrices, params, config, jobs, take):
+                run += [rows, logits.tobytes(), assignment.tobytes()]
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert set(batches) == {np.dtype(np.float64)}  # each batch widened at its gather
+
+
+def test_scoring_taken_rows_of_a_float32_dataset_never_widens_it_whole(tmp_path):
+    read, _ = _read_back(tmp_path, GeneratorSpec(nodes=64, subjects_per_class=64, series_length=64))
+    plan = stratified_split(read, (0.6, 0.2, 0.2), Rng(3))
+    (test_rows,) = plan.select(read, ("test",))
+    config = ModelConfig(nodes=64)
+    params = init_params(config, Rng(5))
+    assert read.matrices.dtype == np.float32
+    tracemalloc.start()
+    try:
+        evaluate(params, config, read.matrices, read.labels, take=test_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < read.matrices.size * 8, (peak, read.matrices.size * 8)
 
 
 def test_train_rejects_bad_splits():
