@@ -5,7 +5,7 @@ Library layout:
 - ``bnt.rng``      deterministic counter-based random streams
 - ``bnt.linalg``   softmax, Xavier init, Gram-Schmidt, sign-fixed LAPACK eigensolver
 - ``bnt.model``    parameter vector layout, attention stack, readouts, analytic gradients
-- ``bnt.data``     one-array ``Dataset``, synthetic correlation graphs, dataset file, splits
+- ``bnt.data``     ``Dataset``, synthetic correlation graphs, dataset file read on demand, splits
 - ``bnt.training`` Adam loop, checkpoints, train reports
 - ``bnt.metrics``  AUROC, threshold metrics, assignment difference score
 - ``bnt.theory``   variance-functional and VIF verification suite

@@ -8,7 +8,8 @@ between strength), unit noise, and a site-specific common component, so
 class membership only shows up in the between-module structure.
 
 Datasets round-trip to a little-endian binary file (magic ``BNTD``) that
-stores matrices as float32; splits round-trip to a human-readable
+stores matrices as float32, written, checked and read 16 records at a time,
+so no command holds a whole dataset; splits round-trip to a human-readable
 key-value text file.
 """
 
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,8 @@ _HEADER = struct.Struct("<4sIII")
 
 _SITE_STREAM = 1
 _SUBJECT_STREAM = 2
+
+_CHUNK = 16  # records per write buffer and per read-time check
 
 
 def make_temp(directory, name: str) -> str:
@@ -88,8 +93,11 @@ class SplitError(DatasetFormatError):
 class Dataset:
     """N subjects in file order: row i of ``subject_ids``, ``labels`` and
     ``sites`` (N,) and of ``matrices`` (N, V, V) is subject i's.  The
-    matrices are float64 from ``generate_dataset`` and the file's float32
-    values from ``read_dataset``."""
+    matrices are a float64 array from ``generate_dataset`` (or, on demand,
+    computed a subject at a time as they are read), and from
+    ``read_dataset`` a ``FileMatrices``: the file's float32 values, read a
+    record at a time.  Whatever holds them has ``shape`` and ``dtype``, and
+    ``matrices[i]`` is subject i's (V, V) matrix."""
 
     subject_ids: np.ndarray
     labels: np.ndarray
@@ -99,33 +107,41 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.subject_ids)
 
+    def _check_shapes(self):
+        n, v = len(self), self.matrices.shape[-1]
+        if (self.labels.shape, self.sites.shape, self.matrices.shape) != ((n,), (n,), (n, v, v)):
+            raise DatasetFormatError(f"expected {n} labels, {n} sites and {n} square matrices")
+
     def validate(self):
         """Raise DatasetFormatError naming the first subject, in row order,
         whose id repeats or does not fit the file, or whose label, site or
         matrix (finite, symmetric, unit diagonal, in [-1, 1]) is invalid."""
-        n, v = len(self), self.matrices.shape[-1]
-        if (self.labels.shape, self.sites.shape, self.matrices.shape) != ((n,), (n,), (n, v, v)):
-            raise DatasetFormatError(f"expected {n} labels, {n} sites and {n} square matrices")
-        seen = set()
-        for sid, label, site, m in zip(self.subject_ids.tolist(), self.labels.tolist(),
-                                       self.sites.tolist(), self.matrices):
-            if sid in seen:
-                raise DatasetFormatError(f"subject {sid} appears twice in the dataset")
-            seen.add(sid)
-            if not 0 <= sid < 2**32:
-                raise DatasetFormatError(f"subject {sid}: subject_id out of range")
-            if label not in (0, 1):
-                raise DatasetFormatError(f"subject {sid}: label must be 0 or 1, got {label}")
-            if not 0 <= site < 2**16:
-                raise DatasetFormatError(f"subject {sid}: site out of range: {site}")
-            if not np.isfinite(m).all():
-                raise DatasetFormatError(f"subject {sid}: matrix has non-finite entries")
-            if np.abs(m - m.T).max() > 1e-6:
-                raise DatasetFormatError(f"subject {sid}: matrix is not symmetric within 1e-6")
-            if not (m.diagonal() == 1.0).all():
-                raise DatasetFormatError(f"subject {sid}: diagonal must be exactly 1")
-            if m.min() < -1.0 or m.max() > 1.0:
-                raise DatasetFormatError(f"subject {sid}: entries must lie in [-1, 1]")
+        self._check_shapes()
+        _check_records(self.subject_ids, self.labels, self.sites, self.matrices, set())
+
+
+def _check_records(subject_ids, labels, sites, matrices, seen: set) -> None:
+    """The ``Dataset.validate`` rule over some consecutive rows, each
+    matrix in the dtype it is given: ``seen`` holds the ids of the rows
+    before them, and gets theirs, so a file is checked a chunk at a time."""
+    for sid, label, site, m in zip(subject_ids.tolist(), labels.tolist(), sites.tolist(), matrices):
+        if sid in seen:
+            raise DatasetFormatError(f"subject {sid} appears twice in the dataset")
+        seen.add(sid)
+        if not 0 <= sid < 2**32:
+            raise DatasetFormatError(f"subject {sid}: subject_id out of range")
+        if label not in (0, 1):
+            raise DatasetFormatError(f"subject {sid}: label must be 0 or 1, got {label}")
+        if not 0 <= site < 2**16:
+            raise DatasetFormatError(f"subject {sid}: site out of range: {site}")
+        if not np.isfinite(m).all():
+            raise DatasetFormatError(f"subject {sid}: matrix has non-finite entries")
+        if np.abs(m - m.T).max() > 1e-6:
+            raise DatasetFormatError(f"subject {sid}: matrix is not symmetric within 1e-6")
+        if not (m.diagonal() == 1.0).all():
+            raise DatasetFormatError(f"subject {sid}: diagonal must be exactly 1")
+        if m.min() < -1.0 or m.max() > 1.0:
+            raise DatasetFormatError(f"subject {sid}: entries must lie in [-1, 1]")
 
 
 @dataclass
@@ -167,31 +183,36 @@ def module_of_node(nodes: int, modules: int) -> np.ndarray:
     return (np.arange(nodes) * modules) // nodes
 
 
-def generate_dataset(spec: GeneratorSpec) -> Dataset:
-    """Deterministic synthetic dataset; subject i's stream depends only on
-    (seed, i), so any subset can be regenerated independently."""
-    spec.validate()
-    base = Rng(spec.seed)
-    v, t, m = spec.nodes, spec.series_length, spec.modules
-    membership = module_of_node(v, m)
-    site_pattern = np.stack(
-        [base.derive(_SITE_STREAM, s).normal(v) for s in range(spec.sites)]
-    )
+class _Subjects:
+    """The matrices of ``spec``'s subjects, subject i's (V, V) float64 matrix
+    computed from (seed, i) each time ``self[i]`` is read."""
 
-    n = 2 * spec.subjects_per_class
-    ids = np.arange(n)
-    labels = ids // spec.subjects_per_class
-    sites = (ids % spec.subjects_per_class) % spec.sites
-    matrices = np.empty((n, v, v))
-    for sid, label, site in zip(ids, labels, sites):
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, spec: GeneratorSpec):
+        self.spec, self.base = spec, Rng(spec.seed)
+        self.shape = (2 * spec.subjects_per_class, spec.nodes, spec.nodes)
+        self.membership = module_of_node(spec.nodes, spec.modules)
+        self.site_pattern = np.stack(
+            [self.base.derive(_SITE_STREAM, s).normal(spec.nodes) for s in range(spec.sites)]
+        )
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, sid) -> np.ndarray:
+        sid = range(len(self))[operator.index(sid)]
+        spec = self.spec
+        v, t, m = spec.nodes, spec.series_length, spec.modules
+        label, within = divmod(sid, spec.subjects_per_class)
         between = spec.between_strength_class1 if label else spec.between_strength_class0
 
-        srng = base.derive(_SUBJECT_STREAM, sid)
+        srng = self.base.derive(_SUBJECT_STREAM, sid)
         latents = srng.normal(m * t).reshape(m, t)
         noise = srng.normal(v * t).reshape(v, t)
         common = srng.normal(t)
 
-        own = latents[membership]  # (V, T)
+        own = latents[self.membership]  # (V, T)
         if m > 1:
             others = (latents.sum(axis=0) - own) / (m - 1)
         else:
@@ -200,12 +221,32 @@ def generate_dataset(spec: GeneratorSpec) -> Dataset:
             spec.within_strength * own
             + between * others
             + noise
-            + spec.site_noise * site_pattern[site][:, None] * common
+            + spec.site_noise * self.site_pattern[within % spec.sites][:, None] * common
         )
 
         corr = np.corrcoef(series).reshape(v, v)  # one series gives a 0-d array
-        np.clip((corr + corr.T) / 2.0, -1.0, 1.0, out=matrices[sid])
-        np.fill_diagonal(matrices[sid], 1.0)
+        matrix = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(matrix, 1.0)
+        return matrix
+
+
+def generate_dataset(spec: GeneratorSpec, on_demand: bool = False) -> Dataset:
+    """Deterministic synthetic dataset; subject i's stream depends only on
+    (seed, i), so any subset can be regenerated independently.  The matrices
+    are computed up front into one (N, V, V) float64 array and checked
+    (``Dataset.validate``); ``on_demand``, they are computed a subject at a
+    time as they are read, and ``write_dataset`` checks them as it writes,
+    so ``generate`` holds one 16-record chunk, not the dataset."""
+    spec.validate()
+    subjects = _Subjects(spec)
+    ids = np.arange(len(subjects))
+    labels = ids // spec.subjects_per_class
+    sites = (ids % spec.subjects_per_class) % spec.sites
+    if on_demand:
+        return Dataset(ids, labels, sites, subjects)
+    matrices = np.empty(subjects.shape)
+    for sid in range(len(subjects)):
+        matrices[sid] = subjects[sid]
     dataset = Dataset(ids, labels, sites, matrices)
     dataset.validate()
     return dataset
@@ -222,34 +263,76 @@ def _record_dtype(v: int) -> np.dtype:
 def write_dataset(path, dataset: Dataset) -> None:
     """Write a dataset to the binary format (matrices as float32).
 
-    The dataset is checked (``Dataset.validate``) before the file is opened,
-    so a bad record leaves no file behind; 16 records at a time go through
-    one buffer; the file replaces ``path`` only once whole (``replacing``).
+    16 records at a time are read from ``dataset`` (computed, for an
+    on-demand dataset), checked by the ``Dataset.validate`` rule in the dtype
+    they are given, and written through one buffer.  The file replaces
+    ``path`` only once whole (``replacing``), so a bad record leaves no file
+    behind.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("refusing to write an empty dataset")
-    dataset.validate()
+    dataset._check_shapes()
     v = dataset.matrices.shape[1]
-    records = np.zeros(min(len(dataset), 16), _record_dtype(v))
+    records, seen = np.zeros(min(n, _CHUNK), _record_dtype(v)), set()
     with replacing(path) as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, len(dataset)))
-        for start in range(0, len(dataset), len(records)):
-            chunk = records[: len(dataset) - start]
-            rows = slice(start, start + len(chunk))
-            chunk["id"], chunk["label"] = dataset.subject_ids[rows], dataset.labels[rows]
-            chunk["site"], chunk["matrix"] = dataset.sites[rows], dataset.matrices[rows]
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, n))
+        for start in range(0, n, len(records)):
+            chunk = records[: n - start]
+            rows = range(start, start + len(chunk))
+            ids, labels, sites = (a[start : rows.stop] for a in (dataset.subject_ids, dataset.labels, dataset.sites))
+            matrices = [dataset.matrices[i] for i in rows]
+            _check_records(ids, labels, sites, matrices, seen)
+            chunk["id"], chunk["label"], chunk["site"] = ids, labels, sites
+            for j, matrix in enumerate(matrices):
+                chunk["matrix"][j] = matrix
             f.write(chunk)
 
 
+class FileMatrices:
+    """The (N, V, V) float32 matrices of a ``.bntd`` file that ``read_dataset``
+    has checked, none of them held: ``self[i]`` reads record i's matrix into
+    a new array, at its fixed offset, with one positional read
+    (``os.preadv``) on the descriptor opened at load.
+
+    Positional reads move no file offset, so scoring lanes and forked
+    workers read through that one descriptor.  A file that replaces the path
+    later (``generate --force``) leaves the checked bytes readable; a file
+    cut short makes the read of a lost record raise TruncationError.  (A
+    memory map would turn that cut into SIGBUS.)  ``close()`` closes the
+    descriptor, as collecting this object does."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, fd: int, v: int, n: int):
+        self.shape = (n, v, v)
+        self._fd, self._record = fd, _record_dtype(v).itemsize
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[operator.index(i)]
+        if not self.close.alive:  # its number may name another file by now
+            raise ValueError("read from a closed dataset file")
+        matrix = np.empty(self.shape[1:], self.dtype)
+        if os.preadv(self._fd, [matrix], _HEADER.size + i * self._record + 8) < matrix.nbytes:
+            raise TruncationError(f"file is {os.fstat(self._fd).st_size} bytes, expected "
+                                  f"{_HEADER.size + len(self) * self._record} for {len(self)} records")
+        return matrix
+
+
 def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
-    """Read a binary dataset file; its matrices stay the file's float32 values.
+    """Read a binary dataset file: its ids, labels and sites, and its matrices
+    as a ``FileMatrices`` that reads a record's float32 values when they are
+    gathered.
 
     The header is checked (magic, size, version, node count), then the file's
-    size, before the records are read, once, into one record array: the
-    matrices are a view of it, so the dataset holds the file's bytes and no
-    other copy.  A reader that needs float64 widens the rows it gathers
-    (``training.train``, ``model.score_chunks``); widening is exact.  The
-    records are checked with ``Dataset.validate``.
+    size, then the records, 16 at a time read into one buffer (``readinto``),
+    by the ``Dataset.validate`` rule with one id set across the chunks, so no
+    more than a chunk of the file is held.  A reader that needs float64
+    widens the rows it gathers (``model.gather_float64``); widening is exact.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -267,14 +350,20 @@ def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
         expected = _HEADER.size + n * record.itemsize
         size = os.fstat(f.fileno()).st_size
         if size == expected:
-            records = np.empty(n, record)
-            size = _HEADER.size + f.readinto(records.view(np.uint8))  # short if the file shrank since
+            ids, labels, sites = (np.empty(n, np.int64) for _ in range(3))
+            records, seen = np.empty(min(n, _CHUNK), record), set()
+            for start in range(0, n, len(records)):
+                chunk = records[: n - start]
+                got = f.readinto(chunk.view(np.uint8))
+                if got < chunk.nbytes:  # the file shrank since its size was read
+                    size = _HEADER.size + start * record.itemsize + got
+                    break
+                rows = slice(start, start + len(chunk))
+                ids[rows], labels[rows], sites[rows] = chunk["id"], chunk["label"], chunk["site"]
+                _check_records(ids[rows], labels[rows], sites[rows], chunk["matrix"], seen)
         if size != expected:
             raise TruncationError(f"file is {size} bytes, expected {expected} for {n} records")
-
-    dataset = Dataset(*(records[name].astype(np.int64) for name in ("id", "label", "site")), records["matrix"])
-    dataset.validate()
-    return dataset
+        return Dataset(ids, labels, sites, FileMatrices(os.dup(f.fileno()), v, n))
 
 
 # ---------------------------------------------------------------------------

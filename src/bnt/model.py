@@ -486,7 +486,8 @@ def _readout_backward(dg: np.ndarray, tr: _BatchTrace, params: ModelParams, conf
         dz = p @ dpooled
         dp = z @ dpooled.swapaxes(1, 2)
         ds = (dp - sum_lastaxis(dp * p)) * p  # (B, V, K)
-        dz = dz + ds @ params.centers
+        for g in range(b):  # a graph at a time: a whole-batch product and sum took 2·B·V·V floats
+            dz[g] += ds[g] @ params.centers
         if config.centers_mode is CentersMode.LEARNABLE:
             dcenters = ds.reshape(b * v, -1).T @ z.reshape(b * v, v)
     elif config.readout is Readout.MEAN:
@@ -621,10 +622,11 @@ def _forward_flops(config: ModelConfig) -> int:
 
 
 def gather_float64(matrices, rows) -> np.ndarray:
-    """``matrices[rows]`` as a new float64 array, each matrix widened as it is
-    copied in, so no gathered copy in the stored dtype is made.  At V=200 a
-    64-graph float32 copy, though freed before the step, kept 8 MiB more
-    resident in a ``train`` run."""
+    """``matrices[rows]`` as a new float64 array: ``matrices`` is an (N, V, V)
+    array or a row source (``data.FileMatrices``, read a record at a time),
+    and each matrix is widened as it is copied in, so no gathered copy in
+    the stored dtype is made.  At V=200 a 64-graph float32 copy, though
+    freed before the step, kept 8 MiB more resident in a ``train`` run."""
     out = np.empty((len(rows),) + matrices.shape[1:])
     for i, row in enumerate(rows):
         out[i] = matrices[row]
@@ -634,12 +636,13 @@ def gather_float64(matrices, rows) -> np.ndarray:
 @blas_threads(1)
 def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1, take=None):
     """``(rows, logits, assignment)`` per chunk of ``graphs`` ((N, V, V) of any
-    real dtype, or N matrices stacked once), in order: a chunk is one
-    attention block of graphs (``_blocks``), ``rows`` slices ``graphs`` and
-    ``assignment`` is the chunk's soft assignment or None.  With an index
-    array ``take``, the graphs are ``graphs[take]`` and ``rows`` slices
-    ``take``.  Each chunk is gathered and widened to float64 when it is
-    scored (``gather_float64``), so a float32 dataset is never widened whole.
+    real dtype, a row source such as ``data.FileMatrices``, or a list of N
+    matrices, stacked once), in order: a chunk is one attention block of
+    graphs (``_blocks``), ``rows`` slices ``graphs`` and ``assignment`` is
+    the chunk's soft assignment or None.  With an index array ``take``, the
+    graphs are ``graphs[take]`` and ``rows`` slices ``take``.  Each chunk is
+    gathered and widened to float64 when it is scored (``gather_float64``),
+    so a pass holds a chunk of a dataset file, never the file.
 
     The chunks run in up to ``jobs`` lanes (``workers.lane_cap``), no more
     lanes than chunks, lane i taking chunks i, i + lanes, ..., each lane
@@ -649,7 +652,7 @@ def score_chunks(graphs, params: ModelParams, config: ModelConfig, jobs: int = 1
     and BLAS runs on one thread, so neither do its bytes."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    x = np.asarray(graphs)
+    x = graphs if hasattr(graphs, "shape") else np.asarray(graphs)
     if take is None:
         take = range(len(x))
     chunks = _blocks(len(take), config.heads, config.nodes)

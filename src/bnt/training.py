@@ -225,9 +225,10 @@ def train(
     A plan that does not fit ``dataset`` raises ``SplitError`` (``SplitPlan.select``).
     Steps large enough to pay, and the validation and test passes, run in up
     to ``jobs`` lanes (``workers.lane_cap``; ``model._Workspace``,
-    ``model.score_chunks``).  ``dataset.matrices`` stay as they are (float32
-    from a file): each batch, and each scoring chunk, is widened to float64
-    as it is gathered (``model.gather_float64``).  Widening is exact, so the
+    ``model.score_chunks``).  ``dataset.matrices`` stay as they are (from a
+    file, a ``data.FileMatrices`` that reads float32 records on demand):
+    each batch, and each scoring chunk, is read and widened to float64 as it
+    is gathered (``model.gather_float64``).  Widening is exact, so the
     result is that of the matrices widened up front.  Nothing returned
     depends on ``jobs``."""
     model_config.validate()

@@ -10,7 +10,17 @@ import math
 
 import numpy as np
 
-from bnt.model import ModelConfig, ModelParams, _forward_batch, _Workspace, forward
+from bnt.linalg import sum_lastaxis
+from bnt.model import (
+    CentersMode,
+    ModelConfig,
+    ModelParams,
+    Readout,
+    _forward_batch,
+    _readout_backward,
+    _Workspace,
+    forward,
+)
 from bnt.rng import Rng
 
 
@@ -60,6 +70,22 @@ def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
     graphs = np.array([x for x, _ in batch])
     logits = _forward_batch(graphs, params, config, _Workspace(len(batch), config)).logits
     return sum(cross_entropy_reference(l, y) for l, (_, y) in zip(logits, batch)) / len(batch)
+
+
+def readout_backward_whole_batch(dg, tr, params: ModelParams, config: ModelConfig):
+    """The readout backward with the clustering readout's ``ds @ centers``
+    added to the whole batch at once: the reference whose bits the
+    library's one-graph-at-a-time add must give."""
+    if config.readout is not Readout.OCREAD:
+        return _readout_backward(dg, tr, params, config)
+    z, p = tr.z, tr.assignment
+    b, v, _ = z.shape
+    dpooled = dg.reshape(b, config.clusters, v)
+    dp = z @ dpooled.swapaxes(1, 2)
+    ds = (dp - sum_lastaxis(dp * p)) * p
+    dz = p @ dpooled + ds @ params.centers
+    learnable = config.centers_mode is CentersMode.LEARNABLE
+    return dz, ds.reshape(b * v, -1).T @ z.reshape(b * v, v) if learnable else None
 
 
 def adam_per_tensor(param_map, grad_map, moments: dict, step: int, config) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import bnt.cli
+import bnt.data
 import bnt.model
 import bnt.theory
 import bnt.workers
@@ -326,7 +327,7 @@ def test_options_left_unset_build_the_library_default_configs(tiny_workspace, tm
         built.append(cls)
         return made
 
-    def stop(*args):
+    def stop(*args, **kwargs):
         raise _Stop
 
     monkeypatch.setattr(bnt.cli, "_config", config)
@@ -955,6 +956,60 @@ def _assert_data_error(result, *unwritten):
     for path in unwritten:
         assert not os.path.exists(path), path
     return err
+
+
+def _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, after_read):
+    """``command`` on a copy of the tiny dataset, with ``after_read(path)``
+    called once the command has read (and checked) the copy; returns the
+    CLI result and the command's main output paths."""
+    data, out = tmp_path / "data.bntd", tmp_path / "out"
+    data.write_bytes(Path(tiny_workspace["dataset"]).read_bytes())
+    real = bnt.data.read_dataset
+
+    def read(path, **kwargs):
+        dataset = real(path, **kwargs)
+        after_read(path)
+        return dataset
+
+    monkeypatch.setattr(bnt.cli, "read_dataset", read)
+    argv = [command, "--dataset", str(data), "--split", tiny_workspace["split"], "--out", str(out)]
+    if command in ("eval", "export-assignments"):
+        argv += ["--checkpoint", tiny_workspace["checkpoint"]]
+    else:
+        argv += ["--epochs", "1"] + (["--seeds", "0,1", "--jobs", "2"] if command == "ablate" else [])
+    outputs = [out / "checkpoint.bnt", out / "report.txt"] if command == "train" else [out]
+    return run_cli(argv), outputs
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-assignments", "ablate"])
+def test_a_dataset_cut_after_it_is_read_is_a_data_error_at_its_next_gather(tiny_workspace, tmp_path, run_cli,
+                                                                             monkeypatch, command):
+    # ablate's rows are gathered in its two forked workers
+    size = os.path.getsize(tiny_workspace["dataset"])
+    result, _ = _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command,
+                               lambda path: os.truncate(path, 16))
+    err = _assert_data_error(result)
+    assert result[1] == "" and err == f"data error: file is 16 bytes, expected {size} for 24 records\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.bntd"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_replaced_after_it_is_read_gives_the_outputs_of_the_checked_file(tiny_workspace, tmp_path,
+                                                                                  run_cli, monkeypatch, command):
+    def regenerate(path):
+        argv = ["generate", "--nodes", "16", "--subjects-per-class", "12", "--seed", "6", "--out", path, "--force"]
+        assert bnt.cli.main(argv) == 0
+
+    runs = []
+    for name, after_read in (("kept", lambda path: None), ("replaced", regenerate)):
+        (tmp_path / name).mkdir()
+        (code, _, err), outputs = _run_on_a_copy(tiny_workspace, tmp_path / name, run_cli, monkeypatch, command,
+                                                 after_read)
+        assert code == 0, err
+        runs.append([p.read_bytes() for p in outputs])
+    assert (tmp_path / "replaced" / "data.bntd").read_bytes() != Path(tiny_workspace["dataset"]).read_bytes()
+    assert runs[0] == runs[1]
 
 
 def test_train_refuses_a_split_that_leaks_test_ids(tiny_workspace, tmp_path, run_cli):

@@ -1,7 +1,11 @@
 """Synthetic generator, binary dataset format, and split planning."""
 
+import dataclasses
 import hashlib
+import os
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -29,7 +33,11 @@ from bnt.data import (
     stratified_split,
     write_dataset,
 )
+from bnt.cli import main as cli_main
+from bnt.model import ModelConfig, init_params
 from bnt.rng import Rng
+from bnt.training import evaluate
+from bnt.workers import ordered_map
 
 SMALL = GeneratorSpec(
     nodes=16, modules=4, subjects_per_class=6, sites=2, series_length=64, seed=3
@@ -307,17 +315,17 @@ def test_a_file_that_shrinks_after_its_size_check_is_truncated(tmp_path, small_g
 
 
 def test_reading_holds_the_file_once(tmp_path):
-    # 64 V=64 records: 1.00 MiB of file, 2.00 MiB once widened to float64
+    # 64 V=64 records: 1.00 MiB of file, of which a read holds one 16-record chunk at a time
     path = tmp_path / "set.bntd"
     write_dataset(path, generate_dataset(GeneratorSpec(nodes=64, subjects_per_class=32, series_length=64)))
-    size = path.stat().st_size
+    chunk = 16 * (8 + 4 * 64 * 64)
     tracemalloc.start()
     try:
         dataset = read_dataset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= size + 2**18, (peak, size)
+    assert peak <= chunk + 2**18, (peak, chunk)
     assert dataset.matrices.dtype == np.float32
 
 
@@ -381,6 +389,181 @@ def test_read_names_the_first_bad_record(tmp_path, small_graphs, nan_record, rep
              else f"subject {ids[0]} appears twice in the dataset")
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(first)}$"):
         read_dataset(path)
+
+
+# 40 records: chunks of rows 0-15, 16-31 and 32-39; subject i has id i
+CHUNKED = GeneratorSpec(nodes=8, modules=2, subjects_per_class=20, sites=3, series_length=32, seed=4)
+_RECORD = 8 + 4 * CHUNKED.nodes**2
+
+
+@pytest.fixture(scope="module")
+def chunked_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chunked") / "set.bntd"
+    write_dataset(path, generate_dataset(CHUNKED))
+    return path.read_bytes()
+
+
+def _nan_at(raw, row):
+    start = 16 + row * _RECORD + 8 + 4  # the matrix entry (0, 1)
+    raw[start : start + 4] = np.float32(np.nan).tobytes()
+
+
+def _label_at(raw, row):
+    raw[16 + row * _RECORD + 4] = 2
+
+
+def _id_of_row_3_at(raw, row):
+    raw[16 + row * _RECORD : 16 + row * _RECORD + 4] = (3).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize(
+    "corrupt, row, message",
+    [
+        (_nan_at, 5, "subject 5: matrix has non-finite entries"),
+        (_label_at, 9, "subject 9: label must be 0 or 1, got 2"),
+        (_nan_at, 17, "subject 17: matrix has non-finite entries"),
+        (_label_at, 38, "subject 38: label must be 0 or 1, got 2"),
+        (_id_of_row_3_at, 20, "subject 3 appears twice in the dataset"),
+    ],
+    ids=["matrix-first-chunk", "label-first-chunk", "matrix-later-chunk", "label-last-chunk", "id-across-chunks"],
+)
+def test_a_read_checked_in_chunks_names_the_first_bad_record(tmp_path, chunked_file, corrupt, row, message):
+    # the text read_dataset gave when it checked the whole file at once; a
+    # site read from a file always fits its two bytes (the writer checks it)
+    raw = bytearray(chunked_file)
+    corrupt(raw, row)
+    _nan_at(raw, 39)  # a later bad record must not be the one named
+    path = tmp_path / "bad.bntd"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "row, change, message",
+    [
+        (2, dict(sites=2**16), "subject 2: site out of range: 65536"),
+        (21, dict(sites=2**16), "subject 21: site out of range: 65536"),
+        (22, dict(labels=3), "subject 22: label must be 0 or 1, got 3"),
+        (35, dict(subject_ids=4), "subject 4 appears twice in the dataset"),
+    ],
+)
+def test_a_write_checked_in_chunks_names_the_first_bad_record(tmp_path, row, change, message):
+    dataset = _with_row(_with_row(generate_dataset(CHUNKED), row, **change), 39, labels=5)
+    path = tmp_path / "bad.bntd"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        write_dataset(path, dataset)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generating_on_demand_writes_the_bytes_of_the_whole_dataset(tmp_path):
+    whole, on_demand = tmp_path / "whole.bntd", tmp_path / "on_demand.bntd"
+    write_dataset(whole, generate_dataset(CHUNKED))
+    write_dataset(on_demand, generate_dataset(CHUNKED, on_demand=True))
+    assert on_demand.read_bytes() == whole.read_bytes()
+
+
+def _float32_rows(spec):
+    return generate_dataset(spec).matrices.astype(np.float32)
+
+
+def test_a_file_cut_after_it_is_read_fails_the_gather_of_a_lost_record(tmp_path, chunked_file):
+    path = tmp_path / "set.bntd"
+    path.write_bytes(chunked_file)
+    dataset = read_dataset(path)
+    size, expected = len(chunked_file), _float32_rows(CHUNKED)
+    os.truncate(path, size - 7)
+    assert np.array_equal(dataset.matrices[38], expected[38])
+    with pytest.raises(TruncationError, match=f"^file is {size - 7} bytes, expected {size} for 40 records$"):
+        dataset.matrices[39]
+    os.truncate(path, 16)
+    with pytest.raises(TruncationError, match="^file is 16 bytes, "):
+        dataset.matrices[0]
+
+
+def test_a_file_replaced_after_it_is_read_still_gives_the_checked_rows(tmp_path, chunked_file):
+    path = tmp_path / "set.bntd"
+    path.write_bytes(chunked_file)
+    dataset = read_dataset(path)
+    write_dataset(path, generate_dataset(dataclasses.replace(CHUNKED, seed=5)))  # replaces the path
+    assert path.read_bytes() != chunked_file
+    expected = _float32_rows(CHUNKED)
+    assert all(np.array_equal(dataset.matrices[i], expected[i]) for i in range(len(dataset)))
+    dataset.matrices.close()
+    with pytest.raises(ValueError, match="closed dataset file"):
+        dataset.matrices[0]
+
+
+def test_lanes_and_forked_workers_read_rows_through_one_descriptor(tmp_path, chunked_file):
+    # positional reads share no file offset: threads switching every
+    # microsecond, and forked workers, each read every row in its own order
+    path = tmp_path / "set.bntd"
+    path.write_bytes(chunked_file)
+    rows = read_dataset(path).matrices
+    expected = [m.tobytes() for m in _float32_rows(CHUNKED)]
+    orders = [np.roll(np.arange(len(rows))[:: 1 - 2 * (k % 2)], 7 * k) for k in range(6)]
+    got = [None] * len(orders)
+
+    def read(k):
+        got[k] = [rows[i].tobytes() for i in orders[k] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for order, seen in zip(orders, got):
+        assert seen == [expected[i] for i in order for _ in range(3)]
+    forked = list(ordered_map(lambda order: [rows[i].tobytes() for i in order], orders, 2))
+    assert forked == [[expected[i] for i in order] for order in orders]
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_subject_count(tmp_path):
+    # V=48: one chunk, 16 generated float64 matrices, is 288 KiB, and the 64
+    # subjects added by doubling take 576 KiB as float32, so a command that
+    # held the dataset would break the bound
+    v = 48
+    bound = 16 * 8 * v * v + 64 * 512  # one chunk, plus 512 bytes per added subject's id, label and site
+    config = ModelConfig(nodes=v, layers=1, heads=2, mlp_hidden=(8,))
+    params = init_params(config, Rng(1))
+    peaks = []
+    for per_class in (32, 64):
+        d = tmp_path / str(per_class)
+        d.mkdir()
+        data, split = str(d / "set.bntd"), str(d / "split.txt")
+        generate = ["generate", "--nodes", str(v), "--subjects-per-class", str(per_class), "--series-length", "32",
+                    "--out", data]
+        runs = {
+            "generate": _peak(cli_main, generate),
+            "read": _peak(read_dataset, data),
+            "split": _peak(cli_main, ["split", "--dataset", data, "--out", split]),
+        }
+
+        def read_and_evaluate():
+            dataset = read_dataset(data)
+            with open(split, encoding="utf-8") as f:
+                (test,) = SplitPlan.from_text(f.read()).select(dataset, ("test",))
+            evaluate(params, config, dataset.matrices, dataset.labels, 1, test)
+
+        runs["read+evaluate"] = _peak(read_and_evaluate)
+        peaks.append(runs)
+    for name in peaks[0]:
+        assert peaks[1][name] - peaks[0][name] <= bound, (name, peaks, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from _oracles import (
     batch_loss_reference,
     finite_difference_grads,
     max_relative_error,
+    readout_backward_whole_batch,
 )
 from bnt.linalg import sigmoid
 from bnt.model import (
@@ -512,6 +513,27 @@ def test_bytes_do_not_depend_on_lanes_or_blas_threads(monkeypatch, head_dim, rea
         runs.append(steps)
     for run in runs[1:]:
         assert run == runs[0]
+
+
+@pytest.mark.parametrize("v", [7, 12, 32, 200])
+@pytest.mark.parametrize("readout", list(Readout))
+def test_the_one_graph_readout_add_gives_the_bytes_of_the_whole_batch_add(monkeypatch, readout, v):
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)  # lanes at every size
+    batch = 2 if v == 200 else 6
+    x = np.stack([_correlation_input(v, seed=300 + s) for s in range(batch)])
+    y = np.arange(batch) % 2
+    for centers in CentersMode:
+        config = ModelConfig(nodes=v, clusters=3, mlp_hidden=(8,), readout=readout, centers_mode=centers)
+        params = init_params(config, Rng(17))
+        for lanes in (1, 2):
+            runs = []
+            for backward in (bnt.model._readout_backward, readout_backward_whole_batch):
+                with monkeypatch.context() as patch:
+                    patch.setattr(bnt.model, "_readout_backward", backward)
+                    ws = bnt.model._Workspace(batch, config, train=True, lanes=lanes)
+                    loss, grads = loss_and_grad(x, params, config, y, ws=ws)
+                    runs.append((loss, grads.vector.tobytes()))
+            assert runs[0] == runs[1], (centers, lanes)
 
 
 def test_more_lanes_than_cores_with_fast_thread_switches_change_no_bit(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import glob
+import math
 import multiprocessing
 import tracemalloc
 import warnings
@@ -179,7 +180,7 @@ def _read_back(tmp_path, spec):
     path = tmp_path / "set.bntd"
     write_dataset(path, generate_dataset(spec))
     read = read_dataset(path)
-    return read, dataclasses.replace(read, matrices=read.matrices.astype(np.float64))
+    return read, dataclasses.replace(read, matrices=bnt.model.gather_float64(read.matrices, range(len(read))))
 
 
 @pytest.mark.parametrize("v", [12, 200])
@@ -205,7 +206,7 @@ def test_a_float32_dataset_gives_the_bytes_of_its_widened_copy(tmp_path, monkeyp
     runs = []
     for dataset in (read, widened):
         params, report = train(dataset, plan, config, tc, jobs=jobs)
-        loss, grads = step(dataset.matrices[:5], params, config, dataset.labels[:5])
+        loss, grads = step(bnt.model.gather_float64(dataset.matrices, range(5)), params, config, dataset.labels[:5])
         run = [params.vector.tobytes(), report.to_text(), loss, grads.vector.tobytes()]
         for take in (None, test_rows):
             for rows, logits, assignment in bnt.model.score_chunks(dataset.matrices, params, config, jobs, take):
@@ -228,7 +229,8 @@ def test_scoring_taken_rows_of_a_float32_dataset_never_widens_it_whole(tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < read.matrices.size * 8, (peak, read.matrices.size * 8)
+    whole = 8 * math.prod(read.matrices.shape)  # the dataset widened to float64
+    assert peak < whole, (peak, whole)
 
 
 def test_train_rejects_bad_splits():
