@@ -572,7 +572,7 @@ def _generate(opt, args, staged):
         raise UsageError(
             f"--modules ({opt['modules']}) cannot exceed --nodes ({opt['nodes']})"
         )
-    dataset = generate_dataset(_config(GeneratorSpec, opt), on_demand=True)  # computed as it is written
+    dataset = generate_dataset(_config(GeneratorSpec, opt))
     write_dataset(staged["dataset"], dataset)
     return f"wrote {len(dataset)} graphs of {opt['nodes']} nodes to {opt['out']}"
 

@@ -93,10 +93,10 @@ class SplitError(DatasetFormatError):
 class Dataset:
     """N subjects in file order: row i of ``subject_ids``, ``labels`` and
     ``sites`` (N,) and of ``matrices`` (N, V, V) is subject i's.  The
-    matrices are a float64 array from ``generate_dataset`` (or, on demand,
-    computed a subject at a time as they are read), and from
-    ``read_dataset`` a ``FileMatrices``: the file's float32 values, read a
-    record at a time.  Whatever holds them has ``shape`` and ``dtype``, and
+    matrices are an array, or a row source that gives one subject at a
+    time: from ``generate_dataset``, float64 matrices computed as they are
+    read, and from ``read_dataset`` a ``FileMatrices``, the file's float32
+    values read a record at a time.  Either has ``shape`` and ``dtype``, and
     ``matrices[i]`` is subject i's (V, V) matrix."""
 
     subject_ids: np.ndarray
@@ -230,26 +230,16 @@ class _Subjects:
         return matrix
 
 
-def generate_dataset(spec: GeneratorSpec, on_demand: bool = False) -> Dataset:
+def generate_dataset(spec: GeneratorSpec) -> Dataset:
     """Deterministic synthetic dataset; subject i's stream depends only on
-    (seed, i), so any subset can be regenerated independently.  The matrices
-    are computed up front into one (N, V, V) float64 array and checked
-    (``Dataset.validate``); ``on_demand``, they are computed a subject at a
-    time as they are read, and ``write_dataset`` checks them as it writes,
-    so ``generate`` holds one 16-record chunk, not the dataset."""
+    (seed, i), so any subset can be regenerated independently.  Its matrices
+    are computed a subject at a time as they are read, and ``write_dataset``
+    checks them as it writes, so ``generate`` holds one 16-record chunk, not
+    the dataset."""
     spec.validate()
     subjects = _Subjects(spec)
     ids = np.arange(len(subjects))
-    labels = ids // spec.subjects_per_class
-    sites = (ids % spec.subjects_per_class) % spec.sites
-    if on_demand:
-        return Dataset(ids, labels, sites, subjects)
-    matrices = np.empty(subjects.shape)
-    for sid in range(len(subjects)):
-        matrices[sid] = subjects[sid]
-    dataset = Dataset(ids, labels, sites, matrices)
-    dataset.validate()
-    return dataset
+    return Dataset(ids, ids // spec.subjects_per_class, (ids % spec.subjects_per_class) % spec.sites, subjects)
 
 
 def _record_dtype(v: int) -> np.dtype:
@@ -263,8 +253,8 @@ def _record_dtype(v: int) -> np.dtype:
 def write_dataset(path, dataset: Dataset) -> None:
     """Write a dataset to the binary format (matrices as float32).
 
-    16 records at a time are read from ``dataset`` (computed, for an
-    on-demand dataset), checked by the ``Dataset.validate`` rule in the dtype
+    16 records at a time are read from ``dataset`` (computed, for a
+    generated one), checked by the ``Dataset.validate`` rule in the dtype
     they are given, and written through one buffer.  The file replaces
     ``path`` only once whole (``replacing``), so a bad record leaves no file
     behind.
@@ -277,7 +267,7 @@ def write_dataset(path, dataset: Dataset) -> None:
     records, seen = np.zeros(min(n, _CHUNK), _record_dtype(v)), set()
     with replacing(path) as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, v, n))
-        for start in range(0, n, len(records)):
+        for start in range(0, n, _CHUNK):
             chunk = records[: n - start]
             rows = range(start, start + len(chunk))
             ids, labels, sites = (a[start : rows.stop] for a in (dataset.subject_ids, dataset.labels, dataset.sites))
@@ -297,16 +287,20 @@ class FileMatrices:
 
     Positional reads move no file offset, so scoring lanes and forked
     workers read through that one descriptor.  A file that replaces the path
-    later (``generate --force``) leaves the checked bytes readable; a file
-    cut short makes the read of a lost record raise TruncationError.  (A
-    memory map would turn that cut into SIGBUS.)  ``close()`` closes the
+    later (``generate --force``) leaves the checked bytes readable.  Each
+    read also checks the file's size and modification time against
+    ``checked``, its status when its size was checked: a file cut short raises TruncationError (a memory map
+    would turn the cut into SIGBUS), and a file rewritten in place raises
+    DatasetFormatError, as far as its file system's clock tells the write
+    apart from the last one before the check.  ``close()`` closes the
     descriptor, as collecting this object does."""
 
     dtype = np.dtype("<f4")
 
-    def __init__(self, fd: int, v: int, n: int):
+    def __init__(self, fd: int, v: int, n: int, checked: os.stat_result):
         self.shape = (n, v, v)
         self._fd, self._record = fd, _record_dtype(v).itemsize
+        self._stamp = checked.st_size, checked.st_mtime_ns
         self.close = weakref.finalize(self, os.close, fd)
 
     def __len__(self) -> int:
@@ -317,9 +311,13 @@ class FileMatrices:
         if not self.close.alive:  # its number may name another file by now
             raise ValueError("read from a closed dataset file")
         matrix = np.empty(self.shape[1:], self.dtype)
-        if os.preadv(self._fd, [matrix], _HEADER.size + i * self._record + 8) < matrix.nbytes:
-            raise TruncationError(f"file is {os.fstat(self._fd).st_size} bytes, expected "
-                                  f"{_HEADER.size + len(self) * self._record} for {len(self)} records")
+        got = os.preadv(self._fd, [matrix], _HEADER.size + i * self._record + 8)
+        stat = os.fstat(self._fd)
+        expected = _HEADER.size + len(self) * self._record
+        if got < matrix.nbytes or stat.st_size < expected:
+            raise TruncationError(f"file is {stat.st_size} bytes, expected {expected} for {len(self)} records")
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise DatasetFormatError("dataset file changed after it was checked")
         return matrix
 
 
@@ -348,11 +346,12 @@ def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
 
         record = _record_dtype(v)
         expected = _HEADER.size + n * record.itemsize
-        size = os.fstat(f.fileno()).st_size
+        checked = os.fstat(f.fileno())
+        size = checked.st_size
         if size == expected:
             ids, labels, sites = (np.empty(n, np.int64) for _ in range(3))
             records, seen = np.empty(min(n, _CHUNK), record), set()
-            for start in range(0, n, len(records)):
+            for start in range(0, n, _CHUNK):
                 chunk = records[: n - start]
                 got = f.readinto(chunk.view(np.uint8))
                 if got < chunk.nbytes:  # the file shrank since its size was read
@@ -363,7 +362,7 @@ def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
                 _check_records(ids[rows], labels[rows], sites[rows], chunk["matrix"], seen)
         if size != expected:
             raise TruncationError(f"file is {size} bytes, expected {expected} for {n} records")
-        return Dataset(ids, labels, sites, FileMatrices(os.dup(f.fileno()), v, n))
+        return Dataset(ids, labels, sites, FileMatrices(os.dup(f.fileno()), v, n, checked))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ public forward pass — so that agreement with the fast implementations
 is meaningful evidence and not a tautology.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
+from bnt.data import Dataset
 from bnt.linalg import sum_lastaxis
 from bnt.model import (
     CentersMode,
@@ -70,6 +72,13 @@ def batch_loss(batch, params: ModelParams, config: ModelConfig) -> float:
     graphs = np.array([x for x, _ in batch])
     logits = _forward_batch(graphs, params, config, _Workspace(len(batch), config)).logits
     return sum(cross_entropy_reference(l, y) for l, (_, y) in zip(logits, batch)) / len(batch)
+
+
+def held(dataset: Dataset) -> Dataset:
+    """``dataset`` with each matrix read once, row by row, and stacked into
+    one (N, V, V) array of their dtype: a copy to index, slice and compare
+    as an array, and to train on without computing or reading it again."""
+    return dataclasses.replace(dataset, matrices=np.stack([m for m in dataset.matrices]))
 
 
 def readout_backward_whole_batch(dg, tr, params: ModelParams, config: ModelConfig):

@@ -26,6 +26,8 @@ from bnt.rng import Rng
 from bnt.training import TrainConfig, train
 from bnt.workers import ordered_map, usable_cpus
 
+from _oracles import held
+
 
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
@@ -191,16 +193,16 @@ def ablate_workspace(tmp_path_factory):
 def trend_runs():
     """Planted-vs-null training sweeps: 5 seeds x 3 arms at full scale."""
     started = time.monotonic()
-    planted = generate_dataset(GeneratorSpec(seed=500))
+    planted = held(generate_dataset(GeneratorSpec(seed=500)))
     planted_plan = stratified_split(planted, (0.7, 0.1, 0.2), Rng(77))
-    null = generate_dataset(
+    null = held(generate_dataset(
         GeneratorSpec(
             between_strength_class0=0.25,
             between_strength_class1=0.25,
             site_noise=0.0,
             seed=900,
         )
-    )
+    ))
     null_plan = stratified_split(null, (0.7, 0.1, 0.2), Rng(78))
 
     arms = {

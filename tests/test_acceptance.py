@@ -27,7 +27,7 @@ from bnt.theory import (
     vif,
 )
 
-from _oracles import auroc_pairs, finite_difference_grads, max_relative_error
+from _oracles import auroc_pairs, finite_difference_grads, held, max_relative_error
 
 
 def _criterion(index, name, ok, detail):
@@ -51,7 +51,7 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
     spec = GeneratorSpec(
         nodes=8, modules=2, subjects_per_class=1, sites=1, series_length=32, seed=1
     )
-    graphs = generate_dataset(spec)
+    graphs = held(generate_dataset(spec))
     batch = list(zip(graphs.matrices, graphs.labels.tolist()))
     assert sorted(graphs.labels.tolist()) == [0, 1]
 

@@ -327,7 +327,7 @@ def test_options_left_unset_build_the_library_default_configs(tiny_workspace, tm
         built.append(cls)
         return made
 
-    def stop(*args, **kwargs):
+    def stop(*args):
         raise _Stop
 
     monkeypatch.setattr(bnt.cli, "_config", config)
@@ -1010,6 +1010,33 @@ def test_a_dataset_replaced_after_it_is_read_gives_the_outputs_of_the_checked_fi
         runs.append([p.read_bytes() for p in outputs])
     assert (tmp_path / "replaced" / "data.bntd").read_bytes() != Path(tiny_workspace["dataset"]).read_bytes()
     assert runs[0] == runs[1]
+
+
+def _break_in_place(path):
+    """Rewrite ``path`` in place, at its size, with record 0's matrix entry
+    (0, 1) out of range: a record the check of the file would refuse."""
+    raw = bytearray(Path(path).read_bytes())
+    raw[16 + 8 + 4 : 16 + 8 + 8] = np.float32(5.0).tobytes()
+    time.sleep(0.02)  # a later tick of the file system's clock than the checked write
+    with open(path, "r+b") as f:
+        f.write(raw)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-assignments", "ablate"])
+def test_a_dataset_rewritten_in_place_after_it_is_read_is_a_data_error_at_its_next_gather(
+        tiny_workspace, tmp_path, run_cli, monkeypatch, command):
+    result, _ = _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, _break_in_place)
+    err = _assert_data_error(result)
+    assert result[1] == "" and err == "data error: dataset file changed after it was checked\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.bntd"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dataset_of_no_records_is_a_data_error(tmp_path, run_cli):
+    empty, split = tmp_path / "empty.bntd", tmp_path / "split.txt"
+    empty.write_bytes(bnt.data._HEADER.pack(bnt.data.MAGIC, bnt.data.FORMAT_VERSION, 16, 0))
+    err = _assert_data_error(run_cli(["split", "--dataset", str(empty), "--out", str(split)]), split)
+    assert err == f"data error: dataset {empty} contains no graphs\n"
 
 
 def test_train_refuses_a_split_that_leaks_test_ids(tiny_workspace, tmp_path, run_cli):

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -39,6 +40,8 @@ from bnt.rng import Rng
 from bnt.training import evaluate
 from bnt.workers import ordered_map
 
+from _oracles import held
+
 SMALL = GeneratorSpec(
     nodes=16, modules=4, subjects_per_class=6, sites=2, series_length=64, seed=3
 )
@@ -46,7 +49,7 @@ SMALL = GeneratorSpec(
 
 @pytest.fixture(scope="module")
 def small_graphs():
-    return generate_dataset(SMALL)
+    return held(generate_dataset(SMALL))
 
 
 def _records(ids, labels, sites):
@@ -118,7 +121,7 @@ def test_generate_matrix_properties(small_graphs):
 
 
 def test_generate_deterministic(small_graphs):
-    again = generate_dataset(SMALL)
+    again = held(generate_dataset(SMALL))
     for f in fields(Dataset):
         assert np.array_equal(getattr(small_graphs, f.name), getattr(again, f.name))
 
@@ -449,36 +452,61 @@ def test_a_read_checked_in_chunks_names_the_first_bad_record(tmp_path, chunked_f
     ],
 )
 def test_a_write_checked_in_chunks_names_the_first_bad_record(tmp_path, row, change, message):
-    dataset = _with_row(_with_row(generate_dataset(CHUNKED), row, **change), 39, labels=5)
+    dataset = _with_row(_with_row(held(generate_dataset(CHUNKED)), row, **change), 39, labels=5)
     path = tmp_path / "bad.bntd"
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
         write_dataset(path, dataset)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_generating_on_demand_writes_the_bytes_of_the_whole_dataset(tmp_path):
-    whole, on_demand = tmp_path / "whole.bntd", tmp_path / "on_demand.bntd"
-    write_dataset(whole, generate_dataset(CHUNKED))
-    write_dataset(on_demand, generate_dataset(CHUNKED, on_demand=True))
-    assert on_demand.read_bytes() == whole.read_bytes()
+def test_a_generated_dataset_writes_the_bytes_of_its_held_copy(tmp_path):
+    computed, whole = tmp_path / "computed.bntd", tmp_path / "whole.bntd"
+    write_dataset(computed, generate_dataset(CHUNKED))
+    write_dataset(whole, held(generate_dataset(CHUNKED)))
+    assert computed.read_bytes() == whole.read_bytes()
 
 
 def _float32_rows(spec):
-    return generate_dataset(spec).matrices.astype(np.float32)
+    return held(generate_dataset(spec)).matrices.astype(np.float32)
 
 
-def test_a_file_cut_after_it_is_read_fails_the_gather_of_a_lost_record(tmp_path, chunked_file):
+def test_a_file_cut_after_it_is_read_fails_the_next_gather(tmp_path, chunked_file):
+    # a record the cut left whole fails too: the file is no longer the one checked
     path = tmp_path / "set.bntd"
     path.write_bytes(chunked_file)
     dataset = read_dataset(path)
-    size, expected = len(chunked_file), _float32_rows(CHUNKED)
+    size = len(chunked_file)
     os.truncate(path, size - 7)
-    assert np.array_equal(dataset.matrices[38], expected[38])
-    with pytest.raises(TruncationError, match=f"^file is {size - 7} bytes, expected {size} for 40 records$"):
-        dataset.matrices[39]
+    for row in (38, 39):
+        with pytest.raises(TruncationError, match=f"^file is {size - 7} bytes, expected {size} for 40 records$"):
+            dataset.matrices[row]
     os.truncate(path, 16)
     with pytest.raises(TruncationError, match="^file is 16 bytes, "):
         dataset.matrices[0]
+
+
+def test_a_file_rewritten_in_place_after_it_is_read_fails_the_next_gather(tmp_path, chunked_file):
+    # the same file at the same size, so only its modification time tells
+    path = tmp_path / "set.bntd"
+    path.write_bytes(chunked_file)
+    dataset = read_dataset(path)
+    raw = bytearray(chunked_file)
+    raw[16 + 8 + 4 : 16 + 8 + 8] = np.float32(5.0).tobytes()  # record 0's entry (0, 1), out of range
+    time.sleep(0.02)  # a later tick of the file system's clock than the checked write
+    with open(path, "r+b") as f:
+        f.write(raw)
+    assert path.stat().st_size == len(chunked_file)
+    for row in (0, 39):
+        with pytest.raises(DatasetFormatError, match="^dataset file changed after it was checked$"):
+            dataset.matrices[row]
+
+
+def test_a_file_of_no_records_reads_as_an_empty_dataset(tmp_path):
+    path = tmp_path / "empty.bntd"
+    path.write_bytes(bnt.data._HEADER.pack(bnt.data.MAGIC, bnt.data.FORMAT_VERSION, 16, 0))
+    dataset = read_dataset(path)
+    assert len(dataset) == 0 and dataset.matrices.shape == (0, 16, 16)
+    assert dataset.labels.tolist() == dataset.sites.tolist() == []
 
 
 def test_a_file_replaced_after_it_is_read_still_gives_the_checked_rows(tmp_path, chunked_file):

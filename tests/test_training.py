@@ -39,12 +39,14 @@ from bnt.training import (
     train,
 )
 
+from _oracles import held
+
 
 def _workbench(subjects_per_class=8):
     spec = GeneratorSpec(
         nodes=12, modules=3, subjects_per_class=subjects_per_class, sites=2, series_length=48, seed=21
     )
-    graphs = generate_dataset(spec)
+    graphs = held(generate_dataset(spec))
     plan = stratified_split(graphs, (0.5, 0.25, 0.25), Rng(9))
     config = ModelConfig(nodes=12, layers=1, heads=2, clusters=2, mlp_hidden=(6,))
     return graphs, plan, config
@@ -176,11 +178,13 @@ def test_train_without_the_blas_setter_gives_the_same_bytes(lanes_used, monkeypa
 
 def _read_back(tmp_path, spec):
     """``spec``'s dataset as read from its file (float32 matrices), and the
-    same dataset widened to float64 up front."""
+    same dataset held in memory, cast to float32 and widened to float64 up
+    front."""
     path = tmp_path / "set.bntd"
-    write_dataset(path, generate_dataset(spec))
+    generated = held(generate_dataset(spec))
+    write_dataset(path, generated)
     read = read_dataset(path)
-    return read, dataclasses.replace(read, matrices=bnt.model.gather_float64(read.matrices, range(len(read))))
+    return read, dataclasses.replace(read, matrices=generated.matrices.astype(np.float32).astype(np.float64))
 
 
 @pytest.mark.parametrize("v", [12, 200])
@@ -206,7 +210,8 @@ def test_a_float32_dataset_gives_the_bytes_of_its_widened_copy(tmp_path, monkeyp
     runs = []
     for dataset in (read, widened):
         params, report = train(dataset, plan, config, tc, jobs=jobs)
-        loss, grads = step(bnt.model.gather_float64(dataset.matrices, range(5)), params, config, dataset.labels[:5])
+        first = np.stack([dataset.matrices[i] for i in range(5)])  # float32 rows of the read dataset
+        loss, grads = step(first, params, config, dataset.labels[:5])
         run = [params.vector.tobytes(), report.to_text(), loss, grads.vector.tobytes()]
         for take in (None, test_rows):
             for rows, logits, assignment in bnt.model.score_chunks(dataset.matrices, params, config, jobs, take):
@@ -312,7 +317,7 @@ def test_evaluate_single_class_has_no_auroc():
     spec = GeneratorSpec(
         nodes=12, modules=3, subjects_per_class=3, sites=1, series_length=48, seed=2
     )
-    dataset = generate_dataset(spec)
+    dataset = held(generate_dataset(spec))
     zeros = dataset.labels == 0
     params = init_params(config, Rng(0))
     result = evaluate(params, config, dataset.matrices[zeros], dataset.labels[zeros])

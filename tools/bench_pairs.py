@@ -1,14 +1,15 @@
 """Run the benchmark on REV and on the working tree in alternating pairs.
 
-    python3 tools/bench_pairs.py REV PR [--pairs N] [--workloads W1,W2] [--seconds S]
+    python3 tools/bench_pairs.py REV PR [--pairs N]
 
 Copies REV's tree (``git archive``, as ``tools/same_bytes.py`` does) and the
 working tree's ``src``, ``benchmarks`` and ``BENCHMARK.json`` into two
 temporary directories, so each side builds from its own sources and neither
-writes into the repository.  For each workload it runs N pairs of
-``benchmarks/run.py --workload W --seed K --seconds S --trace 0`` (pair K
-gives both sides seed K), REV first in even pairs and the working tree
-first in odd ones, one run at a time.
+writes into the repository.  For each workload of ``BENCHMARK.json`` it
+runs N pairs of ``benchmarks/run.py --workload W --seed K --seconds S
+--trace 0``, S being ``BENCHMARK.json``'s ``run_seconds`` (pair K gives
+both sides seed K), REV first in even pairs and the working tree first in
+odd ones, one run at a time.
 
 It writes ``BENCH_<PR>.json`` at the repository root:
 
@@ -106,13 +107,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("rev", help="the parent revision, e.g. HEAD")
     parser.add_argument("pr", help="the name in BENCH_<PR>.json")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
-    parser.add_argument("--workloads", default=None, help="comma-separated (default: every workload)")
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
     head = subprocess.run(["git", "-C", ROOT, "rev-parse", args.rev, "HEAD"], check=True,
                           capture_output=True, text=True).stdout.split()
     dirty = bool(subprocess.run(["git", "-C", ROOT, "status", "--porcelain", "--", "src", "benchmarks"],
