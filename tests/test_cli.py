@@ -981,19 +981,6 @@ def _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, afte
     return run_cli(argv), outputs
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "export-assignments", "ablate"])
-def test_a_dataset_cut_after_it_is_read_is_a_data_error_at_its_next_gather(tiny_workspace, tmp_path, run_cli,
-                                                                             monkeypatch, command):
-    # ablate's rows are gathered in its two forked workers
-    size = os.path.getsize(tiny_workspace["dataset"])
-    result, _ = _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command,
-                               lambda path: os.truncate(path, 16))
-    err = _assert_data_error(result)
-    assert result[1] == "" and err == f"data error: file is 16 bytes, expected {size} for 24 records\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["data.bntd"]
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_dataset_replaced_after_it_is_read_gives_the_outputs_of_the_checked_file(tiny_workspace, tmp_path,
                                                                                   run_cli, monkeypatch, command):
@@ -1022,12 +1009,19 @@ def _break_in_place(path):
         f.write(raw)
 
 
+@pytest.mark.parametrize("change", ["cut", "rewritten in place"])
 @pytest.mark.parametrize("command", ["train", "eval", "export-assignments", "ablate"])
-def test_a_dataset_rewritten_in_place_after_it_is_read_is_a_data_error_at_its_next_gather(
-        tiny_workspace, tmp_path, run_cli, monkeypatch, command):
-    result, _ = _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, _break_in_place)
+def test_a_dataset_changed_after_it_is_read_is_a_data_error_at_its_next_gather(tiny_workspace, tmp_path, run_cli,
+                                                                                 monkeypatch, command, change):
+    # ablate's rows are gathered in its two forked workers
+    size = os.path.getsize(tiny_workspace["dataset"])
+    after_read, message = {
+        "cut": (lambda path: os.truncate(path, 16), f"file is 16 bytes, expected {size} for 24 records"),
+        "rewritten in place": (_break_in_place, "dataset file changed after it was checked"),
+    }[change]
+    result, _ = _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, after_read)
     err = _assert_data_error(result)
-    assert result[1] == "" and err == "data error: dataset file changed after it was checked\n"
+    assert result[1] == "" and err == f"data error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["data.bntd"]
     assert multiprocessing.active_children() == []
 
