@@ -88,7 +88,7 @@ from .training import (
     save_checkpoint,
     train,
 )
-from .workers import WorkerDied, ordered_map, usable_cpus
+from .workers import WorkerDied, lane_cap, ordered_map, usable_cpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,15 +171,20 @@ def _choice(tokens: dict, shown=None):
     return parse
 
 
-def _list_of(parse, empty=None):
+def _list_of(parse, empty=None, distinct=False):
     """A parser of comma-separated ``parse`` values, blank items skipped;
-    ``empty``, if given, is the error for a list of none."""
+    ``empty``, if given, is the error for a list of none, and a ``distinct``
+    list refuses a value it already holds (a sweep would train it twice)."""
 
     def parse_list(text: str):
         parts = [p for p in text.split(",") if p.strip() != ""]
         if empty and not parts:
             raise ValueError(empty)
-        return tuple(parse(p) for p in parts)
+        values = tuple(parse(p) for p in parts)
+        for i, value in enumerate(values):
+            if distinct and value in values[:i]:
+                raise ValueError(f"{parts[i].strip()} repeats an earlier value")
+        return values
 
     return parse_list
 
@@ -200,19 +205,16 @@ _parse_feature = _choice({f.value: f for f in FeatureMode})
 _parse_theory_mode = _choice({m: m for m in ("mc", "2d", "vif", "all")})
 _parse_switch = _choice({"true": True, "false": False})
 _parse_int_list = _list_of(_parse_int, empty="expected a comma-separated list of integers")
-_parse_readout_list = _list_of(_parse_readout)
-_parse_centers_list = _list_of(_parse_centers)
+_parse_int_sweep = _list_of(_parse_int, empty="expected a comma-separated list of integers", distinct=True)
 
 _MAX_JOBS = 64
 
-# ablate runs and Monte Carlo blocks in worker processes, and the lanes of a
-# large train step or scoring pass
 _JOBS_OPT = _Opt(
     "jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
-    f"worker processes, 1..{_MAX_JOBS}, at most one per run or block, and threads "
-    "of a large train step or a scoring pass, at most one per CPU; defaults to the usable CPUs",
+    f"worker processes (ablate runs, Monte Carlo blocks) or threads (a large train step, a scoring pass), "
+    f"1..{_MAX_JOBS}, at most one per usable CPU and per run or block; defaults to the usable CPUs",
 )
 
 # The option of each config field not named after it.
@@ -348,20 +350,20 @@ _ABLATE_OPTS = (
         _Opt("out", str, _REQUIRED, "output combined CSV path"),
         _Opt(
             "readouts",
-            _parse_readout_list,
+            _list_of(_parse_readout, distinct=True),
             (Readout.OCREAD,),
             "readouts to sweep, comma-separated",
         ),
         _Opt(
             "centers",
-            _parse_centers_list,
+            _list_of(_parse_centers, distinct=True),
             (CentersMode.ORTHONORMAL, CentersMode.RANDOM_UNIT),
             "center modes to sweep (only affect the ocread readout)",
         ),
-        _Opt("clusters", _parse_int_list, (4,), "cluster counts to sweep"),
+        _Opt("clusters", _parse_int_sweep, (4,), "cluster counts to sweep"),
         _Opt(
             "seeds",
-            _parse_int_list,
+            _parse_int_sweep,
             (0, 1, 2, 3, 4),
             "training seeds to sweep",
         ),
@@ -829,7 +831,7 @@ def _ablate(opt, args, staged):
     # follow here in sweep order, as a serial loop would write them.
     rows = []
     runs = [(combo, seed) for combo in combos for seed in seeds]
-    with contextlib.closing(ordered_map(train_run, runs, opt["jobs"])) as outcomes:
+    with contextlib.closing(ordered_map(train_run, runs, lane_cap(opt["jobs"]))) as outcomes:
         for combo in combos:
             readout, centers, clusters = combo
             tests = []

@@ -8,9 +8,9 @@ between strength), unit noise, and a site-specific common component, so
 class membership only shows up in the between-module structure.
 
 Datasets round-trip to a little-endian binary file (magic ``BNTD``) that
-stores matrices as float32, written, checked and read 16 records at a time,
-so no command holds a whole dataset; splits round-trip to a human-readable
-key-value text file.
+stores matrices as float32, written and checked 16 records at a time and
+read through one descriptor, so no command holds a whole dataset; splits
+round-trip to a human-readable key-value text file.
 """
 
 from __future__ import annotations
@@ -280,60 +280,32 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 class FileMatrices:
-    """The (N, V, V) float32 matrices of a ``.bntd`` file that ``read_dataset``
-    has checked, none of them held: ``self[i]`` reads record i's matrix into
-    a new array, at its fixed offset, with one positional read
-    (``os.preadv``) on the descriptor opened at load.
+    """The one reader of a ``.bntd`` file, and its (N, V, V) float32 matrices,
+    none of them held.  It opens the path once and checks the header (magic,
+    size, version, node count), then the file's size.  ``read`` fills a
+    buffer from a record on with one positional read (``os.preadv``):
+    ``read_dataset`` checks the records through it, and ``self[i]`` reads
+    record i's matrix into a new array.
 
     Positional reads move no file offset, so scoring lanes and forked
-    workers read through that one descriptor.  A file that replaces the path
-    later (``generate --force``) leaves the checked bytes readable.  Each
-    read also checks the file's size and modification time against
-    ``checked``, its status when its size was checked: a file cut short raises TruncationError (a memory map
-    would turn the cut into SIGBUS), and a file rewritten in place raises
-    DatasetFormatError, as far as its file system's clock tells the write
-    apart from the last one before the check.  ``close()`` closes the
-    descriptor, as collecting this object does."""
+    workers share the descriptor, and a file that replaces the path later
+    (``generate --force``) leaves the opened bytes readable.  Each read
+    compares the file's size and modification time with those at the size
+    check: a file cut short raises TruncationError (a memory map would turn
+    the cut into SIGBUS), and one rewritten in place, while its records are
+    checked or after, raises DatasetFormatError, as far as its file system's
+    clock tells the write apart from the last one before the check.
+    ``close()`` closes the descriptor, as collecting this object does."""
 
     dtype = np.dtype("<f4")
 
-    def __init__(self, fd: int, v: int, n: int, checked: os.stat_result):
-        self.shape = (n, v, v)
-        self._fd, self._record = fd, _record_dtype(v).itemsize
-        self._stamp = checked.st_size, checked.st_mtime_ns
-        self.close = weakref.finalize(self, os.close, fd)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, i) -> np.ndarray:
-        i = range(len(self))[operator.index(i)]
-        if not self.close.alive:  # its number may name another file by now
-            raise ValueError("read from a closed dataset file")
-        matrix = np.empty(self.shape[1:], self.dtype)
-        got = os.preadv(self._fd, [matrix], _HEADER.size + i * self._record + 8)
-        stat = os.fstat(self._fd)
-        expected = _HEADER.size + len(self) * self._record
-        if got < matrix.nbytes or stat.st_size < expected:
-            raise TruncationError(f"file is {stat.st_size} bytes, expected {expected} for {len(self)} records")
-        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
-            raise DatasetFormatError("dataset file changed after it was checked")
-        return matrix
-
-
-def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
-    """Read a binary dataset file: its ids, labels and sites, and its matrices
-    as a ``FileMatrices`` that reads a record's float32 values when they are
-    gathered.
-
-    The header is checked (magic, size, version, node count), then the file's
-    size, then the records, 16 at a time read into one buffer (``readinto``),
-    by the ``Dataset.validate`` rule with one id set across the chunks, so no
-    more than a chunk of the file is held.  A reader that needs float64
-    widens the rows it gathers (``model.gather_float64``); widening is exact.
-    """
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
+    def __init__(self, path, expect_nodes: int | None = None):
+        self._fd = os.open(path, os.O_RDONLY)
+        self.close = weakref.finalize(self, os.close, self._fd)  # also when a check below fails
+        try:
+            head = os.pread(self._fd, _HEADER.size, 0)
+        except OSError as exc:  # os.open opens a directory; name it, as open would
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         if head[:4] != MAGIC:
             raise BadMagicError(f"not a dataset file: magic {head[:4]!r}")
         if len(head) < _HEADER.size:
@@ -343,26 +315,50 @@ def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
             raise BadVersionError(f"unsupported dataset version {version}")
         if expect_nodes is not None and v != expect_nodes:
             raise VMismatchError(f"dataset has {v} nodes, expected {expect_nodes}")
+        self.shape, self.record = (n, v, v), _record_dtype(v)
+        self._size = _HEADER.size + n * self.record.itemsize
+        checked = os.fstat(self._fd)
+        if checked.st_size != self._size:
+            raise TruncationError(f"file is {checked.st_size} bytes, expected {self._size} for {n} records")
+        self._stamp = checked.st_size, checked.st_mtime_ns
 
-        record = _record_dtype(v)
-        expected = _HEADER.size + n * record.itemsize
-        checked = os.fstat(f.fileno())
-        size = checked.st_size
-        if size == expected:
-            ids, labels, sites = (np.empty(n, np.int64) for _ in range(3))
-            records, seen = np.empty(min(n, _CHUNK), record), set()
-            for start in range(0, n, _CHUNK):
-                chunk = records[: n - start]
-                got = f.readinto(chunk.view(np.uint8))
-                if got < chunk.nbytes:  # the file shrank since its size was read
-                    size = _HEADER.size + start * record.itemsize + got
-                    break
-                rows = slice(start, start + len(chunk))
-                ids[rows], labels[rows], sites[rows] = chunk["id"], chunk["label"], chunk["site"]
-                _check_records(ids[rows], labels[rows], sites[rows], chunk["matrix"], seen)
-        if size != expected:
-            raise TruncationError(f"file is {size} bytes, expected {expected} for {n} records")
-        return Dataset(ids, labels, sites, FileMatrices(os.dup(f.fileno()), v, n, checked))
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def read(self, into: np.ndarray, start: int, at: int = 0) -> np.ndarray:
+        """``into``, filled from byte ``at`` of record ``start`` on; a cut or changed file raises."""
+        if not self.close.alive:  # its number may name another file by now
+            raise ValueError("read from a closed dataset file")
+        got = os.preadv(self._fd, [into], _HEADER.size + start * self.record.itemsize + at)
+        status = os.fstat(self._fd)
+        if got < into.nbytes or status.st_size < self._size:
+            raise TruncationError(f"file is {status.st_size} bytes, expected {self._size} for {len(self)} records")
+        if (status.st_size, status.st_mtime_ns) != self._stamp:
+            raise DatasetFormatError("dataset file changed after it was checked")
+        return into
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[operator.index(i)]
+        return self.read(np.empty(self.shape[1:], self.dtype), i, self.record.fields["matrix"][1])
+
+
+def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
+    """Read a binary dataset file: its ids, labels and sites, and its matrices
+    as the ``FileMatrices`` that checked its header and size.  Through it
+    the records are checked, 16 at a time read into one buffer, by the
+    ``Dataset.validate`` rule with one id set across the chunks, so no more
+    than a chunk of the file is held.  A reader that needs float64 widens
+    the rows it gathers (``model.gather_float64``); widening is exact."""
+    matrices = FileMatrices(path, expect_nodes)
+    n = len(matrices)
+    ids, labels, sites = (np.empty(n, np.int64) for _ in range(3))
+    records, seen = np.empty(min(n, _CHUNK), matrices.record), set()
+    for start in range(0, n, _CHUNK):
+        chunk = matrices.read(records[: n - start], start)
+        rows = slice(start, start + len(chunk))
+        ids[rows], labels[rows], sites[rows] = chunk["id"], chunk["label"], chunk["site"]
+        _check_records(ids[rows], labels[rows], sites[rows], chunk["matrix"], seen)
+    return Dataset(ids, labels, sites, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .rng import Rng
-from .workers import ordered_map, usable_cpus
+from .workers import lane_cap, ordered_map
 
 _DEFAULT_BLOCK = 1 << 16
 # Samples are drawn and scored in chunks whose (samples, dim) array stays
@@ -121,7 +121,7 @@ def variance_functional_mc(
         return [(row.sum(), (row * row).sum()) for row in vals]
 
     estimates = []
-    for per_block in zip(*ordered_map(run_block, enumerate(sizes), min(jobs, usable_cpus()))):
+    for per_block in zip(*ordered_map(run_block, enumerate(sizes), lane_cap(jobs))):
         total = total_sq = 0.0
         for s, sq in per_block:  # fixed reduction order
             total += s

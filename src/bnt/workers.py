@@ -42,7 +42,7 @@ def usable_cpus() -> int:
 
 
 def lane_cap(jobs: int) -> int:
-    """min(jobs, usable CPUs) lanes, and one inside a pool worker."""
+    """min(jobs, usable CPUs), and one inside a pool worker: a pass's lanes, and a pool's workers."""
     return 1 if _job is not None else min(jobs, usable_cpus())
 
 

@@ -22,7 +22,6 @@ import pytest
 import bnt.cli
 import bnt.data
 import bnt.model
-import bnt.theory
 import bnt.workers
 from bnt.cli import ABLATE_HEADER, EVAL_HEADER, THEORY_HEADER
 from bnt.data import GeneratorSpec, SplitPlan, generate_dataset, read_dataset, write_dataset
@@ -648,7 +647,7 @@ def test_verify_theory_refuses_unbounded_options(tmp_path, run_cli, args, messag
 
 
 def test_verify_theory_jobs_change_no_byte(tmp_path, run_cli, pool_sizes, monkeypatch):
-    monkeypatch.setattr(bnt.theory, "usable_cpus", lambda: 2)  # pooled on one CPU too
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)  # pooled on one CPU too
     outputs = []
     for jobs in ("1", "2"):
         prefix = str(tmp_path / f"jobs{jobs}")
@@ -863,6 +862,39 @@ def test_ablate_jobs_change_no_byte(tiny_workspace, tmp_path, run_cli):
 
 def _no_pool(*args):
     raise AssertionError("a worker pool was started")
+
+
+def test_ablate_starts_no_more_workers_than_cpus(tiny_workspace, tmp_path, run_cli, pool_sizes, monkeypatch):
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)
+    outputs = []
+    for jobs in ("8", "2"):
+        out = tmp_path / f"ablate{jobs}.csv"
+        code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+                                "--centers", "orthonormal", "--seeds", "0,1,2", "--epochs", "1", "--jobs", jobs,
+                                "--out", str(out)])
+        assert code == 0, err
+        outputs.append((out.read_bytes(), err))
+    assert pool_sizes == [2, 2]  # three runs, two CPUs
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("option, value, repeated", [
+    ("--seeds", "3,3", "3"),
+    ("--clusters", "4,2,4", "4"),
+    ("--centers", "random,random_unit", "random_unit"),
+    ("--readouts", "mean, MEAN", "MEAN"),
+])
+def test_ablate_refuses_a_sweep_list_that_repeats_a_value(tiny_workspace, tmp_path, run_cli, option, value,
+                                                          repeated):
+    # a repeat would train the same runs again, and report their spread as 0
+    models, out = tmp_path / "models", tmp_path / "ablate.csv"
+    code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
+                            "--epochs", "1", "--jobs", "1", option, value, "--save-models", str(models),
+                            "--out", str(out)])
+    assert code == 1
+    assert err == f"error: invalid value for {option}: {value!r} ({repeated} repeats an earlier value)\n", err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "65"])

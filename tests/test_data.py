@@ -271,6 +271,8 @@ def test_read_error_kinds(tmp_path, small_graphs):
 
     with pytest.raises(VMismatchError):
         read_dataset(path, expect_nodes=SMALL.nodes + 1)
+    with pytest.raises(IsADirectoryError, match=f"Is a directory: '{tmp_path}'$"):  # named, as open names it
+        read_dataset(tmp_path)
     assert len(read_dataset(path, expect_nodes=SMALL.nodes)) == len(small_graphs)
 
     # 16-byte file header, 8-byte record head, then entry (0, 0) and (0, 1)
@@ -288,31 +290,17 @@ def test_read_error_kinds(tmp_path, small_graphs):
         read_dataset(twice)
 
 
-class _ShrunkFile:
-    """A binary file whose record read stops 7 bytes short, as if the file
-    shrank after its size was checked."""
-
-    def __init__(self, path, mode):
-        self.file = open(path, mode)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def __getattr__(self, name):
-        return getattr(self.file, name)
-
-    def readinto(self, buffer):
-        return self.file.readinto(memoryview(buffer)[:-7])
-
-
 def test_a_file_that_shrinks_after_its_size_check_is_truncated(tmp_path, small_graphs, monkeypatch):
     path = tmp_path / "set.bntd"
     write_dataset(path, small_graphs)
     size = path.stat().st_size
-    monkeypatch.setattr(bnt.data, "open", _ShrunkFile, raising=False)
+    preadv = os.preadv
+
+    def cut_then_read(fd, buffers, offset):  # the first record read comes after the size check
+        os.truncate(path, size - 7)
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", cut_then_read)
     with pytest.raises(TruncationError, match=f"^file is {size - 7} bytes, expected {size} for "):
         read_dataset(path)
 
@@ -499,6 +487,44 @@ def test_a_file_rewritten_in_place_after_it_is_read_fails_the_next_gather(tmp_pa
     for row in (0, 39):
         with pytest.raises(DatasetFormatError, match="^dataset file changed after it was checked$"):
             dataset.matrices[row]
+
+
+def _rewritten_after_its_first_chunk(tmp_path, monkeypatch):
+    """A V=32 file of 40 records, which ``read_dataset`` checks in three chunks,
+    and which is rewritten in place (truncated and written, as ``cp`` does)
+    with another file of its size, whose sites differ, once the first chunk
+    is checked."""
+    spec = GeneratorSpec(nodes=32, subjects_per_class=20, sites=2, series_length=32)
+    path, other = tmp_path / "set.bntd", tmp_path / "other.bntd"
+    write_dataset(path, generate_dataset(spec))
+    write_dataset(other, generate_dataset(dataclasses.replace(spec, sites=3, seed=7)))
+    raw = other.read_bytes()
+    other.unlink()
+    check = bnt.data._check_records
+
+    def check_then_rewrite(*args):
+        check(*args)
+        monkeypatch.setattr(bnt.data, "_check_records", check)
+        time.sleep(0.02)  # a later tick of the file system's clock than the checked write
+        path.write_bytes(raw)
+
+    monkeypatch.setattr(bnt.data, "_check_records", check_then_rewrite)
+    return path
+
+
+def test_a_file_rewritten_in_place_while_it_is_checked_fails_the_read(tmp_path, monkeypatch):
+    path = _rewritten_after_its_first_chunk(tmp_path, monkeypatch)
+    with pytest.raises(DatasetFormatError, match="^dataset file changed after it was checked$"):
+        read_dataset(path)
+
+
+def test_split_of_a_file_rewritten_in_place_while_it_is_checked_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the ids, labels and sites of two files would deal a plan of neither
+    path = _rewritten_after_its_first_chunk(tmp_path, monkeypatch)
+    assert cli_main(["split", "--dataset", str(path), "--out", str(tmp_path / "split.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "data error: dataset file changed after it was checked\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["set.bntd"]
 
 
 def test_a_file_of_no_records_reads_as_an_empty_dataset(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import variance_functional_mc_reference
-from bnt import theory, workers
+from bnt import workers
 from bnt.linalg import gram_schmidt
 from bnt.rng import Rng
 from bnt.theory import (
@@ -91,7 +91,7 @@ def test_mc_stacked_sets_share_the_draws_and_give_the_bits_of_one_set_calls(monk
     # a correlated set and orthonormal ones, with rows of 4 and of 9 > 8 clusters
     sets = [correlated_unit_centers(4, 10, 0.5), orthonormal_centers(4, 10, 3), orthonormal_centers(4, 10, 4)]
     wide = [correlated_unit_centers(9, 12, 0.3), orthonormal_centers(9, 12, 5)]
-    monkeypatch.setattr(theory, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     for n, stack in ((4097, sets[:2]), (150_001, sets), (150_001, wide)):
         want = [variance_functional_mc(c, 2.0, n, seed=9) for c in stack]
         for jobs in (1, 3):
@@ -119,7 +119,7 @@ def test_mc_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch):
     centers = orthonormal_centers(2, 3, seed=0)
     serial = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000)
     for jobs, cpus in ((8, 64), (8, 2), (2, 64), (3, 1), (1, 64)):
-        monkeypatch.setattr(theory, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         est = variance_functional_mc(centers, 3.0, 2_500, seed=4, block_size=1_000, jobs=jobs)
         assert (est.value, est.standard_error) == (serial.value, serial.standard_error)
     # three blocks; no pool of one is made
