@@ -213,7 +213,7 @@ _JOBS_OPT = _Opt(
     "jobs",
     _parse_int,
     min(usable_cpus(), _MAX_JOBS),
-    f"worker processes (ablate runs, Monte Carlo blocks) or threads (a large train step, a scoring pass), "
+    "worker processes (ablate runs, Monte Carlo blocks) or threads (a large train step, a scoring pass), "
     f"1..{_MAX_JOBS}, at most one per usable CPU and per run or block; defaults to the usable CPUs",
 )
 
@@ -814,7 +814,7 @@ def _combos(opt):
 def _ablate(opt, args, staged):
     dataset, nodes, plan = _load_training_inputs(opt)
     combos, seeds = _combos(opt), opt["seeds"]
-    if not combos or not seeds:
+    if not combos:  # an empty --readouts or --centers; the integer sweeps refuse an empty list
         raise UsageError("the sweep is empty")
 
     # validate every combination before spending minutes training any

@@ -329,10 +329,11 @@ class FileMatrices:
         """``into``, filled from byte ``at`` of record ``start`` on; a cut or changed file raises."""
         if not self.close.alive:  # its number may name another file by now
             raise ValueError("read from a closed dataset file")
-        got = os.preadv(self._fd, [into], _HEADER.size + start * self.record.itemsize + at)
-        status = os.fstat(self._fd)
-        if got < into.nbytes or status.st_size < self._size:
-            raise TruncationError(f"file is {status.st_size} bytes, expected {self._size} for {len(self)} records")
+        offset = _HEADER.size + start * self.record.itemsize + at
+        got, status = os.preadv(self._fd, [into], offset), os.fstat(self._fd)
+        size = min(status.st_size, offset + got if got < into.nbytes else self._size)  # where the data ran out
+        if size < self._size:
+            raise TruncationError(f"file is {size} bytes, expected {self._size} for {len(self)} records")
         if (status.st_size, status.st_mtime_ns) != self._stamp:
             raise DatasetFormatError("dataset file changed after it was checked")
         return into
@@ -344,11 +345,10 @@ class FileMatrices:
 
 def read_dataset(path, expect_nodes: int | None = None) -> Dataset:
     """Read a binary dataset file: its ids, labels and sites, and its matrices
-    as the ``FileMatrices`` that checked its header and size.  Through it
-    the records are checked, 16 at a time read into one buffer, by the
-    ``Dataset.validate`` rule with one id set across the chunks, so no more
-    than a chunk of the file is held.  A reader that needs float64 widens
-    the rows it gathers (``model.gather_float64``); widening is exact."""
+    as the ``FileMatrices`` that checked its header and size.  Through it the
+    records are checked 16 at a time in one buffer, by the ``Dataset.validate``
+    rule with one id set across the chunks, so no more than a chunk is held.
+    A reader that needs float64 widens the rows it gathers exactly (``model.gather_float64``)."""
     matrices = FileMatrices(path, expect_nodes)
     n = len(matrices)
     ids, labels, sites = (np.empty(n, np.int64) for _ in range(3))

@@ -845,7 +845,8 @@ def test_ablate_rejects_impossible_combo_upfront(tiny_workspace, tmp_path, run_c
     assert not os.path.exists(out)
 
 
-def test_ablate_jobs_change_no_byte(tiny_workspace, tmp_path, run_cli):
+def test_ablate_jobs_change_no_byte(tiny_workspace, tmp_path, run_cli, pool_sizes, monkeypatch):
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)  # pooled on one CPU too
     outputs = []
     for jobs in ("1", "2"):
         models, out = tmp_path / f"models{jobs}", tmp_path / f"ablate{jobs}.csv"
@@ -856,7 +857,7 @@ def test_ablate_jobs_change_no_byte(tiny_workspace, tmp_path, run_cli):
         saved = {p.name: p.read_bytes() for p in sorted(models.iterdir())}
         outputs.append((out.read_bytes(), saved, err))
     assert len(outputs[0][1]) == 4 and err.count("[ablate]") == 4
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] and pool_sizes == [2]
     assert multiprocessing.active_children() == []
 
 
@@ -1004,6 +1005,7 @@ def _run_on_a_copy(tiny_workspace, tmp_path, run_cli, monkeypatch, command, afte
         return dataset
 
     monkeypatch.setattr(bnt.cli, "read_dataset", read)
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)  # ablate pools its two runs on one CPU too
     argv = [command, "--dataset", str(data), "--split", tiny_workspace["split"], "--out", str(out)]
     if command in ("eval", "export-assignments"):
         argv += ["--checkpoint", tiny_workspace["checkpoint"]]
@@ -1342,11 +1344,12 @@ def test_out_of_memory_is_one_line_and_exit_3(tiny_workspace, tmp_path, run_cli,
     assert not run_dir.exists()
 
 
-def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, run_cli, monkeypatch):
+def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, run_cli, monkeypatch, pool_sizes):
     def killed(*args):
         os._exit(9)  # as the out-of-memory killer would end a worker
 
     monkeypatch.setattr(bnt.cli, "train", killed)
+    monkeypatch.setattr(bnt.workers, "usable_cpus", lambda: 2)  # in a worker on one CPU too, not in pytest
     out = tmp_path / "ablate.csv"
     code, _, err = run_cli(["ablate", "--dataset", tiny_workspace["dataset"], "--split",
                             tiny_workspace["split"], "--seeds", "0,1", "--epochs", "1", "--jobs", "2",
@@ -1354,7 +1357,7 @@ def test_a_dead_ablate_worker_is_one_line_and_exit_3(tiny_workspace, tmp_path, r
     assert code == 3 and len(err.splitlines()) == 1, err
     assert err.startswith("resource failure: readout=ocread centers=orthonormal clusters=4 seed=0: "
                           "a worker process died"), err
-    assert not out.exists()
+    assert not out.exists() and pool_sizes == [2]
     assert multiprocessing.active_children() == []
 
 
@@ -1536,13 +1539,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_ctrl_c_on_a_pooled_command_is_one_line_and_exit_130(tiny_workspace, tmp_path):
+    # the child forces two usable CPUs, so its two runs train in two workers on any host
     children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
     if not children.exists():
         pytest.skip("needs /proc/PID/task/PID/children to see the workers start")
     argv = ["ablate", "--dataset", tiny_workspace["dataset"], "--split", tiny_workspace["split"],
             "--seeds", "0,1", "--epochs", "1000000", "--jobs", "2", "--save-models", str(tmp_path / "models"),
             "--out", str(tmp_path / "a.csv")]
-    proc = subprocess.Popen([sys.executable, "-m", "bnt.cli", *argv], stdout=subprocess.PIPE,
+    pooled = "import sys, bnt.cli, bnt.workers; bnt.workers.usable_cpus = lambda: 2; sys.exit(bnt.cli.main())"
+    proc = subprocess.Popen([sys.executable, "-c", pooled, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True,
                             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
     try:

@@ -305,6 +305,23 @@ def test_a_file_that_shrinks_after_its_size_check_is_truncated(tmp_path, small_g
         read_dataset(path)
 
 
+def test_a_short_read_names_where_the_data_ran_out(tmp_path, small_graphs, monkeypatch):
+    # the file is whole again by the time the reader looks at its size
+    path = tmp_path / "set.bntd"
+    write_dataset(path, small_graphs)
+    size, preadv, reads = path.stat().st_size, os.preadv, []
+
+    def seven_short(fd, buffers, offset):
+        reads.append(offset + buffers[0].nbytes)
+        return preadv(fd, buffers, offset) - 7
+
+    monkeypatch.setattr(os, "preadv", seven_short)
+    with pytest.raises(TruncationError) as failed:
+        read_dataset(path)
+    assert len(reads) == 1
+    assert str(failed.value) == f"file is {reads[0] - 7} bytes, expected {size} for {len(small_graphs.labels)} records"
+
+
 def test_reading_holds_the_file_once(tmp_path):
     # 64 V=64 records: 1.00 MiB of file, of which a read holds one 16-record chunk at a time
     path = tmp_path / "set.bntd"
