@@ -14,8 +14,9 @@ draw, frozen), random unit rows (frozen), or learnable.
 Parameters live in one contiguous float64 vector laid out by
 ``param_layout``; every named tensor of a ``ModelParams`` is a view into
 it.  Gradients are computed analytically by reverse mode over the cached
-forward intermediates (large attention maps are recomputed instead), into
-a second vector of the same layout; finite differences verify them in the
+forward intermediates (large attention maps are recomputed instead, and
+with them every layer's Q/K/V projections but the last layer's), into a
+second vector of the same layout; finite differences verify them in the
 tests.  The attention backward writes each layer's gradients over that
 layer's own forward arrays, each once its last read is done.
 """
@@ -264,12 +265,16 @@ def node_feature(x, mode: FeatureMode, k_eigen: int = 0) -> np.ndarray:
 # temporaries of a block stay in cache instead of spanning the whole batch.
 _ATTN_BLOCK_BYTES = 256 * 1024
 
-# A training workspace keeps a layer's whole-batch attention for the backward
-# where it takes at most this many bytes, else the backward recomputes it per
-# block.  On 2 cores of an Intel Xeon (B=64, default widths, one BLAS thread,
-# alternating runs) recomputing cost +22-25% of a step at V=32, +10-22% at
-# V=64, +13-29% at V=128 and +6-20% at V=200, and saved 2 MiB per layer at
-# V=32, 32 MiB at V=128 and 78 MiB at V=200: only layers beyond V=128 recompute.
+# A training workspace keeps each layer's whole-batch attention and Q/K/V
+# projections for the backward where that attention takes at most this many
+# bytes.  Else the backward recomputes the attention per block, and the layers
+# share one Q/K/V buffer that the backward projects again for each layer below
+# the last.  On 2 cores of an Intel Xeon (B=64, default widths, one BLAS
+# thread, alternating runs) recomputing the attention cost +22-25% of a step at
+# V=32, +10-22% at V=64, +13-29% at V=128 and +6-20% at V=200, and saved 2 MiB
+# per layer at V=32, 32 MiB at V=128 and 78 MiB at V=200: only layers beyond
+# V=128 recompute.  Sharing Q/K/V then saved 58.6 MiB more at V=200 and L=2,
+# for about 5% of the cohort benchmark's training rate (10 alternating pairs).
 _ATTN_STORE_BYTES = 32 * 1024 * 1024
 
 
@@ -280,14 +285,15 @@ def _blocks(b: int, m: int, v: int) -> list[slice]:
 
 class _LayerBuffers:
     """One attention layer's arrays for up to n graphs: the Q/K/V projections
-    ``qkv``, the attention of shape ``attn`` (all n graphs (n, M, V, V), or one
+    ``qkv`` (3, n·V, M·hd), its own or the given one that other layers share,
+    the attention of shape ``attn`` (all n graphs (n, M, V, V), or one
     block per lane (lanes, block, M, V, V)), and two flat buffers of
     n·V·max(V, M·hd) floats: ``h``, the head outputs (n, V, M, hd), whose
     (n, V, M·hd) view is ``hcat``, and ``out``, the (n, V, V) output.  After a
     training step they hold the layer's gradients instead (``_mhsa_backward``)."""
 
-    def __init__(self, n: int, v: int, m: int, hd: int, attn: tuple[int, ...]):
-        self.qkv = np.empty((3, n * v, m * hd))
+    def __init__(self, n: int, v: int, m: int, hd: int, attn: tuple[int, ...], qkv=None):
+        self.qkv = np.empty((3, n * v, m * hd)) if qkv is None else qkv
         self.h = np.empty(n * v * max(v, m * hd))
         self.attn = np.empty(attn)
         self.out = np.empty(n * v * max(v, m * hd))
@@ -302,8 +308,11 @@ class _Workspace:
     Scoring: one ``_LayerBuffers`` with one attention block serves every layer;
     each layer projects its input to Q/K/V before overwriting ``out``.
     Training: each layer keeps its own buffers for the backward, with its
-    whole-batch attention where that is at most ``_ATTN_STORE_BYTES``, else one
-    attention block per lane that the backward recomputes.  The backward writes
+    whole-batch attention where that is at most ``_ATTN_STORE_BYTES``.  Else
+    each keeps one attention block per lane that the backward recomputes,
+    and the layers share one ``qkv``: each layer's forward projects over the
+    one below's, and the backward projects each layer below the last again
+    before its backward (``_mhsa_backward``).  The backward writes
     each layer's gradients over that layer's dead forward arrays, so after a
     step the layers hold gradients, not activations (read those before the
     backward).  Besides the layers there is one block's ``dattn`` and its
@@ -320,7 +329,8 @@ class _Workspace:
         if not train:
             self.layers = [_LayerBuffers(n, v, m, hd, attn)] * config.layers
             return
-        self.layers = [_LayerBuffers(n, v, m, hd, attn) for _ in range(config.layers)]
+        qkv = None if store else np.empty((3, n * v, m * hd))
+        self.layers = [_LayerBuffers(n, v, m, hd, attn, qkv) for _ in range(config.layers)]
         self.grads = ModelParams(np.zeros(param_count(config)), config)
         self.dattn = np.empty((self.lanes, 2, block, m, v, v))
         self.dq = np.empty((self.lanes, block, v, m, hd))
@@ -341,6 +351,14 @@ def _attention(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
     return softmax_lastaxis(out, out=out)
 
 
+def _project(z2: np.ndarray, layer: AttentionLayerParams, qkv: np.ndarray, lanes: int):
+    """The Q/K/V projections of z2 (n·V, w) into qkv (3, n·V, M·hd), three GEMMs
+    in up to ``lanes`` lanes: the forward's call, which the backward repeats
+    for the same bits."""
+    run_lanes([partial(np.matmul, z2, wt.reshape(-1, z2.shape[1]).T, out=d)
+               for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
+
+
 def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers, lanes: int = 1):
     """One attention layer over z (B, V, w) into ``buf``: full-batch projections;
     scores, softmax (in place) and attn @ v over blocks of graphs (``_blocks``).
@@ -352,9 +370,8 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
     if w_in != w:
         raise ValueError(f"layer expects input width {w_in}, got {w}")
     mh = m * hd
-    z2, qkv = z.reshape(b * v, w), buf.qkv[:, : b * v]
-    run_lanes([partial(np.matmul, z2, wt.reshape(mh, w).T, out=d)
-               for wt, d in zip((layer.w_query, layer.w_key, layer.w_value), qkv)], lanes)
+    qkv = buf.qkv[:, : b * v]
+    _project(z.reshape(b * v, w), layer, qkv, lanes)
     q, k, vv = (d.reshape(b, v, m, hd).transpose(0, 2, 1, 3) for d in qkv)
     h, out = buf.h[: b * v * mh].reshape(b, v, m, hd), buf.out[: b * v * v].reshape(b, v, v)
     heads, hcat = h.transpose(0, 2, 1, 3), h.reshape(b, v, mh)  # views, no copies
@@ -372,19 +389,25 @@ def _mhsa_forward(z: np.ndarray, layer: AttentionLayerParams, buf: _LayerBuffers
 
 
 def _mhsa_backward(dout, layer: AttentionLayerParams, cache, grads: AttentionLayerParams,
-                   ws: _Workspace, input_grad: bool):
+                   ws: _Workspace, input_grad: bool, reproject: bool):
     """Backward of one attention layer through the training workspace ``ws``.
-    Weight gradients go into ``grads``; the input gradient, returned where
-    ``input_grad`` (nothing reads the first layer's), and every other gradient
-    go over a forward array of the layer once its last read is done: dhcat,
-    then the input gradient, over ``out`` (read as the next layer's input, or
-    by the readout), the input gradient's products over ``h`` (read as hcat by
-    the ``w_output`` gradient), and per block dV, dK and dQ over V, K and Q."""
+    With ``reproject`` (a ``qkv`` the layer above shares, which holds that
+    layer's gradients now), the layer first projects its input z again
+    (``_project``): z is the features or the layer below's ``out``, which
+    stays intact until that layer's backward.  Weight gradients go into
+    ``grads``; the input gradient, returned where ``input_grad`` (nothing
+    reads the first layer's), and every other gradient go over a forward
+    array of the layer once its last read is done: dhcat, then the input
+    gradient, over ``out`` (read as the next layer's input, or by the
+    readout), the input gradient's products over ``h`` (read as hcat by the
+    ``w_output`` gradient), and per block dV, dK and dQ over V, K and Q."""
     z, q, k, vv, hcat, buf = cache
     b, v, w = z.shape
     m, hd, _ = layer.w_query.shape
     mh = m * hd
     z2, lanes, attn, dhcat = z.reshape(b * v, w), ws.lanes, buf.attn, buf.out[: b * v * mh].reshape(b, v, mh)
+    if reproject:
+        _project(z2, layer, buf.qkv[:, : b * v], lanes)
 
     run_lanes([partial(np.matmul, hcat.reshape(b * v, mh).T, dout.reshape(b * v, v), out=grads.w_output),
                partial(np.matmul, dout, layer.w_output.T, out=dhcat)], lanes)
@@ -603,7 +626,8 @@ def loss_and_grad(x, params: ModelParams, config: ModelConfig, labels, ws: _Work
         grads.centers[...] = dcenters
 
     for i in range(len(params.layers) - 1, -1, -1):
-        dz = _mhsa_backward(dz, params.layers[i], tr.caches[i], grads.layers[i], ws, i > 0)
+        shared = i + 1 < len(ws.layers) and ws.layers[i].qkv is ws.layers[i + 1].qkv
+        dz = _mhsa_backward(dz, params.layers[i], tr.caches[i], grads.layers[i], ws, i > 0, shared)
 
     return loss, grads
 

@@ -625,6 +625,33 @@ def test_a_warm_training_workspace_allocates_a_quarter_of_a_step(monkeypatch):
         assert peaks[1] <= 0.25 * peaks[0], (store, peaks)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("head_dim", ["narrow", "default", "wide"])
+def test_a_shared_qkv_buffer_gives_the_bytes_of_stored_attention(monkeypatch, head_dim, lanes, layers):
+    # recomputed attention: one Q/K/V array for every layer, each layer below
+    # the last projected again in the backward, at 3 layers the middle one from
+    # the first layer's output; a full then a partial batch through one workspace
+    monkeypatch.setattr(bnt.model, "_LANES_MIN_FLOPS", 0)
+    config = ModelConfig(nodes=12, layers=layers, heads=4, head_dim=_head_dim(head_dim, 12, 4), clusters=3,
+                         mlp_hidden=(8,), centers_mode=CentersMode.LEARNABLE)
+    params = init_params(config, Rng(19))
+    x = np.stack([_correlation_input(12, seed=400 + s) for s in range(5)])
+    y = np.arange(5) % 2
+    runs = []
+    for store in (_STORE, 0):
+        monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", store)
+        ws = bnt.model._Workspace(5, config, train=True, lanes=lanes)
+        assert ws.lanes == lanes
+        assert all((layer.qkv is ws.layers[0].qkv) == (not store) for layer in ws.layers[1:])
+        steps = []
+        for b in (5, 3):
+            loss, grads = loss_and_grad(x[:b], params, config, y[:b], ws=ws)
+            steps.append((loss, grads.vector.tobytes()))
+        runs.append(steps)
+    assert runs[1] == runs[0]
+
+
 def _workspace_arrays(ws):
     """Every buffer of a training workspace, each counted once however many views of it it holds."""
     arrays = [a for holder in (ws, *ws.layers) for a in vars(holder).values() if isinstance(a, np.ndarray)]
@@ -633,19 +660,24 @@ def _workspace_arrays(ws):
 
 
 def test_a_large_training_workspace_stores_no_attention(monkeypatch):
-    # V=200, B=64: 78 MiB of attention per layer, recomputed in the backward;
-    # V=32, B=64: 2 MiB per layer, kept, so those steps run as they always have
-    maps = 8 * 64 * 4 * 200 * 200
+    # V=200, B=64: 78 MiB of attention per layer, recomputed in the backward,
+    # and one Q/K/V array (59 MiB) that both layers share, since the backward
+    # projects the first layer's again; V=32, B=64: 2 MiB of attention per
+    # layer, kept with each layer's own Q/K/V, so those steps run as they always have
+    maps, qkv = 8 * 64 * 4 * 200 * 200, 8 * 3 * 64 * 200 * 200
     config = ModelConfig(nodes=200)
     ws = bnt.model._Workspace(64, config, train=True, lanes=2)
     arrays = _workspace_arrays(ws)
     assert not any(a.shape[-4:] == (64, 4, 200, 200) for a in arrays)
     assert [layer.attn.shape for layer in ws.layers] == [(2, 1, 4, 200, 200)] * 2  # one block per lane
+    assert ws.layers[0].qkv is ws.layers[1].qkv
     monkeypatch.setattr(bnt.model, "_ATTN_STORE_BYTES", _STORE)
-    stored = _workspace_arrays(bnt.model._Workspace(64, config, train=True, lanes=2))
+    stored_ws = bnt.model._Workspace(64, config, train=True, lanes=2)
+    assert stored_ws.layers[0].qkv is not stored_ws.layers[1].qkv
+    stored = _workspace_arrays(stored_ws)
     one_block = ws.dattn[0, 0].nbytes
-    assert sum(a.nbytes for a in stored) - sum(a.nbytes for a in arrays) == 2 * maps - 4 * one_block
-    assert round(sum(a.nbytes for a in arrays) / 2**20) == 210  # 361 MiB with both layers' maps
+    assert sum(a.nbytes for a in stored) - sum(a.nbytes for a in arrays) == 2 * maps - 4 * one_block + qkv
+    assert sum(a.nbytes for a in arrays) <= 152 * 2**20  # 361 MiB with both layers' maps and Q/K/V
     # no whole-batch array but the layers' forward buffers and the gradient
     # vector: the gradients take those, beside one block's dattn and dq per lane
     layers = {id(a) for layer in ws.layers for a in vars(layer).values()} | {id(ws.grads.vector)}
@@ -655,6 +687,10 @@ def test_a_large_training_workspace_stores_no_attention(monkeypatch):
     monkeypatch.undo()
     small = bnt.model._Workspace(64, ModelConfig(nodes=32), train=True)
     assert [layer.attn.shape for layer in small.layers] == [(64, 4, 32, 32)] * 2
+    assert small.layers[0].qkv is not small.layers[1].qkv
+    # np.empty touches no page, so a V=360 workspace costs its sizes alone here
+    large = bnt.model._Workspace(64, ModelConfig(nodes=360), train=True, lanes=2)
+    assert large.lanes == 2 and sum(a.nbytes for a in _workspace_arrays(large)) <= 488 * 2**20
 
 
 def test_loss_and_grad_rejects_bad_labels():

@@ -41,8 +41,11 @@ longer (``--nodes 12 --clusters 9``), so both sides of the short-row fold
 ``generate`` and its ``split --no-stratify`` (an odd-V record layout), one
 V=32 round (40 subjects per class, split, 2-epoch train, eval, export) and
 one V=200 round (3-epoch train, eval, export) at the cohort-cc200 benchmark's
-sizes.  A scoring chunk is one attention block: at V = 7, 12 and 200 a chunk
-of several graphs gives the bits of one-graph chunks, so only the V=32 round,
+sizes, and a 3-layer V=200 train (1 epoch in batches of 28, whose attention,
+above the 32 MiB budget, the backward recomputes, projecting the middle
+layer's Q/K/V again from the first layer's output) and its eval.  A
+scoring chunk is one attention block: at V = 7, 12 and 200 a chunk of
+several graphs gives the bits of one-graph chunks, so only the V=32 round,
 whose 48-graph test split scores in 8-graph chunks, shows a change in the
 rounding of chunk-sized GEMMs.
 ``train``, ``eval``, ``export-assignments``, ``ablate`` and ``verify-theory``
@@ -142,6 +145,7 @@ def chain() -> list[list[str]]:
         ["split", "--dataset", cc200[0], "--fractions", "0.3,0.1,0.6", "--seed", "4", "--out", cc200[1]],
         *train("cc200", *cc200, "--epochs", "3"),
         *export("cc200", *cc200),
+        *train("cc200deep", *cc200, "--epochs", "1", "--layers", "3", "--batch-size", "28"),
     ]
 
 
